@@ -27,4 +27,4 @@ __all__ = [
     "load_stimuli",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .suite import run_property_suite
 from .topology import (generate_random, load_mapping, load_network,
                        load_stimuli, save_mapping, save_network, save_stimuli,
                        validate)
-from .transport import CodecError, TransportError, load_roster
+from .transport import CodecError, TransportError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,7 +130,10 @@ def _cmd_run(args) -> int:
                                   timeout_ms=args.timeout_ms)
         trace = []
         for pid in range(1, mapping.procs + 1):
-            trace.extend(read_trace((args.out or "trace") + f".shard{pid}"))
+            try:
+                trace.extend(read_trace((args.out or "trace") + f".shard{pid}"))
+            except FileNotFoundError:
+                result.violations.append(f"missing trace shard {pid}")
         trace.sort(key=lambda nt: (nt[1], nt[0]))
         result.trace = trace
     elif args.mode == "threads":

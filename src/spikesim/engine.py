@@ -1,33 +1,31 @@
 """Run orchestration: deterministic, free-running, and multi-process modes.
 
-Three ways to drive the same processor state machines:
-
 * ``DeterministicEngine`` -- single thread, round-robin over processors
   with synchronous message delivery and exhaustive draining between
   actual-time advancements. Reproducible bit-for-bit; this is the mode
   certified against the sequential oracle.
-* ``ThreadedEngine`` -- one free-running thread per processor plus an
-  environment thread with a wall-clock timeout; delivery through
-  thread-safe mailboxes. Exercises the protocol under real interleaving.
+* ``ThreadedEngine`` -- one free-running thread per processor.
 * ``run_tcp_node`` / ``run_tcp_launcher`` -- one OS process per processor
-  connected over TCP; the launcher doubles as the environment and merges
-  per-node trace shards afterwards.
+  over TCP; the launcher doubles as the environment.
+
+Both free-running modes drive the environment with ``run_environment`` and
+each processor with ``run_node``; only the backend's ``send(dest, msg)`` and
+``poll(pid)`` differ, through in-process mailboxes or TCP sockets.
 """
 
 from __future__ import annotations
 
 import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .environment import EnvState
 from .neuron import ECState
 from .node import NodeState
 from .topology import MappingSpec, NetworkSpec, build_post_tables
-from .transport import (InProcBackend, Message, TcpBackend, TransportError,
-                        load_roster)
+from .transport import InProcBackend, TcpBackend, TransportError, load_roster
 
 
 @dataclass
@@ -44,8 +42,7 @@ class RunResult:
 
 def build_simulation(net: NetworkSpec, mapping: MappingSpec,
                      stimuli: dict[int, list[int]], horizon: int,
-                     timeout_ms: int = 50, strict: bool = True,
-                     only_node: int | None = None):
+                     timeout_ms: int = 20, only_node: int | None = None):
     """Instantiate the environment and the compute processors.
 
     ``only_node`` restricts construction to one processor (multi-process
@@ -60,7 +57,7 @@ def build_simulation(net: NetworkSpec, mapping: MappingSpec,
         if only_node is not None and pid != only_node:
             continue
         ecs = {
-            nid: ECState(nid, net.neurons[nid], sim_horizon=horizon, strict=strict)
+            nid: ECState(nid, net.neurons[nid], sim_horizon=horizon)
             for nid in tables[pid]
         }
         # Routing must see every neuron's owner, not just local ones.
@@ -164,10 +161,6 @@ class DeterministicEngine:
             else:
                 self.nodes[dest].receive(msg)
 
-    def _deliver_broadcast(self, messages: list[Message]) -> None:
-        for pid, msg in zip(sorted(self.nodes), messages):
-            self.nodes[pid].receive(msg)
-
     def _global_min_stamp(self) -> int | None:
         """Smallest stamp pending anywhere: queues and staged outboxes."""
         best: int | None = None
@@ -224,16 +217,16 @@ class DeterministicEngine:
     def run(self) -> RunResult:
         env = self.env
         self._advance_pending = False
-        self._deliver_broadcast(env.advance_T())
+        self._deliver(enumerate(env.advance_T(), start=1))
         while not env.done:
             self._drain()
             if self.monitor is not None:
                 self.monitor.check()
             if self._advance_pending:
                 self._advance_pending = False
-                self._deliver_broadcast(env.advance_T())
+                self._deliver(enumerate(env.advance_T(), start=1))
                 continue
-            self._deliver_broadcast(env.on_timeout())
+            self._deliver(enumerate(env.on_timeout(), start=1))
         violations = list(self.monitor.violations) if self.monitor else []
         return RunResult(
             trace=merge_traces(self.nodes),
@@ -243,15 +236,73 @@ class DeterministicEngine:
         )
 
 
-class ThreadedEngine:
-    """Free-running execution: one thread per processor, plus the environment.
+# -- free-running modes: one environment loop and one node loop ----------------
 
-    The environment advances the actual time when an output message shows a
-    processor reached T, or after ``timeout_ms`` of no advancement. The run
-    stops when T passes the horizon or when two consecutive quiet
-    observations find every processor idle with no stimuli or messages
-    outstanding.
+# Wall-clock budget of a tcp run, for the launcher and for each node process.
+TCP_WALL_S = 120.0
+
+
+def ship(backend, pairs) -> None:
+    """Send each ``(dest, msg)``, skipping a peer that has closed, which
+    happens only once the run is over."""
+    for dest, msg in pairs:
+        try:
+            backend.send(dest, msg)
+        except TransportError:
+            pass
+
+
+def run_environment(env: EnvState, backend, max_wall_s: float,
+                    stop: Callable[[], bool],
+                    all_idle: Callable[[], bool]) -> list[str]:
+    """Advance T on outputs, or after ``env.timeout_ms`` without one, until
+    ``env.done``, ``stop()`` or ``max_wall_s``; returns the loop's violations.
+
+    With every processor ``all_idle()`` after a timeout, the interval carries
+    no information, so the next timeout fires without waiting it out.
     """
+    timeout_s = env.timeout_ms / 1000.0
+    ship(backend, enumerate(env.advance_T(), start=1))
+    deadline = time.monotonic() + max_wall_s
+    last_advance = time.monotonic()
+    while not env.done and not stop():
+        if time.monotonic() > deadline:
+            return ["wall-clock budget exceeded"]
+        advanced = False
+        for msg in backend.poll(0):
+            if env.on_output(msg):
+                advanced = True
+        if advanced:
+            ship(backend, enumerate(env.advance_T(), start=1))
+            last_advance = time.monotonic()
+        elif time.monotonic() - last_advance >= timeout_s:
+            ship(backend, enumerate(env.on_timeout(), start=1))
+            last_advance = time.monotonic()
+            if all_idle():
+                last_advance -= timeout_s
+        else:
+            time.sleep(0.001)
+    return []
+
+
+def run_node(node: NodeState, backend, minpak: int,
+             stop: Callable[[], bool]) -> None:
+    """Deliver, compute and emit on one processor until ``stop()`` holds."""
+    while not stop():
+        inbound = backend.poll(node.id)
+        with node.lock:
+            for msg in inbound:
+                node.receive(msg)
+            computed = node.cpc_step()
+            progress, messages = node.cmc_step(minpak)
+        ship(backend, messages)
+        if not (inbound or computed or progress or messages):
+            time.sleep(0.0005)
+
+
+class ThreadedEngine:
+    """Free-running execution: one thread per processor, plus the environment
+    in the calling thread, which stops the run early when a node fails."""
 
     def __init__(self, net: NetworkSpec, mapping: MappingSpec,
                  stimuli: dict[int, list[int]], horizon: int,
@@ -260,7 +311,6 @@ class ThreadedEngine:
         self.env, self.nodes = build_simulation(
             net, mapping, stimuli, horizon, timeout_ms=timeout_ms)
         self.minpak = minpak
-        self.timeout_ms = timeout_ms
         self.max_wall_s = max_wall_s
         self.backend = InProcBackend(mapping.procs)
         self._stop = threading.Event()
@@ -269,17 +319,7 @@ class ThreadedEngine:
 
     def _node_loop(self, node: NodeState) -> None:
         try:
-            while not self._stop.is_set():
-                inbound = self.backend.poll(node.id)
-                with node.lock:
-                    for msg in inbound:
-                        node.receive(msg)
-                    computed = node.cpc_step()
-                    progress, messages = node.cmc_step(self.minpak)
-                for dest, msg in messages:
-                    self.backend.send(dest, msg)
-                if not (inbound or computed or progress or messages):
-                    time.sleep(0.0002)
+            run_node(node, self.backend, self.minpak, self._stop.is_set)
         except Exception as exc:  # noqa: BLE001 - reported as a run violation
             with self._errlock:
                 self._errors.append(f"node {node.id}: {exc!r}")
@@ -295,89 +335,50 @@ class ThreadedEngine:
         return True
 
     def run(self) -> RunResult:
-        env = self.env
         threads = [
             threading.Thread(target=self._node_loop, args=(node,), daemon=True)
             for node in self.nodes.values()
         ]
         for t in threads:
             t.start()
-        self._send_broadcast(env.advance_T())
-        deadline = time.monotonic() + self.max_wall_s
-        last_advance = time.monotonic()
         try:
-            while not env.done and not self._stop.is_set():
-                if time.monotonic() > deadline:
-                    with self._errlock:
-                        self._errors.append("wall-clock budget exceeded")
-                    break
-                advanced = False
-                for msg in self.backend.poll(0):
-                    if env.on_output(msg):
-                        advanced = True
-                if advanced:
-                    self._send_broadcast(env.advance_T())
-                    last_advance = time.monotonic()
-                elif time.monotonic() - last_advance >= self.timeout_ms / 1000.0:
-                    # With every processor already idle the timeout interval
-                    # carries no information; step T without waiting it out.
-                    self._send_broadcast(env.on_timeout())
-                    last_advance = time.monotonic()
-                    if self._all_idle():
-                        last_advance -= self.timeout_ms / 1000.0
-                else:
-                    time.sleep(0.001)
+            errors = run_environment(self.env, self.backend, self.max_wall_s,
+                                     self._stop.is_set, self._all_idle)
         finally:
             self._stop.set()
             for t in threads:
                 t.join(timeout=5.0)
+        with self._errlock:
+            self._errors.extend(errors)
         return RunResult(
             trace=merge_traces(self.nodes),
-            outputs=env.sorted_outputs(),
-            stats=aggregate_stats(env, self.nodes),
+            outputs=self.env.sorted_outputs(),
+            stats=aggregate_stats(self.env, self.nodes),
             violations=list(self._errors),
         )
-
-    def _send_broadcast(self, messages: list[Message]) -> None:
-        for pid, msg in zip(range(1, self.env.procs + 1), messages):
-            self.backend.send(pid, msg)
-
-
-# -- multi-process (TCP) mode ---------------------------------------------------
-
-TERMINATION_SLACK = 8
 
 
 def run_tcp_node(net: NetworkSpec, mapping: MappingSpec,
                  stimuli: dict[int, list[int]], horizon: int,
                  node_id: int, roster_path: str, minpak: int = 1) -> NodeState:
     """Run one compute processor against live TCP peers until T passes
-    the horizon; returns the node for trace extraction."""
+    the horizon; returns the node for trace extraction. Raises
+    ``TransportError`` if the run is not over within ``TCP_WALL_S``."""
     roster = load_roster(roster_path)
-    _env, nodes = build_simulation(net, mapping, stimuli, horizon,
-                                   only_node=node_id)
+    env, nodes = build_simulation(net, mapping, stimuli, horizon,
+                                  only_node=node_id)
     node = nodes[node_id]
     backend = TcpBackend(node_id, roster)
+    deadline = time.monotonic() + TCP_WALL_S
 
-    def ship(pairs) -> None:
-        for dest, msg in pairs:
-            try:
-                backend.send(dest, msg)
-            except TransportError:
-                # The peer terminated; only possible once the run is over.
-                pass
+    def stop() -> bool:
+        if time.monotonic() > deadline:
+            raise TransportError(f"processor {node_id}: no end of run in {TCP_WALL_S} s")
+        return abs(node.clock[0]) > horizon + env.slack
 
     try:
-        while abs(node.clock[0]) <= horizon + TERMINATION_SLACK:
-            inbound = backend.poll()
-            for msg in inbound:
-                node.receive(msg)
-            computed = node.cpc_step()
-            progress, messages = node.cmc_step(minpak)
-            ship(messages)
-            if not (inbound or computed or progress or messages):
-                time.sleep(0.0005)
-        ship(node.flush_ready(minpak, force=True))
+        run_node(node, backend, minpak, stop)
+        ship(backend, node.flush_ready(minpak, force=True))
     finally:
         backend.close()
     return node
@@ -387,7 +388,7 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
                      stimuli: dict[int, list[int]], horizon: int,
                      roster_path: str, node_argv: list[list[str]],
                      timeout_ms: int = 20,
-                     max_wall_s: float = 120.0) -> RunResult:
+                     max_wall_s: float = TCP_WALL_S) -> RunResult:
     """Spawn one subprocess per compute processor and act as the environment.
 
     ``node_argv`` holds the full command line for each node process; each
@@ -401,55 +402,19 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     backend = None
     try:
         backend = TcpBackend(0, roster)
-        self_broadcast(backend, env.advance_T())
-        deadline = time.monotonic() + max_wall_s
-        last_advance = time.monotonic()
-        while not env.done:
-            if time.monotonic() > deadline:
-                errors.append("wall-clock budget exceeded")
-                break
-            advanced = False
-            for msg in backend.poll():
-                if env.on_output(msg):
-                    advanced = True
-            if advanced:
-                self_broadcast(backend, env.advance_T())
-                last_advance = time.monotonic()
-            elif time.monotonic() - last_advance >= timeout_ms / 1000.0:
-                self_broadcast(backend, env.on_timeout())
-                last_advance = time.monotonic()
-            else:
-                time.sleep(0.001)
-        # Keep broadcasting the final time until every node has exited, so
-        # none is left waiting on a clock it will never see again.
-        settle = time.monotonic() + 10.0
-        while any(p.poll() is None for p in procs):
-            if time.monotonic() > settle:
-                break
-            for msg in backend.poll():
-                env.on_output(msg)
-            self_broadcast(backend, env._broadcast())
-            time.sleep(0.05)
+        errors = run_environment(env, backend, max_wall_s,
+                                 stop=lambda: False, all_idle=lambda: False)
     finally:
-        if backend is not None:
-            backend.close()
+        # Channels are FIFO, so every node sees the final advancement and
+        # stops by itself; it may still flush to this backend until then.
         for p in procs:
             try:
-                p.wait(timeout=15.0)
+                if p.wait(timeout=15.0) != 0:
+                    errors.append(f"node process exited with {p.returncode}")
             except subprocess.TimeoutExpired:
                 p.kill()
                 errors.append("node process killed after timeout")
-    for p in procs:
-        if p.returncode not in (0, None):
-            errors.append(f"node process exited with {p.returncode}")
+        if backend is not None:
+            backend.close()
     return RunResult(trace=[], outputs=env.sorted_outputs(),
                      stats=env.stats.as_dict(), violations=errors)
-
-
-def self_broadcast(backend: TcpBackend, messages: list[Message]) -> None:
-    for pid, msg in enumerate(messages, start=1):
-        try:
-            backend.send(pid, msg)
-        except TransportError:
-            # Node already terminated and closed its sockets.
-            pass

@@ -28,9 +28,13 @@ class EnvStats:
 
 
 class EnvState:
+    # Ticks T keeps advancing past the horizon, so that forecasts stamped
+    # up to the horizon still get emitted.
+    slack = 8
+
     def __init__(self, procs: int, stimuli: dict[int, list[int]],
                  owner_of: dict[int, int], horizon: int,
-                 timeout_ms: int = 50, slack: int = 8) -> None:
+                 timeout_ms: int = 20) -> None:
         self.procs = procs
         self.T = 0
         self.clock = [0] * (procs + 1)
@@ -38,7 +42,6 @@ class EnvState:
         self.owner_of = owner_of
         self.horizon = horizon
         self.timeout_ms = timeout_ms
-        self.slack = slack
         self.output_log: list[tuple[int, int]] = []
         self._output_seen: set[tuple[int, int]] = set()
         self.stats = EnvStats()

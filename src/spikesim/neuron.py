@@ -106,13 +106,11 @@ class ECState:
     so decay is always computed group-to-group, exactly like the oracle).
     """
 
-    def __init__(self, neuron: int, params: NeuronParams, sim_horizon: int,
-                 strict: bool = True) -> None:
+    def __init__(self, neuron: int, params: NeuronParams, sim_horizon: int) -> None:
         self.neuron = neuron
         self.params = params
         self.d_min = params.d_min  # topology is fixed for the whole run
         self.sim_horizon = sim_horizon
-        self.strict = strict
         self.v = params.reset
         self.v_time = 0
         self.horizon = 0
@@ -156,14 +154,13 @@ class ECState:
         """Process one incoming spike and rebuild the forecast set."""
         if e.target != self.neuron:
             raise ProtocolViolation(f"event for {e.target} routed to {self.neuron}")
-        if self.strict:
-            last = self._last_stamp_per_source.get(e.source)
-            if last is not None and e.stamp <= last:
-                raise ProtocolViolation(
-                    f"neuron {self.neuron}: duplicate or reordered event from "
-                    f"{e.source} (stamp {e.stamp} after {last})"
-                )
-            self._last_stamp_per_source[e.source] = e.stamp
+        last = self._last_stamp_per_source.get(e.source)
+        if last is not None and e.stamp <= last:
+            raise ProtocolViolation(
+                f"neuron {self.neuron}: duplicate or reordered event from "
+                f"{e.source} (stamp {e.stamp} after {last})"
+            )
+        self._last_stamp_per_source[e.source] = e.stamp
 
         eff, weight = self._arrival(e)
         if eff <= self.horizon:

@@ -197,7 +197,7 @@ def test_criterion_7_batching_neutrality():
            f"traces identical={identical}, messages {counts} non-increasing")
 
 
-def test_criterion_8_wire_fidelity(tmp_path):
+def test_criterion_8_wire_fidelity(tmp_path, free_ports):
     rng = random.Random(20260826)
     checked = 0
     for _ in range(10_000):
@@ -224,7 +224,8 @@ def test_criterion_8_wire_fidelity(tmp_path):
     save_mapping(mapping, prefix + ".map")
     save_stimuli(stimuli, prefix + ".stim")
     roster = tmp_path / "roster"
-    roster.write_text("0 127.0.0.1:9617\n1 127.0.0.1:9618\n2 127.0.0.1:9619\n")
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(3))))
     tcp_trace = str(tmp_path / "tcp.trace")
     code = main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
                  "--stim", prefix + ".stim", "--mode", "tcp",

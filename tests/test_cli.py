@@ -1,4 +1,6 @@
+from spikesim import cli
 from spikesim.cli import main
+from spikesim.engine import RunResult
 
 
 def gen_workload(tmp_path, seed=3, procs=2, n=12, horizon=40):
@@ -74,3 +76,20 @@ def test_tcp_mode_requires_roster(tmp_path, capsys):
                  "--stim", prefix + ".stim", "--horizon", "10",
                  "--mode", "tcp"]) == 2
     assert "roster" in capsys.readouterr().err
+
+
+def test_tcp_crashed_node_is_a_violation(tmp_path, capsys, monkeypatch):
+    # A node that fails writes no shard; the launcher reports its exit.
+    def crashed_launcher(*_args, **_kwargs):
+        return RunResult(trace=[], outputs=[], stats={"advancements": 9},
+                         violations=["node process exited with 1"])
+
+    monkeypatch.setattr(cli, "run_tcp_launcher", crashed_launcher)
+    prefix = gen_workload(tmp_path, procs=2, horizon=10)
+    assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                 "--stim", prefix + ".stim", "--horizon", "10",
+                 "--mode", "tcp", "--roster", str(tmp_path / "roster"),
+                 "--out", str(tmp_path / "tcp.trace")]) == 1
+    err = capsys.readouterr().err
+    assert "violation: missing trace shard 1" in err
+    assert "violation: missing trace shard 2" in err

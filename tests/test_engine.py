@@ -1,8 +1,15 @@
-from spikesim.engine import DeterministicEngine, ThreadedEngine, build_simulation
+import threading
+
+import pytest
+
+from spikesim import engine
+from spikesim.engine import (DeterministicEngine, ThreadedEngine,
+                             build_simulation, run_tcp_node)
 from spikesim.neuron import NeuronParams
 from spikesim.oracle import compare_traces, sequential_simulate
 from spikesim.topology import (MappingSpec, NetworkSpec, attach_synapses,
                                generate_random)
+from spikesim.transport import TcpBackend, TransportError, load_roster
 
 
 def test_deterministic_engine_matches_oracle_small():
@@ -93,3 +100,26 @@ def test_activity_loop_without_outputs_reaches_horizon():
     assert result.outputs == []
     expected = sequential_simulate(net, {0: [1]}, 40)
     assert compare_traces(result.trace, expected).empty
+
+
+def test_tcp_node_gives_up_without_environment(tmp_path, monkeypatch, free_ports):
+    # The environment connects but never advances T, as if it had died.
+    net, mapping, stimuli = generate_random(seed=2, n=8, prob=0.2, procs=1,
+                                            horizon=20)
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(2))))
+    monkeypatch.setattr(engine, "TCP_WALL_S", 0.5)
+    envs = []
+    env_thread = threading.Thread(target=lambda: envs.append(
+        TcpBackend(0, load_roster(str(roster)))))
+    env_thread.start()
+    try:
+        with pytest.raises(TransportError, match="no end of run"):
+            run_tcp_node(net, mapping, stimuli, 20, node_id=1,
+                         roster_path=str(roster))
+    finally:
+        env_thread.join(timeout=20)
+        for backend in envs:
+            backend.close()
+    assert not env_thread.is_alive() and len(envs) == 1

@@ -111,8 +111,8 @@ def test_inproc_backend_fifo_per_channel():
     assert not backend.pending()
 
 
-def test_tcp_backend_exchanges_framed_messages():
-    roster = {0: ("127.0.0.1", 9470), 1: ("127.0.0.1", 9471)}
+def test_tcp_backend_exchanges_framed_messages(free_ports):
+    roster = {pid: ("127.0.0.1", port) for pid, port in enumerate(free_ports(2))}
     backends = {}
     errors = []
 
