@@ -9,8 +9,9 @@
   over TCP; the launcher doubles as the environment.
 
 Both free-running modes drive the environment with ``run_environment`` and
-each processor with ``run_node``; only the backend's ``send(dest, msg)`` and
-``poll(pid)`` differ, through in-process mailboxes or TCP sockets.
+each processor with ``run_node``, through a backend's ``send(dest, msg)``
+and ``poll(pid, wait)``: in-process mailboxes or TCP sockets. Both loops
+block on their inbox while they have nothing to do; mail wakes them.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class DeterministicEngine:
                 self.nodes[dest].receive(msg)
 
     def _global_min_stamp(self) -> int | None:
-        """Smallest stamp pending anywhere: queues and staged outboxes."""
+        """Smallest stamp pending in any queue (outboxes are empty here)."""
         best: int | None = None
         for node in self.nodes.values():
             top = node.cm_queue.peek()
@@ -171,10 +172,6 @@ class DeterministicEngine:
             fore = node.cp_top()
             if fore is not None and (best is None or fore.stamp < best):
                 best = fore.stamp
-            for staged in node.outboxes.values():
-                for ev in staged:
-                    if best is None or ev.stamp < best:
-                        best = ev.stamp
         return best
 
     def _drain(self) -> bool:
@@ -185,8 +182,8 @@ class DeterministicEngine:
         anywhere. Authorization is still decided by the processors
         themselves; the phase bound is pure scheduling and is what makes
         this mode process events in global stamp order, so every run is
-        oracle-comparable. Outboxes holding an event at the phase stamp are
-        force-flushed so a batched message can never hide the minimum.
+        oracle-comparable. Every pass ends by force-flushing all outboxes,
+        so a batched message can never hide the minimum.
         """
         any_progress = False
         while True:
@@ -203,13 +200,10 @@ class DeterministicEngine:
                     moved = True
                 self._deliver(messages)
             for pid in sorted(self.nodes):
-                node = self.nodes[pid]
-                if any(ev.stamp <= phase
-                       for staged in node.outboxes.values() for ev in staged):
-                    leftovers = node.flush_ready(self.minpak, force=True)
-                    if leftovers:
-                        moved = True
-                        self._deliver(leftovers)
+                leftovers = self.nodes[pid].flush_ready(self.minpak, force=True)
+                if leftovers:
+                    moved = True
+                    self._deliver(leftovers)
             if not moved:
                 return any_progress
             any_progress = True
@@ -253,51 +247,53 @@ def ship(backend, pairs) -> None:
 
 
 def run_environment(env: EnvState, backend, max_wall_s: float,
-                    stop: Callable[[], bool],
-                    all_idle: Callable[[], bool]) -> list[str]:
+                    stop: Callable[[], bool]) -> list[str]:
     """Advance T on outputs, or after ``env.timeout_ms`` without one, until
     ``env.done``, ``stop()`` or ``max_wall_s``; returns the loop's violations.
-
-    With every processor ``all_idle()`` after a timeout, the interval carries
-    no information, so the next timeout fires without waiting it out.
-    """
+    Between advancements the loop waits on its inbox."""
     timeout_s = env.timeout_ms / 1000.0
     ship(backend, enumerate(env.advance_T(), start=1))
     deadline = time.monotonic() + max_wall_s
-    last_advance = time.monotonic()
+    next_timeout = time.monotonic() + timeout_s
     while not env.done and not stop():
-        if time.monotonic() > deadline:
+        now = time.monotonic()
+        if now > deadline:
             return ["wall-clock budget exceeded"]
         advanced = False
-        for msg in backend.poll(0):
+        for msg in backend.poll(0, next_timeout - now):
             if env.on_output(msg):
                 advanced = True
         if advanced:
             ship(backend, enumerate(env.advance_T(), start=1))
-            last_advance = time.monotonic()
-        elif time.monotonic() - last_advance >= timeout_s:
+            next_timeout = time.monotonic() + timeout_s
+        elif time.monotonic() >= next_timeout:
             ship(backend, enumerate(env.on_timeout(), start=1))
-            last_advance = time.monotonic()
-            if all_idle():
-                last_advance -= timeout_s
-        else:
-            time.sleep(0.001)
+            next_timeout = time.monotonic() + timeout_s
     return []
 
 
-def run_node(node: NodeState, backend, minpak: int,
+def run_node(node: NodeState, env: EnvState, backend, minpak: int,
              stop: Callable[[], bool]) -> None:
-    """Deliver, compute and emit on one processor until ``stop()`` holds."""
-    while not stop():
-        inbound = backend.poll(node.id)
-        with node.lock:
-            for msg in inbound:
-                node.receive(msg)
-            computed = node.cpc_step()
-            progress, messages = node.cmc_step(minpak)
+    """Deliver, compute and emit on one processor until it has seen T pass
+    ``env.horizon + env.slack`` or ``stop()`` holds, then ship what is staged.
+
+    Only mail can change an idle processor, so it ships its partial batches
+    and waits up to ``env.timeout_ms`` for some: a live run broadcasts at
+    least once per timeout."""
+    end = env.horizon + env.slack
+    wait = 0.0
+    while abs(node.clock[0]) <= end and not stop():
+        inbound = backend.poll(node.id, wait)
+        for msg in inbound:
+            node.receive(msg)
+        computed = node.cpc_step()
+        progress, messages = node.cmc_step(minpak)
         ship(backend, messages)
+        wait = 0.0
         if not (inbound or computed or progress or messages):
-            time.sleep(0.0005)
+            ship(backend, node.flush_ready(minpak, force=True))
+            wait = env.timeout_ms / 1000.0
+    ship(backend, node.flush_ready(minpak, force=True))
 
 
 class ThreadedEngine:
@@ -319,20 +315,12 @@ class ThreadedEngine:
 
     def _node_loop(self, node: NodeState) -> None:
         try:
-            run_node(node, self.backend, self.minpak, self._stop.is_set)
+            run_node(node, self.env, self.backend, self.minpak,
+                     self._stop.is_set)
         except Exception as exc:  # noqa: BLE001 - reported as a run violation
             with self._errlock:
                 self._errors.append(f"node {node.id}: {exc!r}")
             self._stop.set()
-
-    def _all_idle(self) -> bool:
-        if self.env.stimuli_pending() or self.backend.pending():
-            return False
-        for node in self.nodes.values():
-            with node.lock:
-                if not node.idle():
-                    return False
-        return True
 
     def run(self) -> RunResult:
         threads = [
@@ -343,9 +331,12 @@ class ThreadedEngine:
             t.start()
         try:
             errors = run_environment(self.env, self.backend, self.max_wall_s,
-                                     self._stop.is_set, self._all_idle)
+                                     self._stop.is_set)
         finally:
-            self._stop.set()
+            # A finished run's final advancement stops every node; a run
+            # cut short never sends it.
+            if not self.env.done:
+                self._stop.set()
             for t in threads:
                 t.join(timeout=5.0)
         with self._errlock:
@@ -362,8 +353,8 @@ def run_tcp_node(net: NetworkSpec, mapping: MappingSpec,
                  stimuli: dict[int, list[int]], horizon: int,
                  node_id: int, roster_path: str, minpak: int = 1) -> NodeState:
     """Run one compute processor against live TCP peers until T passes
-    the horizon; returns the node for trace extraction. Raises
-    ``TransportError`` if the run is not over within ``TCP_WALL_S``."""
+    ``horizon + EnvState.slack``; returns the node for trace extraction.
+    Raises ``TransportError`` if the run is not over within ``TCP_WALL_S``."""
     roster = load_roster(roster_path)
     env, nodes = build_simulation(net, mapping, stimuli, horizon,
                                   only_node=node_id)
@@ -374,11 +365,10 @@ def run_tcp_node(net: NetworkSpec, mapping: MappingSpec,
     def stop() -> bool:
         if time.monotonic() > deadline:
             raise TransportError(f"processor {node_id}: no end of run in {TCP_WALL_S} s")
-        return abs(node.clock[0]) > horizon + env.slack
+        return False
 
     try:
-        run_node(node, backend, minpak, stop)
-        ship(backend, node.flush_ready(minpak, force=True))
+        run_node(node, env, backend, minpak, stop)
     finally:
         backend.close()
     return node
@@ -402,8 +392,7 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     backend = None
     try:
         backend = TcpBackend(0, roster)
-        errors = run_environment(env, backend, max_wall_s,
-                                 stop=lambda: False, all_idle=lambda: False)
+        errors = run_environment(env, backend, max_wall_s, stop=lambda: False)
     finally:
         # Channels are FIFO, so every node sees the final advancement and
         # stops by itself; it may still flush to this backend until then.

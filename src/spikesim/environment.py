@@ -35,6 +35,9 @@ class EnvState:
     def __init__(self, procs: int, stimuli: dict[int, list[int]],
                  owner_of: dict[int, int], horizon: int,
                  timeout_ms: int = 20) -> None:
+        if timeout_ms < 1:
+            # A zero timeout lets T race past the horizon before nodes run.
+            raise ValueError(f"timeout_ms must be at least 1, got {timeout_ms}")
         self.procs = procs
         self.T = 0
         self.clock = [0] * (procs + 1)
@@ -51,10 +54,6 @@ class EnvState:
     @property
     def done(self) -> bool:
         return self.T > self.horizon + self.slack
-
-    def stimuli_pending(self) -> bool:
-        """Undelivered stimuli that can still cause activity within horizon."""
-        return any(self.T <= t < self.horizon for t in self.stimuli)
 
     # -- advancement ---------------------------------------------------------
 

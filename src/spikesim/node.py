@@ -12,7 +12,6 @@ never decrease.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 
 from .events import CMEvent, CPEvent, EXT_NEURON, EventQueue, ProtocolViolation, TopologyError
@@ -63,8 +62,6 @@ class NodeState:
         self.cp_live = 0  # un-cancelled, un-emitted events in cp_queue
         self.stats = NodeStats()
         self.trace: list[tuple[int, int]] = []  # (neuron, stamp) emissions
-        self.lock = threading.Lock()
-        self._flush_countdown = 0
 
     # -- sign maintenance ----------------------------------------------------
 
@@ -255,8 +252,7 @@ class NodeState:
 
     # -- controller steps ---------------------------------------------------------
 
-    def cmc_step(self, minpak: int = 1, flush_interval: int = 64,
-                 limit: int | None = None):
+    def cmc_step(self, minpak: int = 1, limit: int | None = None):
         """Emission control + message staging; returns (progress, messages).
 
         ``limit`` caps the stamps considered this step; the deterministic
@@ -281,12 +277,7 @@ class NodeState:
             self.apply_emission(e)
             progress = True
             self.certify_top()
-        self._flush_countdown += 1
-        force = self._flush_countdown >= flush_interval
-        if force:
-            self._flush_countdown = 0
-        messages = self.flush_ready(minpak, force=force)
-        return progress, messages
+        return progress, self.flush_ready(minpak)
 
     def cpc_step(self, limit: int | None = None) -> bool:
         progress = False
@@ -326,13 +317,3 @@ class NodeState:
                 staged.clear()
                 self.stats.messages_sent += 1
         return messages
-
-    # -- introspection ------------------------------------------------------------
-
-    def idle(self) -> bool:
-        return (
-            not self.cm_queue
-            and self.cp_live == 0
-            and self.nbth == 0
-            and not any(self.outboxes.values())
-        )

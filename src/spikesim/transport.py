@@ -118,7 +118,21 @@ def load_roster(path: str) -> dict[int, tuple[str, int]]:
     return roster
 
 
-# -- in-process backend ---------------------------------------------------------
+# -- delivery backends -----------------------------------------------------------
+
+def _drain(box: queue.Queue, wait: float) -> list[Message]:
+    """Wait up to ``wait`` seconds for a first message, then take every
+    message already queued behind it."""
+    try:
+        out = [box.get(block=wait > 0, timeout=wait)]
+    except queue.Empty:
+        return []
+    while True:
+        try:
+            out.append(box.get_nowait())
+        except queue.Empty:
+            return out
+
 
 class InProcBackend:
     """Thread-safe mailbox delivery for free-running in-process runs.
@@ -134,17 +148,8 @@ class InProcBackend:
         msg.validate()
         self.inboxes[dest].put(msg)
 
-    def poll(self, pid: int) -> list[Message]:
-        out = []
-        box = self.inboxes[pid]
-        while True:
-            try:
-                out.append(box.get_nowait())
-            except queue.Empty:
-                return out
-
-    def pending(self) -> bool:
-        return any(not box.empty() for box in self.inboxes.values())
+    def poll(self, pid: int, wait: float = 0) -> list[Message]:
+        return _drain(self.inboxes[pid], wait)
 
 
 # -- TCP backend ----------------------------------------------------------------
@@ -159,7 +164,7 @@ class TcpBackend:
     Each endpoint listens on its roster address; for every peer it opens
     one outgoing connection (used only for its own sends) and accepts one
     incoming connection per peer. A 2-byte hello carrying the sender id
-    follows each connect. Reader threads keep ``poll`` non-blocking.
+    follows each connect. Reader threads feed the inbox that ``poll`` drains.
     """
 
     def __init__(self, pid: int, roster: dict[int, tuple[str, int]],
@@ -169,7 +174,6 @@ class TcpBackend:
         self._inbox: queue.Queue = queue.Queue()
         self._out: dict[int, socket.socket] = {}
         self._stop = threading.Event()
-        self._error: str | None = None
 
         host, port = roster[pid]
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -207,13 +211,12 @@ class TcpBackend:
     def _accept_loop(self, expected: int) -> None:
         for _ in range(expected):
             conn, _addr = self._listener.accept()
-            hello = _recv_exact(conn, 2)
-            (sender,) = struct.unpack("<H", hello)
+            _recv_exact(conn, 2)  # the hello: frames carry their sender
             threading.Thread(
-                target=self._read_loop, args=(sender, conn), daemon=True
+                target=self._read_loop, args=(conn,), daemon=True
             ).start()
 
-    def _read_loop(self, sender: int, conn: socket.socket) -> None:
+    def _read_loop(self, conn: socket.socket) -> None:
         try:
             while not self._stop.is_set():
                 header = _recv_exact(conn, _FRAME.size)
@@ -221,8 +224,7 @@ class TcpBackend:
                 payload = _recv_exact(conn, length)
                 self._inbox.put(decode(payload))
         except (OSError, EOFError):
-            if not self._stop.is_set():
-                self._error = f"peer {sender} disconnected"
+            pass  # peers close their sockets when they terminate
         finally:
             conn.close()
 
@@ -234,20 +236,8 @@ class TcpBackend:
         except OSError as exc:
             raise TransportError(f"send to {dest} failed: {exc}") from exc
 
-    def poll(self, _pid: int | None = None) -> list[Message]:
-        # A recorded peer disconnect is not fatal here: peers close their
-        # sockets when they terminate, which is expected during shutdown.
-        # It stays visible via ``error`` for callers that care.
-        out = []
-        while True:
-            try:
-                out.append(self._inbox.get_nowait())
-            except queue.Empty:
-                return out
-
-    @property
-    def error(self) -> str | None:
-        return self._error
+    def poll(self, _pid: int | None = None, wait: float = 0) -> list[Message]:
+        return _drain(self._inbox, wait)
 
     def close(self) -> None:
         self._stop.set()

@@ -1,3 +1,5 @@
+import pytest
+
 from spikesim import cli
 from spikesim.cli import main
 from spikesim.engine import RunResult
@@ -62,6 +64,19 @@ def test_threads_mode_runs(tmp_path):
     assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
                  "--stim", prefix + ".stim", "--horizon", "20",
                  "--mode", "threads", "--timeout-ms", "5"]) == 0
+
+
+@pytest.mark.parametrize("timeout_ms", ["0", "-5"])
+def test_timeout_below_1_ms_is_usage_error(tmp_path, capsys, timeout_ms):
+    # Without the check, T races past the horizon before any node runs and
+    # the run exits 0 with no spikes.
+    prefix = str(tmp_path / "w")
+    assert main(["gen", "--seed", "4", "--procs", "2", "--n", "16",
+                 "--prob", "0.12", "--horizon", "50", "--out", prefix]) == 0
+    assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                 "--stim", prefix + ".stim", "--horizon", "50",
+                 "--mode", "threads", "--timeout-ms", timeout_ms]) == 2
+    assert "timeout_ms must be at least 1" in capsys.readouterr().err
 
 
 def test_suite_subcommand(capsys):

@@ -4,12 +4,13 @@ import pytest
 
 from spikesim import engine
 from spikesim.engine import (DeterministicEngine, ThreadedEngine,
-                             build_simulation, run_tcp_node)
+                             build_simulation, run_node, run_tcp_node)
 from spikesim.neuron import NeuronParams
 from spikesim.oracle import compare_traces, sequential_simulate
 from spikesim.topology import (MappingSpec, NetworkSpec, attach_synapses,
                                generate_random)
-from spikesim.transport import TcpBackend, TransportError, load_roster
+from spikesim.transport import (InProcBackend, TcpBackend, TransportError,
+                                load_roster)
 
 
 def test_deterministic_engine_matches_oracle_small():
@@ -65,6 +66,52 @@ def test_threaded_engine_matches_oracle():
     assert result.violations == []
     expected = sequential_simulate(net, stimuli, 50)
     assert compare_traces(result.trace, expected).empty
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, 9])
+def test_threaded_engine_batches_at_minpak_4(seed):
+    # Sized as criterion 5. On these seeds no outbox reaches four events, so
+    # every message between processors is held until its sender runs out of
+    # work and flushes before it waits.
+    net, mapping, stimuli = generate_random(seed=seed, n=16, prob=0.12,
+                                            procs=3, horizon=50)
+    result = ThreadedEngine(net, mapping, stimuli, horizon=50, minpak=4,
+                            timeout_ms=4).run()
+    assert result.violations == []
+    expected = sequential_simulate(net, stimuli, 50)
+    assert compare_traces(result.trace, expected).empty
+
+
+def test_node_flushes_a_partial_batch_before_it_waits():
+    # Neuron 1 on processor 1 fires once into neuron 2 on processor 2: one
+    # staged event, below minpak.
+    net = NetworkSpec()
+    net.neurons = {1: NeuronParams(1.0, 10.0), 2: NeuronParams(1.0, 10.0)}
+    net.synapses = [(1, 2, 0.5, 1)]
+    net.inputs = {1}
+    net.outputs = {2}
+    attach_synapses(net)
+    mapping = MappingSpec(assignment={1: 1, 2: 2}, procs=2)
+    env, nodes = build_simulation(net, mapping, {0: [1]}, horizon=10)
+    at_first_wait = []
+
+    class Backend(InProcBackend):
+        def poll(self, pid, wait=0):
+            if wait > 0:
+                at_first_wait.append(list(self.inboxes[2].queue))
+                return []
+            return super().poll(pid)
+
+    backend = Backend(procs=2)
+    # T = 2 after a timeout: the spike at 1 may be emitted.
+    for broadcast in (env.advance_T(), env.on_timeout()):
+        for dest, msg in enumerate(broadcast, start=1):
+            backend.send(dest, msg)
+    run_node(nodes[1], env, backend, minpak=4, stop=lambda: bool(at_first_wait))
+    assert nodes[1].trace == [(1, 1)]
+    batches = [msg.events for msg in at_first_wait[0] if msg.sender == 1]
+    assert [[(ev.target, ev.source, ev.stamp) for ev in events]
+            for events in batches] == [[(2, 1, 1)]]
 
 
 def test_timeout_drives_time_without_activity():

@@ -108,7 +108,24 @@ def test_inproc_backend_fifo_per_channel():
         backend.send(1, m)
     assert backend.poll(1) == msgs
     assert backend.poll(1) == []
-    assert not backend.pending()
+
+
+def test_inproc_poll_waits_for_the_first_message():
+    backend = InProcBackend(procs=1)
+    sent = Message(sender=0, clock=[1, 0], events=[])
+    sender = threading.Timer(0.05, backend.send, args=(1, sent))
+    start = time.monotonic()
+    sender.start()
+    try:
+        got = backend.poll(1, wait=10.0)
+    finally:
+        sender.join(timeout=5)
+    assert not sender.is_alive()
+    assert got == [sent]
+    assert time.monotonic() - start < 5.0
+    start = time.monotonic()
+    assert backend.poll(1, wait=0.1) == []
+    assert 0.09 <= time.monotonic() - start < 5.0
 
 
 def test_tcp_backend_exchanges_framed_messages(free_ports):
