@@ -21,7 +21,8 @@ import sys
 from .engine import (DeterministicEngine, ThreadedEngine, run_tcp_launcher,
                      run_tcp_node)
 from .events import TopologyError
-from .oracle import compare_traces, read_trace, sequential_simulate, write_trace
+from .oracle import (compare_traces, read_trace, sequential_simulate,
+                     trace_order, write_trace)
 from .suite import run_property_suite
 from .topology import (generate_random, load_mapping, load_network,
                        load_stimuli, save_mapping, save_network, save_stimuli,
@@ -134,7 +135,7 @@ def _cmd_run(args) -> int:
                 trace.extend(read_trace((args.out or "trace") + f".shard{pid}"))
             except FileNotFoundError:
                 result.violations.append(f"missing trace shard {pid}")
-        trace.sort(key=lambda nt: (nt[1], nt[0]))
+        trace.sort(key=trace_order)
         result.trace = trace
     elif args.mode == "threads":
         result = ThreadedEngine(net, mapping, stimuli, args.horizon,

@@ -25,6 +25,7 @@ from typing import Callable
 from .environment import EnvState
 from .neuron import ECState
 from .node import NodeState
+from .oracle import trace_order
 from .topology import MappingSpec, NetworkSpec, build_post_tables
 from .transport import InProcBackend, TcpBackend, TransportError, load_roster
 
@@ -79,7 +80,7 @@ def merge_traces(nodes: dict[int, NodeState]) -> list[tuple[int, int]]:
     trace: list[tuple[int, int]] = []
     for node in nodes.values():
         trace.extend(node.trace)
-    trace.sort(key=lambda nt: (nt[1], nt[0]))
+    trace.sort(key=trace_order)
     return trace
 
 
@@ -149,10 +150,10 @@ class DeterministicEngine:
 
     def __init__(self, net: NetworkSpec, mapping: MappingSpec,
                  stimuli: dict[int, list[int]], horizon: int,
-                 minpak: int = 1, check_invariants: bool = True) -> None:
+                 minpak: int = 1) -> None:
         self.env, self.nodes = build_simulation(net, mapping, stimuli, horizon)
         self.minpak = minpak
-        self.monitor = InvariantMonitor(self.env, self.nodes) if check_invariants else None
+        self.monitor = InvariantMonitor(self.env, self.nodes)
 
     def _deliver(self, pairs) -> None:
         for dest, msg in pairs:
@@ -214,19 +215,17 @@ class DeterministicEngine:
         self._deliver(enumerate(env.advance_T(), start=1))
         while not env.done:
             self._drain()
-            if self.monitor is not None:
-                self.monitor.check()
+            self.monitor.check()
             if self._advance_pending:
                 self._advance_pending = False
                 self._deliver(enumerate(env.advance_T(), start=1))
                 continue
             self._deliver(enumerate(env.on_timeout(), start=1))
-        violations = list(self.monitor.violations) if self.monitor else []
         return RunResult(
             trace=merge_traces(self.nodes),
             outputs=env.sorted_outputs(),
             stats=aggregate_stats(env, self.nodes),
-            violations=violations,
+            violations=list(self.monitor.violations),
         )
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .events import CMEvent, EXT_NEURON
-from .transport import Message
+from .oracle import trace_order
+from .transport import Message, merge_clock_into
 
 
 @dataclass
@@ -103,10 +104,8 @@ class EnvState:
                 self._output_seen.add(key)
                 self.output_log.append(key)
             self.stats.outputs_received += 1
-        for m in range(1, self.procs + 1):
-            if abs(msg.clock[m]) >= abs(self.clock[m]):
-                self.clock[m] = msg.clock[m]
+        merge_clock_into(self.clock, msg.clock, own=0)
         return any(abs(msg.clock[m]) == self.T for m in range(1, self.procs + 1))
 
     def sorted_outputs(self) -> list[tuple[int, int]]:
-        return sorted(self.output_log, key=lambda nt: (nt[1], nt[0]))
+        return sorted(self.output_log, key=trace_order)

@@ -21,9 +21,6 @@ from dataclasses import dataclass, field
 # 0xFFFFFFFF on the wire, so the same value is used in memory.
 EXT_NEURON = 0xFFFFFFFF
 
-# Environment processor id.
-ENV_PROC = 0
-
 
 class ProtocolViolation(RuntimeError):
     """A state transition broke a protocol rule. Always a bug, never data."""

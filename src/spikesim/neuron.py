@@ -101,9 +101,14 @@ class ECState:
     """One neuron's cell state.
 
     ``horizon`` is the certainty horizon: every arrival with effective time
-    <= horizon has been folded into ``v`` and is final. ``v_time`` is the
-    tick of the last folded arrival group (kept separate from ``horizon``
-    so decay is always computed group-to-group, exactly like the oracle).
+    <= horizon has been folded into ``v`` and is final, and so is every
+    forecast stamped at or below it. ``v_time`` is the tick of the last
+    folded arrival group (kept separate from ``horizon`` so decay is always
+    computed group-to-group, exactly like the oracle).
+
+    ``queued`` is the cell's one forecast table, by stamp. It holds every
+    unemitted forecast, live or final, and every emitted forecast still
+    above the horizon, which each re-simulation must reproduce.
     """
 
     def __init__(self, neuron: int, params: NeuronParams, sim_horizon: int) -> None:
@@ -116,12 +121,7 @@ class ECState:
         self.horizon = 0
         # effective time -> list of (source, stamp, weight)
         self.pending: dict[int, list[tuple[int, int, float]]] = {}
-        # live + folded-but-unemitted forecast refs, by stamp
         self.queued: dict[int, CPEvent] = {}
-        # emitted fire stamps above the horizon (must be reproduced forever)
-        self.emitted_stamps: set[int] = set()
-        # fire stamps at or below the horizon (final, no longer re-simulated)
-        self.final_stamps: set[int] = set()
         self.priority = False
         self.active = False
         self._last_stamp_per_source: dict[int, int] = {}
@@ -129,14 +129,13 @@ class ECState:
     # -- bookkeeping driven by the owning node ------------------------------
 
     def on_emitted(self, stamp: int) -> None:
-        self.queued.pop(stamp, None)
-        if stamp in self.final_stamps:
-            self.final_stamps.discard(stamp)
-        else:
-            self.emitted_stamps.add(stamp)
-
-    def on_cancelled(self, stamp: int) -> None:
-        self.queued.pop(stamp, None)
+        """Mark the forecast at ``stamp`` emitted; a final one leaves the table."""
+        ev = self.queued.get(stamp)
+        if ev is None:
+            return
+        ev.emitted = True
+        if stamp <= self.horizon:
+            del self.queued[stamp]
 
     # -- integration ---------------------------------------------------------
 
@@ -151,7 +150,7 @@ class ECState:
         return e.stamp + syn.delay, syn.weight
 
     def integrate(self, e) -> IntegrationResult:
-        """Process one incoming spike and rebuild the forecast set."""
+        """Process one incoming spike and rebuild the forecast table."""
         if e.target != self.neuron:
             raise ProtocolViolation(f"event for {e.target} routed to {self.neuron}")
         last = self._last_stamp_per_source.get(e.source)
@@ -170,10 +169,10 @@ class ECState:
         bisect.insort(self.pending.setdefault(eff, []),
                       (e.source, e.stamp, weight))
 
-        new_horizon = max(self.horizon, e.stamp + self.d_min - 1)
-        fires = self._resimulate(fold_to=new_horizon)
-        self.horizon = new_horizon
-        return self._diff(fires, cert_bound=e.stamp + self.d_min)
+        old_horizon = self.horizon
+        self.horizon = max(old_horizon, e.stamp + self.d_min - 1)
+        fires = self._resimulate(fold_to=self.horizon)
+        return self._diff(fires, old_horizon, cert_bound=e.stamp + self.d_min)
 
     def _resimulate(self, fold_to: int) -> list[int]:
         """Replay pending arrivals from the horizon; fold groups <= fold_to."""
@@ -193,41 +192,35 @@ class ECState:
             del self.pending[t]
         return fires
 
-    def _diff(self, fires: list[int], cert_bound: int) -> IntegrationResult:
+    def _diff(self, fires: list[int], old_horizon: int,
+              cert_bound: int) -> IntegrationResult:
+        """Reconcile the table with the replayed fires, in stamp order."""
         result = IntegrationResult()
         fire_set = {t for t in fires if t <= self.sim_horizon}
-
-        # Emitted fires must be reproduced by every re-simulation.
-        for stamp in sorted(self.emitted_stamps):
-            if stamp not in fire_set:
-                raise ProtocolViolation(
-                    f"neuron {self.neuron}: emitted spike at {stamp} "
-                    f"invalidated by a later arrival"
-                )
-        live_old = {
-            s: ev for s, ev in self.queued.items() if s not in self.final_stamps
-        }
-
-        for stamp in sorted(set(live_old) - fire_set):
-            ev = self.queued[stamp]
-            ev.cancel()
-            self.on_cancelled(stamp)
-            result.cancellations.append(ev)
-        for stamp in sorted(fire_set - set(live_old) - self.emitted_stamps):
-            ev = CPEvent(source=self.neuron, stamp=stamp)
-            self.queued[stamp] = ev
-            result.new_forecasts.append(ev)
-
-        # Fires at or below the new horizon are final from now on.
-        for stamp in fire_set:
-            if stamp <= self.horizon:
-                if stamp in self.emitted_stamps:
-                    self.emitted_stamps.discard(stamp)
-                elif stamp in self.queued:
-                    self.final_stamps.add(stamp)
-
-        for stamp in sorted(self.queued):
-            ev = self.queued[stamp]
-            if stamp <= cert_bound and not ev.crt and not ev.emitted:
+        queued = self.queued
+        for stamp in sorted(fire_set.union(queued)):
+            if stamp <= old_horizon:
+                continue  # final: not replayed, a candidate when it became final
+            ev = queued.get(stamp)
+            if ev is None:
+                ev = queued[stamp] = CPEvent(source=self.neuron, stamp=stamp)
+                result.new_forecasts.append(ev)
+            elif stamp not in fire_set:
+                # Emitted fires must be reproduced by every re-simulation.
+                if ev.emitted:
+                    raise ProtocolViolation(
+                        f"neuron {self.neuron}: emitted spike at {stamp} "
+                        f"invalidated by a later arrival"
+                    )
+                result.cancellations.append(ev)
+                continue
+            if ev.emitted:
+                if stamp <= self.horizon:
+                    del queued[stamp]  # final: no arrival can revoke it now
+            elif stamp <= cert_bound and not ev.crt:
                 result.certifications.append(ev)
+        # Only now, so an invalidated emission raises before anything moves.
+        for ev in result.cancellations:
+            ev.cancel()
+            del queued[ev.stamp]
         return result

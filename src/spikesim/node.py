@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .events import CMEvent, CPEvent, EXT_NEURON, EventQueue, ProtocolViolation, TopologyError
 from .neuron import ECState, IntegrationResult
+from .transport import Message, merge_clock_into
 
 
 class AuthDecision(enum.Enum):
@@ -89,11 +90,7 @@ class NodeState:
     # -- message handling ------------------------------------------------------
 
     def merge_clock(self, remote: list[int]) -> None:
-        for m in range(self.procs + 1):
-            if m == self.id:
-                continue
-            if abs(remote[m]) >= abs(self.clock[m]):
-                self.clock[m] = remote[m]
+        merge_clock_into(self.clock, remote, own=self.id)
 
     def receive(self, msg) -> None:
         self.merge_clock(msg.clock)
@@ -196,18 +193,14 @@ class NodeState:
             raise ProtocolViolation("collect_result for an idle cell")
         for ev in result.new_forecasts:
             self.cp_queue.push(ev)
-            self.cp_live += 1
-            self._set_et()
-        if result.cancellations:
-            # Tombstoned during integration; only the live count moves here.
-            self.cp_live -= len(result.cancellations)
-            self._set_et()
-            self.stats.cancellations += len(result.cancellations)
+        # Cancellations were tombstoned during integration; only the live
+        # count moves here.
+        self.cp_live += len(result.new_forecasts) - len(result.cancellations)
+        self._set_et()
+        self.stats.cancellations += len(result.cancellations)
         for ev in result.certifications:
-            if ev.cancelled or ev.emitted:
-                continue
             ev.certify()
-            self.stats.certifications += 1
+        self.stats.certifications += len(result.certifications)
         self.nbth -= 1
         ec.active = False
         ec.priority = False
@@ -302,8 +295,6 @@ class NodeState:
         Destination 0 always flushes immediately: a withheld output spike
         would suppress the very clock advancement that drives progress.
         """
-        from .transport import Message
-
         messages = []
         for dest in sorted(self.outboxes):
             staged = self.outboxes[dest]

@@ -17,7 +17,12 @@ from .events import EXT_NEURON
 from .neuron import membrane_step
 from .topology import NetworkSpec
 
-SpikeTrace = list[tuple[int, int]]  # (neuron, time), sorted by (time, neuron)
+SpikeTrace = list[tuple[int, int]]  # (neuron, time), sorted by trace_order
+
+
+def trace_order(spike: tuple[int, int]) -> tuple[int, int]:
+    """Sort key of a trace: by time, then by neuron."""
+    return spike[1], spike[0]
 
 
 def sequential_simulate(net: NetworkSpec, stimuli: dict[int, list[int]],
@@ -60,7 +65,7 @@ def sequential_simulate(net: NetworkSpec, stimuli: dict[int, list[int]],
             for dst, w, d in adjacency.get(target, ()):
                 heapq.heappush(heap, (eff + d, dst, target, eff, w))
 
-    spikes.sort(key=lambda nt: (nt[1], nt[0]))
+    spikes.sort(key=trace_order)
     return spikes
 
 
@@ -89,18 +94,18 @@ class TraceDiff:
 def compare_traces(a: SpikeTrace, b: SpikeTrace) -> TraceDiff:
     sa, sb = set(a), set(b)
     diff = TraceDiff(
-        missing_in_b=sorted(sa - sb, key=lambda nt: (nt[1], nt[0])),
-        missing_in_a=sorted(sb - sa, key=lambda nt: (nt[1], nt[0])),
+        missing_in_b=sorted(sa - sb, key=trace_order),
+        missing_in_a=sorted(sb - sa, key=trace_order),
     )
     divergent = diff.missing_in_a + diff.missing_in_b
     if divergent:
-        diff.first_divergence = min(divergent, key=lambda nt: (nt[1], nt[0]))
+        diff.first_divergence = min(divergent, key=trace_order)
     return diff
 
 
 def write_trace(trace: SpikeTrace, path: str) -> None:
     with open(path, "w") as fh:
-        for neuron, time in sorted(trace, key=lambda nt: (nt[1], nt[0])):
+        for neuron, time in sorted(trace, key=trace_order):
             fh.write(f"spike {neuron} {time}\n")
 
 

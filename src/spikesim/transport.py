@@ -20,6 +20,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass, field
 
 from .events import CMEvent, EXT_NEURON
@@ -46,6 +47,13 @@ class Message:
     def validate(self) -> None:
         if not self.events and self.sender != 0:
             raise CodecError("only the environment may send clock-only messages")
+
+
+def merge_clock_into(local: list[int], remote: list[int], own: int) -> None:
+    """Take each remote entry of larger or equal magnitude, except ``own``."""
+    for m in range(len(local)):
+        if m != own and abs(remote[m]) >= abs(local[m]):
+            local[m] = remote[m]
 
 
 def encode(msg: Message) -> bytes:
@@ -158,6 +166,10 @@ class TransportError(RuntimeError):
     pass
 
 
+# How long a TcpBackend keeps trying to reach and hear from its peers.
+CONNECT_TIMEOUT_S = 15.0
+
+
 class TcpBackend:
     """One connection per ordered processor pair, established at startup.
 
@@ -167,8 +179,7 @@ class TcpBackend:
     follows each connect. Reader threads feed the inbox that ``poll`` drains.
     """
 
-    def __init__(self, pid: int, roster: dict[int, tuple[str, int]],
-                 connect_timeout: float = 15.0) -> None:
+    def __init__(self, pid: int, roster: dict[int, tuple[str, int]]) -> None:
         self.pid = pid
         self.roster = roster
         self._inbox: queue.Queue = queue.Queue()
@@ -185,18 +196,15 @@ class TcpBackend:
             target=self._accept_loop, args=(len(peers),), daemon=True
         )
         self._accepter.start()
-        deadline = connect_timeout
         for peer in sorted(peers):
-            self._out[peer] = self._connect(peer, deadline)
-        self._accepter.join(timeout=connect_timeout)
+            self._out[peer] = self._connect(peer)
+        self._accepter.join(timeout=CONNECT_TIMEOUT_S)
         if self._accepter.is_alive():
             raise TransportError(f"processor {pid}: peers failed to connect")
 
-    def _connect(self, peer: int, timeout: float) -> socket.socket:
-        import time
-
+    def _connect(self, peer: int) -> socket.socket:
         host, port = self.roster[peer]
-        end = time.monotonic() + timeout
+        end = time.monotonic() + CONNECT_TIMEOUT_S
         while True:
             try:
                 sock = socket.create_connection((host, port), timeout=2.0)

@@ -30,6 +30,21 @@ def test_deterministic_engine_is_reproducible():
     assert a.outputs == b.outputs
 
 
+def test_deterministic_engine_stats_are_pinned():
+    # Counts of the cell and node bookkeeping on one README-sized net;
+    # any change to forecasting, cancelling, certifying or batching shows.
+    net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=4,
+                                            horizon=200)
+    result = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
+    assert result.violations == []
+    assert result.stats == {
+        "cancellations": 2409, "certifications": 3820, "computed": 24528,
+        "emitted": 3834, "delayed_emissions": 657, "delayed_computations": 0,
+        "messages_sent": 2160, "advancements": 209, "timeouts": 206,
+        "outputs_received": 309,
+    }
+
+
 def test_outputs_are_subset_of_trace_restricted_to_output_neurons():
     net, mapping, stimuli = generate_random(seed=4, n=24, prob=0.12, procs=2)
     result = DeterministicEngine(net, mapping, stimuli, horizon=120).run()

@@ -180,12 +180,12 @@ def test_forecasts_beyond_simulation_horizon_discarded():
                 min_size=1, max_size=12, unique_by=lambda sw: sw))
 def test_incremental_equals_batch_simulation(arrivals):
     """Integrating arrivals one by one must end with exactly the spikes a
-    single batch replay of all arrivals produces."""
+    single batch replay of all arrivals produces, whether or not every
+    certified forecast is emitted as soon as it is certified."""
     syn = {0: Synapse(0.7, 2), 1: Synapse(0.8, 4), 2: Synapse(-0.9, 3),
            3: Synapse(0.5, 5)}
     params = lif(synapses=syn, tau=8.0)
     horizon = 60
-    cell = ECState(5, params, sim_horizon=horizon)
 
     # Feed in global stamp order, keeping only the first event per
     # (source, stamp) and strictly increasing stamps per source, as the
@@ -198,14 +198,22 @@ def test_incremental_equals_batch_simulation(arrivals):
         last[src] = stamp
         ordered.append((src, stamp))
 
-    fired = {}
-    for src, stamp in ordered:
-        result = cell.integrate(CMEvent(5, src, stamp))
-        for e in result.new_forecasts:
-            fired[e.stamp] = e
-        for e in result.cancellations:
-            fired.pop(e.stamp, None)
-    incremental = sorted(fired)
+    def incremental(emit):
+        cell = ECState(5, params, sim_horizon=horizon)
+        fired = {}
+        for src, stamp in ordered:
+            result = cell.integrate(CMEvent(5, src, stamp))
+            for e in result.new_forecasts:
+                assert e.stamp not in fired  # never forecast a stamp twice
+                fired[e.stamp] = e
+            for e in result.cancellations:
+                fired.pop(e.stamp, None)
+            if emit:
+                for e in result.certifications:
+                    e.certify()
+                    e.emitted = True
+                    cell.on_emitted(e.stamp)
+        return sorted(fired)
 
     # Batch replay of the same arrivals grouped by effective time.
     groups = {}
@@ -219,4 +227,5 @@ def test_incremental_equals_batch_simulation(arrivals):
         t_prev = t
         if went and t <= horizon:
             batch.append(t)
-    assert incremental == batch
+    assert incremental(emit=False) == batch
+    assert incremental(emit=True) == batch
