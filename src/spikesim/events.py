@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Reserved neuron id for the external environment ("Ext"). Encodes as
 # 0xFFFFFFFF on the wire, so the same value is used in memory.
@@ -30,17 +31,15 @@ class TopologyError(ValueError):
     """Network description or routing table is inconsistent."""
 
 
-@dataclass
-class CMEvent:
+class CMEvent(NamedTuple):
     """Incoming spike: ``source`` fired at ``stamp`` towards ``target``."""
 
     target: int
     source: int
     stamp: int
-    arrival_seq: int = -1
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.stamp, self.source, self.target, self.arrival_seq)
+    def sort_key(self) -> tuple[int, int, int]:
+        return (self.stamp, self.source, self.target)
 
 
 @dataclass
@@ -57,7 +56,6 @@ class CPEvent:
     stamp: int
     crt: bool = False
     cancelled: bool = False
-    arrival_seq: int = -1
     emitted: bool = field(default=False, compare=False)
 
     def certify(self) -> None:
@@ -78,29 +76,30 @@ class CPEvent:
             )
         self.cancelled = True
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.stamp, self.source, 0, self.arrival_seq)
+    def sort_key(self) -> tuple[int, int, int]:
+        return (self.stamp, self.source, 0)
 
 
 def _stamp_ok(event) -> bool:
     if event.stamp > 0:
         return True
     # Environment stimuli are emitted at T-1 and the run starts at T=1.
-    return event.stamp == 0 and getattr(event, "source", None) == EXT_NEURON
+    return event.stamp == 0 and event.source == EXT_NEURON
 
 
 class EventQueue:
     """Priority queue ordered by (stamp, source, target, arrival order).
 
     The content-based part of the key makes pop order independent of the
-    transport; ``arrival_seq`` only breaks ties between otherwise identical
-    events, so no two entries ever compare equal.
+    transport. The queue's own push counter breaks ties between otherwise
+    identical events, so no two entries ever compare equal and the events
+    themselves are never compared or written to.
 
     Instances are not synchronized; the owning node serializes access.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple[int, int, int, int], object]] = []
+        self._heap: list[tuple[tuple[int, int, int], int, object]] = []
         self._seq = 0
 
     def __len__(self) -> int:
@@ -109,20 +108,15 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def __iter__(self):
-        # Unordered; for inspection only.
-        return (item[1] for item in self._heap)
-
     def push(self, event) -> None:
         if not _stamp_ok(event):
             raise ProtocolViolation(f"non-positive event stamp: {event}")
-        event.arrival_seq = self._seq
+        heapq.heappush(self._heap, (event.sort_key(), self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, (event.sort_key(), event))
 
     def peek(self):
         """Minimum event without removal, or None if empty."""
-        return self._heap[0][1] if self._heap else None
+        return self._heap[0][2] if self._heap else None
 
     def pop(self):
-        return heapq.heappop(self._heap)[1]
+        return heapq.heappop(self._heap)[2]

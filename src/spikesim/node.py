@@ -95,7 +95,7 @@ class NodeState:
     def receive(self, msg) -> None:
         self.merge_clock(msg.clock)
         for ev in msg.events:
-            self.cm_queue.push(CMEvent(ev.target, ev.source, ev.stamp))
+            self.cm_queue.push(ev)
         if msg.events:
             self._set_pt()
 
@@ -146,8 +146,8 @@ class NodeState:
 
     # -- protocol transitions ----------------------------------------------------
 
-    def apply_emission(self, e: CPEvent) -> list[tuple[int, CMEvent]]:
-        """Emit the top outgoing event; returns nothing, stages CM events."""
+    def apply_emission(self, e: CPEvent) -> None:
+        """Emit the top outgoing event: queue local targets, stage the rest."""
         top = self.cp_top()
         if top is not e:
             raise ProtocolViolation("apply_emission on a non-top event")
@@ -162,20 +162,19 @@ class NodeState:
         targets = self.post_tables.get(e.source)
         if targets is None:
             raise TopologyError(f"node {self.id}: no post table for {e.source}")
-        staged = []
+        local = False
         for tgt, owner in targets:
             cm = CMEvent(target=tgt, source=e.source, stamp=e.stamp)
             if owner == self.id:
                 self.cm_queue.push(cm)
-                self._set_pt()
+                local = True
             else:
                 self.outboxes.setdefault(owner, []).append(cm)
-                staged.append((owner, cm))
+        if local:
+            self._set_pt()
         if e.source in self.outputs:
             out = CMEvent(target=EXT_NEURON, source=e.source, stamp=e.stamp)
             self.outboxes.setdefault(0, []).append(out)
-            staged.append((0, out))
-        return staged
 
     def start_computation(self, e: CMEvent) -> ECState:
         top = self.cm_queue.peek()

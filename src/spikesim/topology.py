@@ -236,17 +236,13 @@ def save_stimuli(schedule: dict[int, list[int]], path: str) -> None:
 
 # -- random workload generator ------------------------------------------------
 
-def generate_random(
-    seed: int,
-    n: int,
-    prob: float,
-    procs: int,
-    weight_range: tuple[float, float] = (0.3, 0.7),
-    delay_range: tuple[int, int] = (1, 5),
-    inhibitory_fraction: float = 0.25,
-    stim_rate: float = 0.04,
-    horizon: int = 200,
-):
+WEIGHT_RANGE = (0.3, 0.7)
+DELAY_RANGE = (1, 5)
+INHIBITORY_FRACTION = 0.25
+STIM_RATE = 0.04  # stimulus probability per input neuron per tick
+
+
+def generate_random(seed: int, n: int, prob: float, procs: int, horizon: int = 200):
     """Reproducible random network, round-robin mapping, sparse stimuli.
 
     Weights are quantized to 1/64 so threshold comparisons stay away from
@@ -264,14 +260,14 @@ def generate_random(
         tau = rng.choice([8.0, 12.0, 16.0, 20.0])
         net.neurons[nid] = NeuronParams(threshold=1.0, tau=tau, reset=0.0)
 
-    lo, hi = weight_range
-    dlo, dhi = delay_range
+    lo, hi = WEIGHT_RANGE
+    dlo, dhi = DELAY_RANGE
     for src in range(n):
         for dst in range(n):
             if src == dst or rng.random() >= prob:
                 continue
             w = rng.uniform(lo, hi)
-            if rng.random() < inhibitory_fraction:
+            if rng.random() < INHIBITORY_FRACTION:
                 w = -w * 1.5
             w = round(w * 64) / 64.0
             d = rng.randint(dlo, dhi)
@@ -300,7 +296,7 @@ def generate_random(
     schedule: dict[int, list[int]] = {}
     for nid in sorted(net.inputs):
         for t in range(horizon):
-            if rng.random() < stim_rate:
+            if rng.random() < STIM_RATE:
                 schedule.setdefault(t, []).append(nid)
     for neurons in schedule.values():
         neurons.sort()

@@ -11,7 +11,8 @@ Wire layout (little-endian, bit-exact):
     events  (target u32, source u32, stamp i32) * nevents
 
 The external-environment neuron id encodes as 0xFFFFFFFF. Each TCP frame
-is one encoded message preceded by a u32 length prefix.
+is one encoded message preceded by a u32 length prefix; frames carry their
+sender, so a connection sends nothing but frames.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .events import CMEvent, EXT_NEURON
+from .events import CMEvent
 
 MAGIC = b"DN"
 VERSION = 1
 _HEADER = struct.Struct("<2sBHH")
-_CLOCK = struct.Struct("<i")
 _NEVENTS = struct.Struct("<I")
 _EVENT = struct.Struct("<IIi")
 _FRAME = struct.Struct("<I")
@@ -57,53 +58,37 @@ def merge_clock_into(local: list[int], remote: list[int], own: int) -> None:
 
 
 def encode(msg: Message) -> bytes:
-    if not 0 <= msg.sender < 1 << 16:
-        raise CodecError(f"sender {msg.sender} out of range")
-    if len(msg.clock) >= 1 << 16:
-        raise CodecError("clock array too long")
-    if len(msg.events) >= 1 << 32:
-        raise CodecError("too many events")
-    parts = [_HEADER.pack(MAGIC, VERSION, msg.sender, len(msg.clock))]
-    for value in msg.clock:
-        if not -(1 << 31) <= value < 1 << 31:
-            raise CodecError(f"clock value {value} out of range")
-        parts.append(_CLOCK.pack(value))
-    parts.append(_NEVENTS.pack(len(msg.events)))
-    for ev in msg.events:
-        if not 0 <= ev.target < 1 << 32 or not 0 <= ev.source < 1 << 32:
-            raise CodecError(f"neuron id out of range in {ev}")
-        if not -(1 << 31) <= ev.stamp < 1 << 31:
-            raise CodecError(f"stamp out of range in {ev}")
-        parts.append(_EVENT.pack(ev.target, ev.source, ev.stamp))
-    return b"".join(parts)
+    """Pack ``msg``; struct rejects every value the layout cannot hold."""
+    try:
+        return b"".join((
+            _HEADER.pack(MAGIC, VERSION, msg.sender, len(msg.clock)),
+            struct.pack(f"<{len(msg.clock)}i", *msg.clock),
+            _NEVENTS.pack(len(msg.events)),
+            struct.pack("<" + "IIi" * len(msg.events), *chain.from_iterable(msg.events)),
+        ))
+    except struct.error as exc:
+        raise CodecError(f"value out of range: {exc}") from exc
 
 
 def decode(data: bytes) -> Message:
     try:
-        magic, version, sender, nclock = _HEADER.unpack_from(data, 0)
+        magic, version, sender, nclock = _HEADER.unpack_from(data)
     except struct.error as exc:
         raise CodecError(f"truncated header: {exc}") from exc
     if magic != MAGIC:
         raise CodecError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CodecError(f"unsupported version {version}")
-    off = _HEADER.size
-    clock = []
+    off = _HEADER.size + 4 * nclock
     try:
-        for _ in range(nclock):
-            clock.append(_CLOCK.unpack_from(data, off)[0])
-            off += _CLOCK.size
-        nevents = _NEVENTS.unpack_from(data, off)[0]
-        off += _NEVENTS.size
-        events = []
-        for _ in range(nevents):
-            target, source, stamp = _EVENT.unpack_from(data, off)
-            off += _EVENT.size
-            events.append(CMEvent(target=target, source=source, stamp=stamp))
+        clock = list(struct.unpack_from(f"<{nclock}i", data, _HEADER.size))
+        (nevents,) = _NEVENTS.unpack_from(data, off)
     except struct.error as exc:
         raise CodecError(f"truncated message: {exc}") from exc
-    if off != len(data):
-        raise CodecError(f"{len(data) - off} trailing bytes")
+    off += _NEVENTS.size
+    if len(data) - off != nevents * _EVENT.size:
+        raise CodecError(f"{len(data) - off} bytes left for {nevents} events")
+    events = list(map(CMEvent._make, _EVENT.iter_unpack(memoryview(data)[off:])))
     return Message(sender=sender, clock=clock, events=events)
 
 
@@ -175,8 +160,10 @@ class TcpBackend:
 
     Each endpoint listens on its roster address; for every peer it opens
     one outgoing connection (used only for its own sends) and accepts one
-    incoming connection per peer. A 2-byte hello carrying the sender id
-    follows each connect. Reader threads feed the inbox that ``poll`` drains.
+    incoming connection per peer. Connections carry nothing but frames, and
+    frames carry their sender. One reader thread per incoming connection
+    reads frames through a buffered reader into the inbox that ``poll``
+    drains.
     """
 
     def __init__(self, pid: int, roster: dict[int, tuple[str, int]]) -> None:
@@ -209,7 +196,6 @@ class TcpBackend:
             try:
                 sock = socket.create_connection((host, port), timeout=2.0)
                 sock.settimeout(None)
-                sock.sendall(struct.pack("<H", self.pid))
                 return sock
             except OSError:
                 if time.monotonic() >= end:
@@ -219,22 +205,26 @@ class TcpBackend:
     def _accept_loop(self, expected: int) -> None:
         for _ in range(expected):
             conn, _addr = self._listener.accept()
-            _recv_exact(conn, 2)  # the hello: frames carry their sender
             threading.Thread(
                 target=self._read_loop, args=(conn,), daemon=True
             ).start()
 
     def _read_loop(self, conn: socket.socket) -> None:
+        # Peers close their sockets when they terminate; an EOF or a short
+        # read ends the loop.
         try:
-            while not self._stop.is_set():
-                header = _recv_exact(conn, _FRAME.size)
-                (length,) = _FRAME.unpack(header)
-                payload = _recv_exact(conn, length)
-                self._inbox.put(decode(payload))
-        except (OSError, EOFError):
-            pass  # peers close their sockets when they terminate
-        finally:
-            conn.close()
+            with conn, conn.makefile("rb") as reader:
+                while not self._stop.is_set():
+                    header = reader.read(_FRAME.size)
+                    if len(header) < _FRAME.size:
+                        return
+                    (length,) = _FRAME.unpack(header)
+                    payload = reader.read(length)
+                    if len(payload) < length:
+                        return
+                    self._inbox.put(decode(payload))
+        except OSError:
+            pass
 
     def send(self, dest: int, msg: Message) -> None:
         msg.validate()
@@ -244,7 +234,7 @@ class TcpBackend:
         except OSError as exc:
             raise TransportError(f"send to {dest} failed: {exc}") from exc
 
-    def poll(self, _pid: int | None = None, wait: float = 0) -> list[Message]:
+    def poll(self, pid: int, wait: float = 0) -> list[Message]:
         return _drain(self._inbox, wait)
 
     def close(self) -> None:
@@ -258,13 +248,3 @@ class TcpBackend:
             self._listener.close()
         except OSError:
             pass
-
-
-def _recv_exact(conn: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
-        if not chunk:
-            raise EOFError("connection closed")
-        buf += chunk
-    return buf

@@ -229,14 +229,16 @@ def test_apply_emission_routes_local_remote_and_output():
                      post={7: [(8, 1), (9, 2)]})
     e = queue_forecast(node, 5, source=7)
     node.ecs[8].params.synapses[7] = Synapse(0.5, 1)
-    staged = node.apply_emission(e)
+    node.pt = -3  # incoming queue empty at magnitude 3
+    assert node.apply_emission(e) is None
     assert e.emitted and abs(node.et) == 5
     assert node.trace == [(7, 5)]
     # local target lands in our own incoming queue
     assert node.cm_queue.peek().target == 8
+    assert node.pt == 3
     # remote target staged for processor 2, output copy staged for Pr_0
-    assert {(dest, ev.target) for dest, ev in staged} == {(2, 9),
-                                                          (0, EXT_NEURON)}
+    assert node.outboxes == {2: [CMEvent(9, 7, 5)],
+                             0: [CMEvent(EXT_NEURON, 7, 5)]}
 
 
 def test_apply_emission_requires_queue_top():

@@ -1,3 +1,4 @@
+import struct
 import threading
 import time
 
@@ -39,10 +40,19 @@ def test_truncated_data_rejected():
     for cut in (1, 6, 10, len(data) - 1):
         with pytest.raises(CodecError):
             decode(data[:cut])
+    # Two events announced, the second one byte short.
+    two = encode(Message(sender=1, clock=[1, 2],
+                         events=[CMEvent(1, 2, 3), CMEvent(4, 5, 6)]))
+    with pytest.raises(CodecError):
+        decode(two[:-1])
 
 
 def test_trailing_bytes_rejected():
     data = encode(Message(sender=0, clock=[1], events=[]))
+    with pytest.raises(CodecError):
+        decode(data + b"\x00")
+    # An event section one byte longer than its count says.
+    data = encode(Message(sender=1, clock=[1, 2], events=[CMEvent(1, 2, 3)]))
     with pytest.raises(CodecError):
         decode(data + b"\x00")
 
@@ -65,6 +75,10 @@ def test_out_of_range_values_rejected():
     with pytest.raises(CodecError):
         encode(Message(sender=0, clock=[1],
                        events=[CMEvent(1, 2, 1 << 40)]))
+    with pytest.raises(CodecError):
+        encode(Message(sender=0, clock=[1], events=[CMEvent(-1, 2, 3)]))
+    with pytest.raises(CodecError):
+        encode(Message(sender=0, clock=[1], events=[CMEvent(1, 1 << 32, 3)]))
 
 
 def test_clock_only_allowed_for_environment_only():
@@ -128,7 +142,8 @@ def test_inproc_poll_waits_for_the_first_message():
     assert 0.09 <= time.monotonic() - start < 5.0
 
 
-def test_tcp_backend_exchanges_framed_messages(free_ports):
+def _tcp_pair(free_ports):
+    """Two connected TcpBackends, processors 0 and 1, on kernel-given ports."""
     roster = {pid: ("127.0.0.1", port) for pid, port in enumerate(free_ports(2))}
     backends = {}
     errors = []
@@ -145,6 +160,11 @@ def test_tcp_backend_exchanges_framed_messages(free_ports):
     for t in threads:
         t.join(timeout=20)
     assert not errors
+    return backends
+
+
+def test_tcp_backend_exchanges_framed_messages(free_ports):
+    backends = _tcp_pair(free_ports)
     try:
         sent = Message(sender=0, clock=[2, -1],
                        events=[CMEvent(4, EXT_NEURON, 1)])
@@ -152,13 +172,30 @@ def test_tcp_backend_exchanges_framed_messages(free_ports):
         got = []
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
-            got = backends[1].poll()
+            got = backends[1].poll(1)
             if got:
                 break
             time.sleep(0.005)
         assert len(got) == 1
         assert got[0].clock == [2, -1]
         assert got[0].events[0].target == 4
+    finally:
+        for b in backends.values():
+            b.close()
+
+
+def test_tcp_backend_reassembles_a_split_frame(free_ports):
+    backends = _tcp_pair(free_ports)
+    try:
+        sent = Message(sender=0, clock=[3, -2],
+                       events=[CMEvent(4, EXT_NEURON, 2), CMEvent(5, 9, 3)])
+        payload = encode(sent)
+        frame = struct.pack("<I", len(payload)) + payload
+        # Cut inside the length prefix and inside the payload.
+        for piece in (frame[:2], frame[2:11], frame[11:]):
+            backends[0]._out[1].sendall(piece)
+            time.sleep(0.05)
+        assert backends[1].poll(1, wait=5) == [sent]
     finally:
         for b in backends.values():
             b.close()
