@@ -26,7 +26,7 @@ from .oracle import (compare_traces, read_trace, sequential_simulate,
 from .suite import run_property_suite
 from .topology import (generate_random, load_mapping, load_network,
                        load_stimuli, save_mapping, save_network, save_stimuli,
-                       validate)
+                       validate, validate_stimuli)
 from .transport import CodecError, TransportError
 
 
@@ -88,15 +88,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_valid(violations: list[str]) -> None:
+    if violations:
+        for line in violations:
+            print(f"invalid input: {line}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _load_run_inputs(args):
     net = load_network(args.net)
     mapping = load_mapping(args.mapping)
     stimuli = load_stimuli(args.stim)
-    report = validate(net, mapping)
-    if not report.ok:
-        for line in report.violations:
-            print(f"invalid input: {line}", file=sys.stderr)
-        raise SystemExit(2)
+    _require_valid(validate(net, mapping).violations
+                   + validate_stimuli(net, stimuli))
     return net, mapping, stimuli
 
 
@@ -163,6 +167,7 @@ def _cmd_run(args) -> int:
 def _cmd_oracle(args) -> int:
     net = load_network(args.net)
     stimuli = load_stimuli(args.stim)
+    _require_valid(validate_stimuli(net, stimuli))
     trace = sequential_simulate(net, stimuli, args.horizon)
     if args.out:
         write_trace(trace, args.out)

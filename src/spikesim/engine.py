@@ -2,8 +2,9 @@
 
 * ``DeterministicEngine`` -- single thread, round-robin over processors
   with synchronous message delivery and exhaustive draining between
-  actual-time advancements. Reproducible bit-for-bit; this is the mode
-  certified against the sequential oracle.
+  actual-time advancements. The processors' own gates order the work; no
+  scheduler orders stamps for them. Reproducible bit-for-bit; this is the
+  mode certified against the sequential oracle.
 * ``ThreadedEngine`` -- one free-running thread per processor.
 * ``run_tcp_node`` / ``run_tcp_launcher`` -- one OS process per processor
   over TCP; the launcher doubles as the environment.
@@ -36,10 +37,6 @@ class RunResult:
     outputs: list[tuple[int, int]]          # spikes logged by the environment
     stats: dict[str, int]
     violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def build_simulation(net: NetworkSpec, mapping: MappingSpec,
@@ -142,10 +139,11 @@ class InvariantMonitor:
 class DeterministicEngine:
     """Single-threaded reference execution of the distributed protocol.
 
-    Processors are stepped round-robin and messages delivered
-    synchronously; the actual time advances only once every queue is
-    drained, so events are always consumed in global stamp order and every
-    run with the same inputs is identical.
+    Processors are stepped round-robin, each offered all its pending work,
+    and messages are delivered synchronously; the actual time advances only
+    once a whole pass moves nothing. The authorization gates alone keep
+    stamps in order, so this mode tests them, and every run with the same
+    inputs is identical.
     """
 
     def __init__(self, net: NetworkSpec, mapping: MappingSpec,
@@ -163,51 +161,22 @@ class DeterministicEngine:
             else:
                 self.nodes[dest].receive(msg)
 
-    def _global_min_stamp(self) -> int | None:
-        """Smallest stamp pending in any queue (outboxes are empty here)."""
-        best: int | None = None
-        for node in self.nodes.values():
-            top = node.cm_queue.peek()
-            if top is not None and (best is None or top.stamp < best):
-                best = top.stamp
-            fore = node.cp_top()
-            if fore is not None and (best is None or fore.stamp < best):
-                best = fore.stamp
-        return best
-
-    def _drain(self) -> bool:
-        """Step every node until nothing moves; True if anything moved.
-
-        Work is offered in global minimum-stamp phases: within one pass,
-        processors only see events at or below the smallest stamp pending
-        anywhere. Authorization is still decided by the processors
-        themselves; the phase bound is pure scheduling and is what makes
-        this mode process events in global stamp order, so every run is
-        oracle-comparable. Every pass ends by force-flushing all outboxes,
-        so a batched message can never hide the minimum.
-        """
-        any_progress = False
-        while True:
-            phase = self._global_min_stamp()
-            if phase is None:
-                return any_progress
+    def _drain(self) -> None:
+        """Step every node until a whole pass moves nothing. Every pass ends
+        by force-flushing all outboxes, so a partial batch never stalls it."""
+        moved = True
+        while moved:
             moved = False
             for pid in sorted(self.nodes):
                 node = self.nodes[pid]
-                if node.cpc_step(limit=phase):
-                    moved = True
-                progress, messages = node.cmc_step(self.minpak, limit=phase)
-                if progress or messages:
-                    moved = True
+                computed = node.cpc_step()
+                progress, messages = node.cmc_step(self.minpak)
+                moved = moved or computed or progress or bool(messages)
                 self._deliver(messages)
             for pid in sorted(self.nodes):
                 leftovers = self.nodes[pid].flush_ready(self.minpak, force=True)
-                if leftovers:
-                    moved = True
-                    self._deliver(leftovers)
-            if not moved:
-                return any_progress
-            any_progress = True
+                moved = moved or bool(leftovers)
+                self._deliver(leftovers)
 
     def run(self) -> RunResult:
         env = self.env

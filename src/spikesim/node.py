@@ -6,7 +6,10 @@ clock array with its latest knowledge of every processor's emission time.
 
 Sign convention for the registers and clock entries: a negative value
 means "the corresponding queue was empty at magnitude |value|". Magnitudes
-never decrease.
+never decrease. The gates read only this node's own ``et``/``pt`` signs;
+other processors' entries are compared by magnitude, because an empty
+queue is no promise of silence: a later arrival can refill it at or just
+above its magnitude.
 """
 
 from __future__ import annotations
@@ -101,6 +104,12 @@ class NodeState:
 
     # -- authorization algorithms ----------------------------------------------
 
+    def others_reached(self, st: int) -> bool:
+        """Every other processor, the environment included, can no longer
+        send below ``st``: its clock magnitude has reached ``st``."""
+        return all(st <= abs(self.clock[m])
+                   for m in range(self.procs + 1) if m != self.id)
+
     def _emission_eval(self, e: CPEvent) -> tuple[AuthDecision, str]:
         st = e.stamp
         if st == self.et:
@@ -109,20 +118,12 @@ class NodeState:
             return AuthDecision.AUTHORIZED, "certified"
         if st <= self.pt:
             return AuthDecision.AUTHORIZED, "behind_processing"
-        if self.nbth == 0 and self.pt < 0:
-            if all(st <= self.clock[m] or self.clock[m] <= 0
-                   for m in range(self.procs + 1) if m != self.id):
-                return AuthDecision.AUTHORIZED, "quiescent"
+        if self.nbth == 0 and self.pt < 0 and self.others_reached(st):
+            return AuthDecision.AUTHORIZED, "quiescent"
         return AuthDecision.DELAYED, "delayed"
 
     def emission_authorized(self, e: CPEvent) -> AuthDecision:
         return self._emission_eval(e)[0]
-
-    def local_deadlock(self, st: int) -> bool:
-        return self.et < st and all(
-            st <= self.clock[m] or self.clock[m] <= 0
-            for m in range(self.procs + 1) if m != self.id
-        )
 
     def computation_authorized(self, e: CMEvent) -> AuthDecision:
         ec = self.ecs.get(e.target)
@@ -134,14 +135,12 @@ class NodeState:
             return AuthDecision.PRIORITY_DEFERRED
         if st == self.pt:
             return AuthDecision.AUTHORIZED
-        if self.nbth == 0:
-            if all(st <= self.clock[m] or self.clock[m] <= 0
-                   for m in range(self.procs + 1)):
+        if self.nbth == 0 and self.others_reached(st):
+            # Our own clock has reached st, or (the paper's local deadlock)
+            # no forecast of ours lies below it.
+            top = self.cp_top()
+            if st <= self.et or top is None or st <= top.stamp:
                 return AuthDecision.AUTHORIZED
-            if self.local_deadlock(st):
-                top = self.cp_top()
-                if top is None or st <= top.stamp:
-                    return AuthDecision.AUTHORIZED
         return AuthDecision.DELAYED
 
     # -- protocol transitions ----------------------------------------------------
@@ -221,10 +220,7 @@ class NodeState:
         top = self.cm_queue.peek()
         if top is not None and st > top.stamp + 1:
             return False
-        if st > abs(self.clock[0]):
-            return False
-        return all(st <= abs(self.clock[m])
-                   for m in range(1, self.procs + 1) if m != self.id)
+        return self.others_reached(st)
 
     # The same bound proves no incoming spike can still reach the forecast's
     # own neuron at or before its stamp, so it doubles as an opportunistic
@@ -244,19 +240,11 @@ class NodeState:
 
     # -- controller steps ---------------------------------------------------------
 
-    def cmc_step(self, minpak: int = 1, limit: int | None = None):
-        """Emission control + message staging; returns (progress, messages).
-
-        ``limit`` caps the stamps considered this step; the deterministic
-        scheduler uses it to offer work in global stamp order. It restricts
-        which events are offered, never how they are authorized.
-        """
+    def cmc_step(self, minpak: int = 1):
+        """Emission control + message staging; returns (progress, messages)."""
         progress = False
         self.certify_top()
-        while True:
-            e = self.cp_top()
-            if e is None or (limit is not None and e.stamp > limit):
-                break
+        while (e := self.cp_top()) is not None:
             decision, branch = self._emission_eval(e)
             if decision is not AuthDecision.AUTHORIZED:
                 self.stats.delayed_emissions += 1
@@ -271,12 +259,9 @@ class NodeState:
             self.certify_top()
         return progress, self.flush_ready(minpak)
 
-    def cpc_step(self, limit: int | None = None) -> bool:
+    def cpc_step(self) -> bool:
         progress = False
-        while True:
-            e = self.cm_queue.peek()
-            if e is None or (limit is not None and e.stamp > limit):
-                break
+        while (e := self.cm_queue.peek()) is not None:
             decision = self.computation_authorized(e)
             if decision is not AuthDecision.AUTHORIZED:
                 self.stats.delayed_computations += 1

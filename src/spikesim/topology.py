@@ -93,6 +93,14 @@ def validate(net: NetworkSpec, mapping: MappingSpec) -> ValidationReport:
     return report
 
 
+def validate_stimuli(net: NetworkSpec, stimuli: dict[int, list[int]]) -> list[str]:
+    """Stimuli may only target declared inputs: a cell's ``d_min`` counts
+    external arrivals for inputs alone."""
+    return [f"stimulus at {t} for neuron {nid}, which is not a declared input"
+            for t, nids in sorted(stimuli.items()) for nid in nids
+            if nid not in net.inputs]
+
+
 def build_post_tables(net: NetworkSpec, mapping: MappingSpec):
     """Per-processor routing: owner(N_i) gets N_i -> [(N_j, owner(N_j))].
 

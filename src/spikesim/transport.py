@@ -211,7 +211,8 @@ class TcpBackend:
 
     def _read_loop(self, conn: socket.socket) -> None:
         # Peers close their sockets when they terminate; an EOF or a short
-        # read ends the loop.
+        # read ends the loop. A malformed frame ends it too, and ``poll``
+        # raises it, so the run fails instead of waiting for lost frames.
         try:
             with conn, conn.makefile("rb") as reader:
                 while not self._stop.is_set():
@@ -223,6 +224,8 @@ class TcpBackend:
                     if len(payload) < length:
                         return
                     self._inbox.put(decode(payload))
+        except CodecError as exc:
+            self._inbox.put(TransportError(f"processor {self.pid}: bad frame: {exc}"))
         except OSError:
             pass
 
@@ -235,7 +238,11 @@ class TcpBackend:
             raise TransportError(f"send to {dest} failed: {exc}") from exc
 
     def poll(self, pid: int, wait: float = 0) -> list[Message]:
-        return _drain(self._inbox, wait)
+        out = _drain(self._inbox, wait)
+        for item in out:
+            if isinstance(item, TransportError):
+                raise item
+        return out
 
     def close(self) -> None:
         self._stop.set()

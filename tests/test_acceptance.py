@@ -259,11 +259,12 @@ def test_criterion_9_authorization_branch_coverage():
     emission(5, 5, -1, 1, [9, 5, -1], False, "at_emission_time")
     emission(9, 3, -2, 1, [9, 3, -1], True, "certified")
     emission(6, 4, 8, 1, [9, 4, -1], False, "behind_processing")
-    emission(7, 4, -6, 0, [9, 4, -3], False, "quiescent")
+    emission(7, 4, -6, 0, [9, 4, -7], False, "quiescent")
     emission(7, 4, -6, 0, [9, 4, 8], False, "quiescent")
-    emission(7, 4, -6, 1, [9, 4, -3], False, "delayed")   # threads active
-    emission(7, 4, 3, 0, [9, 4, -3], False, "delayed")    # incoming pending
+    emission(7, 4, -6, 1, [9, 4, -7], False, "delayed")   # threads active
+    emission(7, 4, 3, 0, [9, 4, -7], False, "delayed")    # incoming pending
     emission(7, 4, -6, 0, [9, 4, 5], False, "delayed")    # remote behind
+    emission(7, 4, -6, 0, [9, 4, -3], False, "delayed")   # remote empty below
 
     def computation(st, pt, nbth, clock, active=False, forecast=None,
                     et=None, expect=AuthDecision.DELAYED):
@@ -282,9 +283,11 @@ def test_criterion_9_authorization_branch_coverage():
                 expect=AuthDecision.PRIORITY_DEFERRED)
     computation(5, 5, 1, [6, -4, 9], expect=AuthDecision.AUTHORIZED)
     computation(5, 3, 0, [6, -4, 9], expect=AuthDecision.AUTHORIZED)
-    computation(5, 3, 0, [6, 3, -2], forecast=6, et=3,
+    computation(5, 3, 0, [6, 3, -5], forecast=6, et=3,
                 expect=AuthDecision.AUTHORIZED)        # local deadlock
-    computation(5, 3, 0, [6, 3, -2], forecast=4, et=3,
+    computation(5, 3, 0, [6, 3, -2], forecast=6, et=3,
+                expect=AuthDecision.DELAYED)           # remote empty below
+    computation(5, 3, 0, [6, 3, -5], forecast=4, et=3,
                 expect=AuthDecision.DELAYED)           # earlier forecast first
     computation(5, 3, 0, [6, -4, 2], expect=AuthDecision.DELAYED)
     computation(5, 3, 2, [6, -4, 9], expect=AuthDecision.DELAYED)

@@ -59,6 +59,29 @@ def test_invalid_network_is_usage_error(tmp_path, capsys):
     assert "unknown endpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stim, why", [
+    ("stim 999 0\n", "neuron 999, which is not a declared input"),
+    # Neuron 7 is declared but is not an input: its d_min ignores stimuli,
+    # and det used to fail with a stale arrival.
+    ("stim 7 5\nstim 7 30\nstim 7 60\n",
+     "neuron 7, which is not a declared input"),
+])
+def test_stimulus_outside_the_inputs_is_usage_error(tmp_path, capsys, stim, why):
+    prefix = str(tmp_path / "w")
+    assert main(["gen", "--seed", "11", "--procs", "2", "--n", "24",
+                 "--prob", "0.15", "--horizon", "100", "--out", prefix]) == 0
+    with open(prefix + ".stim", "w") as fh:
+        fh.write(stim)
+    capsys.readouterr()
+    for argv in (["run", "--map", prefix + ".map"], ["oracle"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--net", prefix + ".net", "--stim", prefix + ".stim",
+                         "--horizon", "100"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and why in err
+
+
 def test_threads_mode_runs(tmp_path):
     prefix = gen_workload(tmp_path, horizon=20)
     assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",

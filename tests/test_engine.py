@@ -38,9 +38,9 @@ def test_deterministic_engine_stats_are_pinned():
     result = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
     assert result.violations == []
     assert result.stats == {
-        "cancellations": 2409, "certifications": 3820, "computed": 24528,
-        "emitted": 3834, "delayed_emissions": 657, "delayed_computations": 0,
-        "messages_sent": 2160, "advancements": 209, "timeouts": 206,
+        "cancellations": 2409, "certifications": 3834, "computed": 24528,
+        "emitted": 3834, "delayed_emissions": 2044, "delayed_computations": 0,
+        "messages_sent": 2160, "advancements": 209, "timeouts": 208,
         "outputs_received": 309,
     }
 

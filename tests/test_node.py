@@ -69,8 +69,18 @@ def test_emission_authorized_in_quiescence():
     node.et = 4
     node.pt = -6          # incoming queue empty
     node.nbth = 0
-    node.clock = [9, node.et, -3]  # remote entry negative: empty at 3
+    node.clock = [9, node.et, -7]  # remote empty, and its clock reached 7
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "quiescent")
+
+
+def test_emission_delayed_when_remote_empty_below_stamp():
+    # An empty remote queue at 3 is no promise: an arrival can refill it
+    # and make that processor send at 3 or later, below the stamp.
+    node = make_node(node_id=1, procs=2)
+    e = queue_forecast(node, 7)
+    node.et, node.pt, node.nbth = 4, -6, 0
+    node.clock = [9, node.et, -3]
+    assert node._emission_eval(e) == (AuthDecision.DELAYED, "delayed")
 
 
 def test_emission_quiescent_branch_accepts_remote_ahead():
@@ -93,7 +103,7 @@ def test_emission_delayed_when_threads_active():
     node = make_node()
     e = queue_forecast(node, 7)
     node.et, node.pt, node.nbth = 4, -6, 1
-    node.clock = [9, node.et, -3]
+    node.clock = [9, node.et, -7]
     assert node.emission_authorized(e) is AuthDecision.DELAYED
 
 
@@ -102,7 +112,7 @@ def test_emission_delayed_when_incoming_pending():
     e = queue_forecast(node, 7)
     node.et, node.nbth = 4, 0
     node.pt = 3  # positive: incoming spikes still queued below the stamp
-    node.clock = [9, node.et, -3]
+    node.clock = [9, node.et, -7]
     assert node.emission_authorized(e) is AuthDecision.DELAYED
 
 
@@ -129,7 +139,7 @@ def test_computation_authorized_when_all_clocks_ahead_or_empty():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     node.pt, node.nbth = 3, 0
-    node.clock = [6, -4, 9]  # own entry negative counts as empty
+    node.clock = [6, -4, 9]  # others ahead; own entry is not read
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
 
@@ -146,17 +156,28 @@ def test_computation_blocked_by_own_pending_emission():
 
 
 def test_computation_authorized_on_local_deadlock():
-    # The paper's deadlock rule: every other processor waits at or beyond
-    # the stamp (or is empty), our own emission time is below it, and our
-    # own pending forecast is not earlier than the stamp.
+    # The paper's deadlock rule: every other processor's clock has reached
+    # the stamp, our own emission time is below it, and our own pending
+    # forecast is not earlier than the stamp.
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 6)
     node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, -2]
-    assert node.local_deadlock(5)
+    node.clock = [6, node.et, -5]
+    assert node.others_reached(5)
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
+
+
+def test_computation_deadlock_delayed_when_remote_empty_below_stamp():
+    node = make_node(node_id=1, procs=2)
+    e = queue_incoming(node, 5)
+    queue_forecast(node, 6)
+    node.et = 3
+    node.pt, node.nbth = 3, 0
+    node.clock = [6, node.et, -2]  # empty at 2 may still send at 2
+    assert not node.others_reached(5)
+    assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
 def test_computation_deadlock_blocked_by_earlier_forecast():
@@ -165,7 +186,7 @@ def test_computation_deadlock_blocked_by_earlier_forecast():
     queue_forecast(node, 4)  # must be emitted first
     node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, -2]
+    node.clock = [6, node.et, -5]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
@@ -174,8 +195,37 @@ def test_computation_deadlock_with_empty_forecast_queue():
     e = queue_incoming(node, 5)
     node.et = -3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, -2]
+    node.clock = [6, node.et, -5]
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
+
+
+def test_computation_delayed_with_empty_forecast_queue_and_remote_below():
+    node = make_node(node_id=1, procs=2)
+    e = queue_incoming(node, 5)
+    node.et = -3
+    node.pt, node.nbth = 3, 0
+    node.clock = [6, node.et, -2]
+    assert node.computation_authorized(e) is AuthDecision.DELAYED
+
+
+def test_negative_remote_entry_below_stamp_is_no_promise():
+    # Seed 7 (n=64, P=4): node 2 computed stamp 56 while clock[3] read -55,
+    # and node 3 then emitted at 55 towards neuron 9.
+    clock = [57, 60, 0, -55, 56]
+    node = make_node(node_id=2, procs=4)
+    e = queue_incoming(node, 56)
+    node.pt, node.nbth = 50, 0
+    node.clock = list(clock)
+    assert node.computation_authorized(e) is AuthDecision.DELAYED
+
+    node = make_node(node_id=2, procs=4)
+    f = queue_forecast(node, 56)
+    node.et, node.pt, node.nbth = 50, -50, 0
+    node.clock = list(clock)
+    node.clock[2] = node.et
+    assert node._emission_eval(f) == (AuthDecision.DELAYED, "delayed")
+    node.clock[3] = -56  # once node 3's clock reaches 56, 56 may go
+    assert node._emission_eval(f) == (AuthDecision.AUTHORIZED, "quiescent")
 
 
 def test_computation_delayed_when_remote_behind():

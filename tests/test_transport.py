@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from spikesim.events import CMEvent, EXT_NEURON
 from spikesim.transport import (CodecError, InProcBackend, Message,
-                                TcpBackend, decode, encode, load_roster)
+                                TcpBackend, TransportError, decode, encode,
+                                load_roster)
 
 
 def test_clock_only_message_golden_bytes():
@@ -196,6 +197,23 @@ def test_tcp_backend_reassembles_a_split_frame(free_ports):
             backends[0]._out[1].sendall(piece)
             time.sleep(0.05)
         assert backends[1].poll(1, wait=5) == [sent]
+    finally:
+        for b in backends.values():
+            b.close()
+
+
+def test_tcp_backend_reports_a_malformed_frame(free_ports):
+    # A frame with bad magic, then a good message on the same connection:
+    # poll must raise instead of waiting for a frame that never arrives.
+    backends = _tcp_pair(free_ports)
+    try:
+        payload = b"XX" + encode(Message(sender=0, clock=[1, -1]))[2:]
+        backends[0]._out[1].sendall(struct.pack("<I", len(payload)) + payload)
+        backends[0].send(1, Message(sender=0, clock=[2, -1]))
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="bad frame"):
+            backends[1].poll(1, wait=5)
+        assert time.monotonic() - start < 4.0
     finally:
         for b in backends.values():
             b.close()
