@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--minpak", type=int, default=1,
                      help="minimum events per non-urgent message")
     run.add_argument("--timeout-ms", type=int, default=20,
-                     help="environment liveness timeout (threads/tcp modes)")
+                     help="longest wait on an empty inbox (threads/tcp modes)")
     run.add_argument("--out", help="write the firing trace here")
     run.add_argument("--stats", help="write run statistics here as JSON")
     run.add_argument("--roster", help="tcp mode: processor address file")

@@ -12,7 +12,10 @@
 Both free-running modes drive the environment with ``run_environment`` and
 each processor with ``run_node``, through a backend's ``send(dest, msg)``
 and ``poll(pid, wait)``: in-process mailboxes or TCP sockets. Both loops
-block on their inbox while they have nothing to do; mail wakes them.
+block on their inbox while they have nothing to do; mail wakes them. A
+processor that runs out of work reports to the environment, which advances
+T on an output or once the reports prove the run quiescent; no wall-clock
+timer advances T.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .neuron import ECState
 from .node import NodeState
 from .oracle import trace_order
 from .topology import MappingSpec, NetworkSpec, build_post_tables
-from .transport import InProcBackend, TcpBackend, TransportError, load_roster
+from .transport import (InProcBackend, Message, Report, TcpBackend,
+                        TransportError, load_roster)
 
 
 @dataclass
@@ -141,7 +145,8 @@ class DeterministicEngine:
 
     Processors are stepped round-robin, each offered all its pending work,
     and messages are delivered synchronously; the actual time advances only
-    once a whole pass moves nothing. The authorization gates alone keep
+    once a whole pass moves nothing, which proves quiescence here without
+    reports. The authorization gates alone keep
     stamps in order, so this mode tests them, and every run with the same
     inputs is identical.
     """
@@ -189,7 +194,8 @@ class DeterministicEngine:
                 self._advance_pending = False
                 self._deliver(enumerate(env.advance_T(), start=1))
                 continue
-            self._deliver(enumerate(env.on_timeout(), start=1))
+            floor = min(node.floor() for node in self.nodes.values())
+            self._deliver(enumerate(env.on_timeout(floor), start=1))
         return RunResult(
             trace=merge_traces(self.nodes),
             outputs=env.sorted_outputs(),
@@ -216,27 +222,26 @@ def ship(backend, pairs) -> None:
 
 def run_environment(env: EnvState, backend, max_wall_s: float,
                     stop: Callable[[], bool]) -> list[str]:
-    """Advance T on outputs, or after ``env.timeout_ms`` without one, until
-    ``env.done``, ``stop()`` or ``max_wall_s``; returns the loop's violations.
-    Between advancements the loop waits on its inbox."""
-    timeout_s = env.timeout_ms / 1000.0
+    """Advance T on outputs, or once the nodes' reports prove quiescence,
+    until ``env.done``, ``stop()`` or ``max_wall_s``; returns the loop's
+    violations. Between advancements the loop waits on its inbox, at most
+    ``env.timeout_ms`` at a time, so it checks ``stop()`` and the budget."""
+    wait_s = env.timeout_ms / 1000.0
     ship(backend, enumerate(env.advance_T(), start=1))
     deadline = time.monotonic() + max_wall_s
-    next_timeout = time.monotonic() + timeout_s
     while not env.done and not stop():
-        now = time.monotonic()
-        if now > deadline:
+        if time.monotonic() > deadline:
             return ["wall-clock budget exceeded"]
         advanced = False
-        for msg in backend.poll(0, next_timeout - now):
-            if env.on_output(msg):
+        for msg in backend.poll(0, wait_s):
+            if msg.report is not None:
+                env.on_report(msg)
+            elif env.on_output(msg):
                 advanced = True
         if advanced:
             ship(backend, enumerate(env.advance_T(), start=1))
-            next_timeout = time.monotonic() + timeout_s
-        elif time.monotonic() >= next_timeout:
-            ship(backend, enumerate(env.on_timeout(), start=1))
-            next_timeout = time.monotonic() + timeout_s
+        elif (floor := env.quiescence_floor()) is not None:
+            ship(backend, enumerate(env.on_timeout(floor), start=1))
     return []
 
 
@@ -245,11 +250,12 @@ def run_node(node: NodeState, env: EnvState, backend, minpak: int,
     """Deliver, compute and emit on one processor until it has seen T pass
     ``env.horizon + env.slack`` or ``stop()`` holds, then ship what is staged.
 
-    Only mail can change an idle processor, so it ships its partial batches
-    and waits up to ``env.timeout_ms`` for some: a live run broadcasts at
-    least once per timeout."""
+    Only mail can change an idle processor, so it ships its partial batches,
+    reports to the environment if its message counts moved since its last
+    report, and waits for mail, at most ``env.timeout_ms`` at a time."""
     end = env.horizon + env.slack
     wait = 0.0
+    reported = None
     while abs(node.clock[0]) <= end and not stop():
         inbound = backend.poll(node.id, wait)
         for msg in inbound:
@@ -260,6 +266,11 @@ def run_node(node: NodeState, env: EnvState, backend, minpak: int,
         wait = 0.0
         if not (inbound or computed or progress or messages):
             ship(backend, node.flush_ready(minpak, force=True))
+            counts = (list(node.sent), list(node.received))
+            if counts != reported:
+                reported = counts
+                report = Report(node.floor(), *counts)
+                ship(backend, [(0, Message(node.id, [], report=report))])
             wait = env.timeout_ms / 1000.0
     ship(backend, node.flush_ready(minpak, force=True))
 

@@ -1,4 +1,4 @@
-"""Environment processor (id 0): stimuli, actual time T, liveness timeout.
+"""Environment processor (id 0): stimuli, actual time T, quiescence.
 
 The environment injects external stimuli towards input neurons, collects
 the spikes of output neurons, and advances the actual time T. Every
@@ -7,6 +7,11 @@ the environment's clock array and, when scheduled, the stimuli emitted at
 T-1 (so input neurons fire at T). Processors with nothing scheduled still
 receive the bare clock; the environment is the only sender allowed to
 emit clock-only messages.
+
+T advances when an output shows a processor's clock has reached it, or
+once the idle processors' reports prove the run quiescent (the paper's
+timeout path; channel counting after Mattern 1987). It then raises every
+clock magnitude to the least reported floor (Chandy & Misra 1979).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .events import CMEvent, EXT_NEURON
 from .oracle import trace_order
-from .transport import Message, merge_clock_into
+from .transport import Message, Report, merge_clock_into
 
 
 @dataclass
@@ -37,7 +42,7 @@ class EnvState:
                  owner_of: dict[int, int], horizon: int,
                  timeout_ms: int = 20) -> None:
         if timeout_ms < 1:
-            # A zero timeout lets T race past the horizon before nodes run.
+            # A zero wait would make both loops spin on an empty inbox.
             raise ValueError(f"timeout_ms must be at least 1, got {timeout_ms}")
         self.procs = procs
         self.T = 0
@@ -49,6 +54,10 @@ class EnvState:
         self.output_log: list[tuple[int, int]] = []
         self._output_seen: set[tuple[int, int]] = set()
         self.stats = EnvStats()
+        # Broadcasts sent to, and output messages received from, each node.
+        self.sent = [0] * (procs + 1)
+        self.received = [0] * (procs + 1)
+        self.reports: dict[int, Report] = {}  # the latest from each node
 
     # -- derived state -------------------------------------------------------
 
@@ -66,6 +75,8 @@ class EnvState:
             if owner is None:
                 raise KeyError(f"stimulus for unmapped neuron {nid}")
             per_proc[owner].append(CMEvent(target=nid, source=EXT_NEURON, stamp=self.T - 1))
+        for p in per_proc:
+            self.sent[p] += 1
         return [
             Message(sender=0, clock=list(self.clock), events=per_proc[p])
             for p in range(1, self.procs + 1)
@@ -77,25 +88,46 @@ class EnvState:
         self.stats.advancements += 1
         return self._broadcast()
 
-    def on_timeout(self) -> list[Message]:
-        """Timeout advancement: also raise every known emission time to T-1.
-
-        Signs are preserved (a queue believed empty stays flagged empty);
-        magnitudes only ever increase.
-        """
+    def on_timeout(self, floor: int) -> list[Message]:
+        """Advancement at quiescence: also raise every emission time to
+        ``floor``, the least stamp any processor may still emit, and no
+        further than T-1. Magnitudes only ever increase; no gate reads the
+        sign of a remote entry, so none is kept."""
         self.T += 1
         self.clock[0] = self.T
         self.stats.advancements += 1
         self.stats.timeouts += 1
+        bound = min(self.T - 1, floor)
         for m in range(1, self.procs + 1):
-            sign = 1 if self.clock[m] > 0 else -1
-            self.clock[m] = sign * max(abs(self.clock[m]), self.T - 1)
+            self.clock[m] = max(abs(self.clock[m]), bound)
         return self._broadcast()
+
+    def on_report(self, msg: Message) -> None:
+        if not 1 <= msg.sender <= self.procs or len(msg.report.sent) != self.procs + 1:
+            raise ValueError(f"report from {msg.sender} does not fit {self.procs} processors")
+        self.reports[msg.sender] = msg.report
+
+    def quiescence_floor(self) -> int | None:
+        """The least reported floor once the latest reports prove that no
+        processor is busy and no message is in flight, else None. An idle
+        processor changes only when mail arrives, so a busy one or a message
+        in flight leaves some channel (env to i, i to env, i to j) whose
+        counts differ; totals alone could balance across channels."""
+        reps = self.reports
+        if len(reps) < self.procs:
+            return None
+        for i, r in reps.items():
+            if r.received[0] != self.sent[i] or r.sent[0] != self.received[i]:
+                return None
+            if any(r.sent[j] != reps[j].received[i] for j in reps):
+                return None
+        return min(r.floor for r in reps.values())
 
     def on_output(self, msg: Message) -> bool:
         """Log output spikes, merge the clock; True if T must advance."""
         if msg.sender < 1:
             raise ValueError("on_output expects a compute processor message")
+        self.received[msg.sender] += 1
         for ev in msg.events:
             if ev.target != EXT_NEURON:
                 raise ValueError(f"non-output event routed to environment: {ev}")

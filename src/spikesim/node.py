@@ -22,6 +22,10 @@ from .neuron import ECState, IntegrationResult
 from .transport import Message, merge_clock_into
 
 
+# floor() of a processor with nothing pending: it sets no bound of its own.
+UNBOUNDED = 2**31 - 1
+
+
 class AuthDecision(enum.Enum):
     AUTHORIZED = "authorized"
     DELAYED = "delayed"
@@ -64,6 +68,9 @@ class NodeState:
         self.outputs = outputs
         self.outboxes: dict[int, list[CMEvent]] = {}
         self.cp_live = 0  # un-cancelled, un-emitted events in cp_queue
+        # Spike messages (anything but a report) per destination / source.
+        self.sent = [0] * (procs + 1)
+        self.received = [0] * (procs + 1)
         self.stats = NodeStats()
         self.trace: list[tuple[int, int]] = []  # (neuron, stamp) emissions
 
@@ -96,11 +103,19 @@ class NodeState:
         merge_clock_into(self.clock, remote, own=self.id)
 
     def receive(self, msg) -> None:
+        self.received[msg.sender] += 1
         self.merge_clock(msg.clock)
         for ev in msg.events:
             self.cm_queue.push(ev)
         if msg.events:
             self._set_pt()
+
+    def floor(self) -> int:
+        """The least stamp this processor may still emit without new mail:
+        its top live forecast, or a forecast from its top incoming spike."""
+        top_out, top_in = self.cp_top(), self.cm_queue.peek()
+        return min(UNBOUNDED if top_out is None else top_out.stamp,
+                   UNBOUNDED if top_in is None else top_in.stamp + 1)
 
     # -- authorization algorithms ----------------------------------------------
 
@@ -290,5 +305,6 @@ class NodeState:
                                    events=list(staged)))
                 )
                 staged.clear()
+                self.sent[dest] += 1
                 self.stats.messages_sent += 1
         return messages

@@ -10,9 +10,10 @@ Wire layout (little-endian, bit-exact):
     nevents u32
     events  (target u32, source u32, stamp i32) * nevents
 
-The external-environment neuron id encodes as 0xFFFFFFFF. Each TCP frame
-is one encoded message preceded by a u32 length prefix; frames carry their
-sender, so a connection sends nothing but frames.
+The external-environment neuron id encodes as 0xFFFFFFFF. A ``Report``
+has magic "DR" and the same header with n = P + 1 in place of nclock,
+then floor i32, sent u32 * n, received u32 * n. Each TCP frame is one encoded message preceded by a u32 length prefix;
+frames carry their sender, so a connection sends nothing but frames.
 """
 
 from __future__ import annotations
@@ -24,10 +25,12 @@ import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .events import CMEvent
 
 MAGIC = b"DN"
+REPORT_MAGIC = b"DR"
 VERSION = 1
 _HEADER = struct.Struct("<2sBHH")
 _NEVENTS = struct.Struct("<I")
@@ -39,14 +42,28 @@ class CodecError(ValueError):
     """Malformed or out-of-range wire data."""
 
 
+class Report(NamedTuple):
+    """What an idle compute processor tells the environment: the least
+    stamp it may still emit without new mail, and its spike-message counts
+    per channel (index = peer id, 0 the environment)."""
+    floor: int
+    sent: list[int]
+    received: list[int]
+
+
 @dataclass
 class Message:
     sender: int
     clock: list[int]
     events: list[CMEvent] = field(default_factory=list)
+    report: Report | None = None   # a report carries no clock and no events
 
     def validate(self) -> None:
-        if not self.events and self.sender != 0:
+        if self.report is not None:
+            if (self.sender == 0 or self.events or self.clock
+                    or len(self.report.sent) != len(self.report.received)):
+                raise CodecError("a report comes from a compute processor alone")
+        elif not self.events and self.sender != 0:
             raise CodecError("only the environment may send clock-only messages")
 
 
@@ -60,6 +77,10 @@ def merge_clock_into(local: list[int], remote: list[int], own: int) -> None:
 def encode(msg: Message) -> bytes:
     """Pack ``msg``; struct rejects every value the layout cannot hold."""
     try:
+        if msg.report is not None:
+            floor, sent, received = msg.report
+            return (_HEADER.pack(REPORT_MAGIC, VERSION, msg.sender, len(sent))
+                    + struct.pack(f"<i{2 * len(sent)}I", floor, *sent, *received))
         return b"".join((
             _HEADER.pack(MAGIC, VERSION, msg.sender, len(msg.clock)),
             struct.pack(f"<{len(msg.clock)}i", *msg.clock),
@@ -75,10 +96,16 @@ def decode(data: bytes) -> Message:
         magic, version, sender, nclock = _HEADER.unpack_from(data)
     except struct.error as exc:
         raise CodecError(f"truncated header: {exc}") from exc
-    if magic != MAGIC:
+    if magic not in (MAGIC, REPORT_MAGIC):
         raise CodecError(f"bad magic {magic!r}")
     if version != VERSION:
         raise CodecError(f"unsupported version {version}")
+    if magic == REPORT_MAGIC:
+        body = struct.Struct(f"<i{2 * nclock}I")
+        if len(data) != _HEADER.size + body.size:
+            raise CodecError(f"{len(data)} bytes for a report on {nclock} channels")
+        floor, *counts = body.unpack_from(data, _HEADER.size)
+        return Message(sender, [], report=Report(floor, counts[:nclock], counts[nclock:]))
     off = _HEADER.size + 4 * nclock
     try:
         clock = list(struct.unpack_from(f"<{nclock}i", data, _HEADER.size))

@@ -119,7 +119,8 @@ def test_node_flushes_a_partial_batch_before_it_waits():
 
     backend = Backend(procs=2)
     # T = 2 after a timeout: the spike at 1 may be emitted.
-    for broadcast in (env.advance_T(), env.on_timeout()):
+    floor = min(node.floor() for node in nodes.values())
+    for broadcast in (env.advance_T(), env.on_timeout(floor)):
         for dest, msg in enumerate(broadcast, start=1):
             backend.send(dest, msg)
     run_node(nodes[1], env, backend, minpak=4, stop=lambda: bool(at_first_wait))

@@ -2,13 +2,19 @@ import pytest
 
 from spikesim.environment import EnvState
 from spikesim.events import CMEvent, EXT_NEURON
-from spikesim.transport import Message
+from spikesim.node import UNBOUNDED
+from spikesim.transport import Message, Report
 
 
 def make_env(procs=2, stimuli=None, horizon=20, owners=None):
     owners = owners or {1: 1, 2: 2}
     return EnvState(procs=procs, stimuli=stimuli or {}, owner_of=owners,
                     horizon=horizon)
+
+
+def report(env, node, sent, received, floor=UNBOUNDED):
+    env.on_report(Message(sender=node, clock=[],
+                          report=Report(floor, sent, received)))
 
 
 def test_advance_broadcasts_clock_to_every_processor():
@@ -37,15 +43,64 @@ def test_stimulus_for_unmapped_neuron_raises():
         env.advance_T()
 
 
-def test_timeout_raises_known_emission_times_preserving_sign():
-    env = make_env()
+def test_timeout_raises_magnitudes_to_T_minus_one():
+    env = make_env(procs=3, owners={1: 1})
     env.T = 6
-    env.clock = [6, 2, -9]
-    env.on_timeout()
+    env.clock = [6, 2, -4, -9]
+    env.on_timeout(floor=UNBOUNDED)
     assert env.T == 7
-    # magnitude raised to T-1 = 6 where behind, signs kept; |-9| stays.
-    assert env.clock == [7, 6, -9]
+    # Magnitudes behind T-1 = 6 rise to it; |-9| stays. No sign is kept.
+    assert env.clock == [7, 6, 6, 9]
     assert env.stats.timeouts == 1
+
+
+def test_timeout_raises_no_entry_above_a_pending_forecast():
+    # Seed 3 at n=64, P=4 (hole B): node 3 (et 32) holds a certified
+    # forecast at 37 when the environment times out from T = 38. Raising
+    # its entry to T-1 = 38 let node 2 compute stamp 38 before node 3 could
+    # emit at 37.
+    env = make_env(procs=4, owners={1: 1})
+    env.T = 38
+    env.clock = [38, 38, 38, -32, 36]
+    env.on_timeout(floor=37)
+    assert env.T == 39
+    assert env.clock == [39, 38, 38, 37, 37]
+
+
+def test_quiescence_needs_every_channel_to_balance():
+    env = make_env(procs=3, owners={1: 1})
+    env.advance_T()
+    assert env.sent == [0, 1, 1, 1]
+    report(env, 1, [0, 0, 0, 0], [1, 0, 0, 0])
+    report(env, 2, [0, 1, 0, 0], [1, 0, 0, 0], floor=12)
+    assert env.quiescence_floor() is None   # node 3 has not reported
+    report(env, 3, [0, 0, 0, 0], [1, 1, 0, 0], floor=9)
+    # Four messages sent and four received, but 2->1 holds one in flight
+    # and node 1's message to 3 was sent after node 1 reported.
+    assert env.quiescence_floor() is None
+    report(env, 1, [0, 0, 0, 1], [1, 0, 1, 0])
+    assert env.quiescence_floor() == 9
+    env.on_timeout(floor=9)   # the broadcast is not yet received
+    assert env.quiescence_floor() is None
+
+
+def test_quiescence_waits_for_outputs_in_flight():
+    env = make_env()
+    env.advance_T()
+    report(env, 1, [1, 0, 0], [1, 0, 0])
+    report(env, 2, [0, 0, 0], [1, 0, 0])
+    assert env.quiescence_floor() is None
+    env.on_output(Message(sender=1, clock=[1, 1, 0],
+                          events=[CMEvent(EXT_NEURON, 1, 1)]))
+    assert env.quiescence_floor() == UNBOUNDED
+
+
+def test_report_that_does_not_fit_is_rejected():
+    env = make_env()
+    with pytest.raises(ValueError):
+        report(env, 3, [0, 0, 0], [0, 0, 0])
+    with pytest.raises(ValueError):
+        report(env, 1, [0, 0], [0, 0])
 
 
 def test_output_logging_and_advancement_trigger():

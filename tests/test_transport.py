@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikesim.events import CMEvent, EXT_NEURON
-from spikesim.transport import (CodecError, InProcBackend, Message,
+from spikesim.transport import (CodecError, InProcBackend, Message, Report,
                                 TcpBackend, TransportError, decode, encode,
                                 load_roster)
 
@@ -26,6 +26,26 @@ def test_event_message_golden_bytes():
                   events=[CMEvent(target=7, source=EXT_NEURON, stamp=3)])
     assert encode(msg).hex() == ("444e01020003000400000004000000fcffffff"
                                  "0100000007000000ffffffff03000000")
+
+
+def test_report_golden_bytes():
+    # Processor 2 of 2 reports floor 37, 3 messages sent to the environment,
+    # 1 to processor 1, and 5 received from the environment: 35 bytes.
+    msg = Message(sender=2, clock=[], report=Report(37, [3, 1, 0], [5, 0, 0]))
+    data = encode(msg)
+    assert data.hex() == ("445201020003002500000003000000010000000000000005"
+                          "0000000000000000000000")
+    assert decode(data) == msg
+
+
+def test_truncated_or_padded_report_rejected():
+    data = encode(Message(sender=1, clock=[],
+                          report=Report(-4, [1, 0], [2, 0])))
+    for cut in (1, 6, 10, len(data) - 1):
+        with pytest.raises(CodecError):
+            decode(data[:cut])
+    with pytest.raises(CodecError):
+        decode(data + b"\x00")
 
 
 def test_external_neuron_id_round_trips():
@@ -86,6 +106,18 @@ def test_clock_only_allowed_for_environment_only():
     Message(sender=0, clock=[1], events=[]).validate()
     with pytest.raises(CodecError):
         Message(sender=3, clock=[1], events=[]).validate()
+
+
+def test_only_a_node_may_report_and_a_report_carries_nothing_else():
+    report = Report(5, [0, 0], [1, 0])
+    Message(sender=1, clock=[], report=report).validate()
+    for bad in (Message(sender=0, clock=[], report=report),
+                Message(sender=1, clock=[1, 1], report=report),
+                Message(sender=1, clock=[], report=Report(0, [1, 0], [2])),
+                Message(sender=1, clock=[], events=[CMEvent(1, 2, 3)],
+                        report=report)):
+        with pytest.raises(CodecError):
+            bad.validate()
 
 
 @settings(max_examples=300, deadline=None)
