@@ -1,21 +1,21 @@
 """Run orchestration: deterministic, free-running, and multi-process modes.
 
-* ``DeterministicEngine`` -- single thread, round-robin over processors
-  with synchronous message delivery and exhaustive draining between
-  actual-time advancements. The processors' own gates order the work; no
-  scheduler orders stamps for them. Reproducible bit-for-bit; this is the
-  mode certified against the sequential oracle.
+Every mode drives the same two steps: ``NodeState.step`` (one processor
+receives, computes, emits, and reports once it is idle) and
+``EnvState.step`` (the environment advances T on an output or at proven
+quiescence). No wall-clock timer advances T.
+
+* ``DeterministicEngine`` -- single thread, lists for mailboxes; processors
+  step round-robin until none moves and no mail is left, then the
+  environment steps. Reproducible bit-for-bit; this is the mode certified
+  against the sequential oracle.
 * ``ThreadedEngine`` -- one free-running thread per processor.
 * ``run_tcp_node`` / ``run_tcp_launcher`` -- one OS process per processor
   over TCP; the launcher doubles as the environment.
 
-Both free-running modes drive the environment with ``run_environment`` and
-each processor with ``run_node``, through a backend's ``send(dest, msg)``
-and ``poll(pid, wait)``: in-process mailboxes or TCP sockets. Both loops
-block on their inbox while they have nothing to do; mail wakes them. A
-processor that runs out of work reports to the environment, which advances
-T on an output or once the reports prove the run quiescent; no wall-clock
-timer advances T.
+The free-running modes loop in ``run_environment`` and ``run_node``: poll a
+backend's inbox (in-process mailboxes or TCP sockets), step, ship. A loop
+whose step moved nothing blocks on its inbox until mail wakes it.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .neuron import ECState
 from .node import NodeState
 from .oracle import trace_order
 from .topology import MappingSpec, NetworkSpec, build_post_tables
-from .transport import (InProcBackend, Message, Report, TcpBackend,
-                        TransportError, load_roster)
+from .transport import (InProcBackend, Message, TcpBackend, TransportError,
+                        load_roster)
 
 
 @dataclass
@@ -143,12 +143,9 @@ class InvariantMonitor:
 class DeterministicEngine:
     """Single-threaded reference execution of the distributed protocol.
 
-    Processors are stepped round-robin, each offered all its pending work,
-    and messages are delivered synchronously; the actual time advances only
-    once a whole pass moves nothing, which proves quiescence here without
-    reports. The authorization gates alone keep
-    stamps in order, so this mode tests them, and every run with the same
-    inputs is identical.
+    The authorization gates alone keep stamps in order, and the environment
+    advances on the same reports as in the free-running modes, so this mode
+    tests both; every run with the same inputs is identical.
     """
 
     def __init__(self, net: NetworkSpec, mapping: MappingSpec,
@@ -158,49 +155,35 @@ class DeterministicEngine:
         self.minpak = minpak
         self.monitor = InvariantMonitor(self.env, self.nodes)
 
-    def _deliver(self, pairs) -> None:
-        for dest, msg in pairs:
-            if dest == 0:
-                if self.env.on_output(msg):
-                    self._advance_pending = True
-            else:
-                self.nodes[dest].receive(msg)
-
-    def _drain(self) -> None:
-        """Step every node until a whole pass moves nothing. Every pass ends
-        by force-flushing all outboxes, so a partial batch never stalls it."""
-        moved = True
-        while moved:
-            moved = False
-            for pid in sorted(self.nodes):
-                node = self.nodes[pid]
-                computed = node.cpc_step()
-                progress, messages = node.cmc_step(self.minpak)
-                moved = moved or computed or progress or bool(messages)
-                self._deliver(messages)
-            for pid in sorted(self.nodes):
-                leftovers = self.nodes[pid].flush_ready(self.minpak, force=True)
-                moved = moved or bool(leftovers)
-                self._deliver(leftovers)
-
     def run(self) -> RunResult:
-        env = self.env
-        self._advance_pending = False
-        self._deliver(enumerate(env.advance_T(), start=1))
+        env, nodes = self.env, self.nodes
+        mail: dict[int, list[Message]] = {pid: [] for pid in range(env.procs + 1)}
+        violations = self.monitor.violations
+        broadcast = env.step([])
         while not env.done:
-            self._drain()
+            for dest, msg in broadcast:
+                mail[dest].append(msg)
+            busy = True
+            while busy:
+                busy = False
+                for pid, node in nodes.items():  # in pid order
+                    inbound, mail[pid] = mail[pid], []
+                    moved, messages = node.step(inbound, self.minpak)
+                    for dest, msg in messages:
+                        mail[dest].append(msg)
+                    busy = busy or moved
+                busy = busy or any(mail[pid] for pid in nodes)
             self.monitor.check()
-            if self._advance_pending:
-                self._advance_pending = False
-                self._deliver(enumerate(env.advance_T(), start=1))
-                continue
-            floor = min(node.floor() for node in self.nodes.values())
-            self._deliver(enumerate(env.on_timeout(floor), start=1))
+            inbound, mail[0] = mail[0], []
+            broadcast = env.step(inbound)
+            if not broadcast:
+                violations.append(f"no advancement at quiescence (T = {env.T})")
+                break
         return RunResult(
-            trace=merge_traces(self.nodes),
+            trace=merge_traces(nodes),
             outputs=env.sorted_outputs(),
-            stats=aggregate_stats(env, self.nodes),
-            violations=list(self.monitor.violations),
+            stats=aggregate_stats(env, nodes),
+            violations=list(violations),
         )
 
 
@@ -208,6 +191,8 @@ class DeterministicEngine:
 
 # Wall-clock budget of a tcp run, for the launcher and for each node process.
 TCP_WALL_S = 120.0
+# How long the launcher lets node processes run on after a run cut short.
+STOP_GRACE_S = 1.0
 
 
 def ship(backend, pairs) -> None:
@@ -222,56 +207,31 @@ def ship(backend, pairs) -> None:
 
 def run_environment(env: EnvState, backend, max_wall_s: float,
                     stop: Callable[[], bool]) -> list[str]:
-    """Advance T on outputs, or once the nodes' reports prove quiescence,
-    until ``env.done``, ``stop()`` or ``max_wall_s``; returns the loop's
-    violations. Between advancements the loop waits on its inbox, at most
+    """Step the environment until ``env.done``, ``stop()`` or ``max_wall_s``;
+    returns the loop's violations. It waits on its inbox at most
     ``env.timeout_ms`` at a time, so it checks ``stop()`` and the budget."""
     wait_s = env.timeout_ms / 1000.0
-    ship(backend, enumerate(env.advance_T(), start=1))
     deadline = time.monotonic() + max_wall_s
-    while not env.done and not stop():
+    inbound: list[Message] = []
+    while True:
+        ship(backend, env.step(inbound))
+        if env.done or stop():
+            return []
         if time.monotonic() > deadline:
             return ["wall-clock budget exceeded"]
-        advanced = False
-        for msg in backend.poll(0, wait_s):
-            if msg.report is not None:
-                env.on_report(msg)
-            elif env.on_output(msg):
-                advanced = True
-        if advanced:
-            ship(backend, enumerate(env.advance_T(), start=1))
-        elif (floor := env.quiescence_floor()) is not None:
-            ship(backend, enumerate(env.on_timeout(floor), start=1))
-    return []
+        inbound = backend.poll(0, wait_s)
 
 
 def run_node(node: NodeState, env: EnvState, backend, minpak: int,
              stop: Callable[[], bool]) -> None:
-    """Deliver, compute and emit on one processor until it has seen T pass
-    ``env.horizon + env.slack`` or ``stop()`` holds, then ship what is staged.
-
-    Only mail can change an idle processor, so it ships its partial batches,
-    reports to the environment if its message counts moved since its last
-    report, and waits for mail, at most ``env.timeout_ms`` at a time."""
-    end = env.horizon + env.slack
+    """Step one processor on its mail until it has seen the run end or
+    ``stop()`` holds, then ship what is staged. After a step that moves
+    nothing it waits for mail, at most ``env.timeout_ms`` at a time."""
     wait = 0.0
-    reported = None
-    while abs(node.clock[0]) <= end and not stop():
-        inbound = backend.poll(node.id, wait)
-        for msg in inbound:
-            node.receive(msg)
-        computed = node.cpc_step()
-        progress, messages = node.cmc_step(minpak)
+    while not env.past_end(abs(node.clock[0])) and not stop():
+        moved, messages = node.step(backend.poll(node.id, wait), minpak)
         ship(backend, messages)
-        wait = 0.0
-        if not (inbound or computed or progress or messages):
-            ship(backend, node.flush_ready(minpak, force=True))
-            counts = (list(node.sent), list(node.received))
-            if counts != reported:
-                reported = counts
-                report = Report(node.floor(), *counts)
-                ship(backend, [(0, Message(node.id, [], report=report))])
-            wait = env.timeout_ms / 1000.0
+        wait = 0.0 if moved else env.timeout_ms / 1000.0
     ship(backend, node.flush_ready(minpak, force=True))
 
 
@@ -371,17 +331,23 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     backend = None
     try:
         backend = TcpBackend(0, roster)
-        errors = run_environment(env, backend, max_wall_s, stop=lambda: False)
+        # Only a failing node process exits before the run is done.
+        errors = run_environment(
+            env, backend, max_wall_s,
+            stop=lambda: any(p.poll() is not None for p in procs))
     finally:
-        # Channels are FIFO, so every node sees the final advancement and
-        # stops by itself; it may still flush to this backend until then.
-        for p in procs:
+        # After a finished run every node sees the final advancement (channels
+        # are FIFO) and stops by itself, flushing to this backend until then;
+        # after a run cut short, none does.
+        deadline = time.monotonic() + (15.0 if env.done else STOP_GRACE_S)
+        for pid, p in enumerate(procs, start=1):
             try:
-                if p.wait(timeout=15.0) != 0:
-                    errors.append(f"node process exited with {p.returncode}")
+                code = p.wait(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
                 p.kill()
-                errors.append("node process killed after timeout")
+                code = f"{p.wait()} after the run stopped"
+            if code != 0:
+                errors.append(f"node process exited with {code} (processor {pid})")
         if backend is not None:
             backend.close()
     return RunResult(trace=[], outputs=env.sorted_outputs(),

@@ -61,14 +61,38 @@ class EnvState:
 
     # -- derived state -------------------------------------------------------
 
+    def past_end(self, t: int) -> bool:
+        """Whether a processor that has seen T reach ``t`` has seen the end."""
+        return t > self.horizon + self.slack
+
     @property
     def done(self) -> bool:
-        return self.T > self.horizon + self.slack
+        return self.past_end(self.T)
 
     # -- advancement ---------------------------------------------------------
 
-    def _broadcast(self) -> list[Message]:
-        """One message per compute processor, with stimuli emitted at T-1."""
+    def step(self, inbound: list[Message]) -> list[tuple[int, Message]]:
+        """Take reports and outputs; advance T at the start, on an output that
+        reached T, else at quiescence. Returns the (dest, message) pairs."""
+        advance = self.T == 0
+        for msg in inbound:
+            if msg.report is not None:
+                self.on_report(msg)
+            elif self.on_output(msg):
+                advance = True
+        if advance:
+            broadcast = self.advance_T()
+        elif (floor := self.quiescence_floor()) is not None:
+            broadcast = self.on_timeout(floor)
+        else:
+            return []
+        return list(enumerate(broadcast, start=1))
+
+    def _advance(self) -> list[Message]:
+        """T + 1; one message per compute processor, with stimuli emitted at T-1."""
+        self.T += 1
+        self.clock[0] = self.T
+        self.stats.advancements += 1
         per_proc: dict[int, list[CMEvent]] = {p: [] for p in range(1, self.procs + 1)}
         for nid in self.stimuli.get(self.T - 1, ()):  # noqa: delivered exactly once
             owner = self.owner_of.get(nid)
@@ -83,24 +107,17 @@ class EnvState:
         ]
 
     def advance_T(self) -> list[Message]:
-        self.T += 1
-        self.clock[0] = self.T
-        self.stats.advancements += 1
-        return self._broadcast()
+        return self._advance()
 
     def on_timeout(self, floor: int) -> list[Message]:
         """Advancement at quiescence: also raise every emission time to
-        ``floor``, the least stamp any processor may still emit, and no
-        further than T-1. Magnitudes only ever increase; no gate reads the
-        sign of a remote entry, so none is kept."""
-        self.T += 1
-        self.clock[0] = self.T
-        self.stats.advancements += 1
+        ``floor``, the least stamp any processor may still emit, but not past
+        T-1. No gate reads the sign of a remote entry, so none is kept."""
         self.stats.timeouts += 1
-        bound = min(self.T - 1, floor)
+        bound = min(self.T, floor)  # the new T - 1
         for m in range(1, self.procs + 1):
             self.clock[m] = max(abs(self.clock[m]), bound)
-        return self._broadcast()
+        return self._advance()
 
     def on_report(self, msg: Message) -> None:
         if not 1 <= msg.sender <= self.procs or len(msg.report.sent) != self.procs + 1:

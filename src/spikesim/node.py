@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .events import CMEvent, CPEvent, EXT_NEURON, EventQueue, ProtocolViolation, TopologyError
 from .neuron import ECState, IntegrationResult
-from .transport import Message, merge_clock_into
+from .transport import Message, Report, merge_clock_into
 
 
 # floor() of a processor with nothing pending: it sets no bound of its own.
@@ -71,6 +71,7 @@ class NodeState:
         # Spike messages (anything but a report) per destination / source.
         self.sent = [0] * (procs + 1)
         self.received = [0] * (procs + 1)
+        self.reported = None  # (sent, received) at the last report
         self.stats = NodeStats()
         self.trace: list[tuple[int, int]] = []  # (neuron, stamp) emissions
 
@@ -254,6 +255,23 @@ class NodeState:
         return False
 
     # -- controller steps ---------------------------------------------------------
+
+    def step(self, inbound, minpak: int = 1):
+        """Receive, compute and emit; returns (moved, messages). Only mail can
+        change a processor whose step moves nothing, so such a step ships its
+        partial batches and reports any change of its message counts."""
+        for msg in inbound:
+            self.receive(msg)
+        computed = self.cpc_step()
+        progress, messages = self.cmc_step(minpak)
+        if computed or progress or messages:
+            return True, messages
+        messages = self.flush_ready(minpak, force=True)
+        if (self.sent, self.received) != self.reported:
+            self.reported = (list(self.sent), list(self.received))
+            report = Report(self.floor(), *self.reported)
+            messages.append((0, Message(self.id, [], report=report)))
+        return False, messages
 
     def cmc_step(self, minpak: int = 1):
         """Emission control + message staging; returns (progress, messages)."""

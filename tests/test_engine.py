@@ -1,16 +1,25 @@
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import spikesim
 from spikesim import engine
 from spikesim.engine import (DeterministicEngine, ThreadedEngine,
-                             build_simulation, run_node, run_tcp_node)
+                             build_simulation, run_tcp_node)
+from spikesim.environment import EnvState
+from spikesim.events import CMEvent
 from spikesim.neuron import NeuronParams
+from spikesim.node import UNBOUNDED
 from spikesim.oracle import compare_traces, sequential_simulate
 from spikesim.topology import (MappingSpec, NetworkSpec, attach_synapses,
-                               generate_random)
-from spikesim.transport import (InProcBackend, TcpBackend, TransportError,
-                                load_roster)
+                               generate_random, save_mapping, save_network,
+                               save_stimuli)
+from spikesim.transport import Report, TcpBackend, TransportError, load_roster
 
 
 def test_deterministic_engine_matches_oracle_small():
@@ -97,9 +106,8 @@ def test_threaded_engine_batches_at_minpak_4(seed):
     assert compare_traces(result.trace, expected).empty
 
 
-def test_node_flushes_a_partial_batch_before_it_waits():
-    # Neuron 1 on processor 1 fires once into neuron 2 on processor 2: one
-    # staged event, below minpak.
+def two_neuron_simulation():
+    # Neuron 1 on processor 1 fires once, at 1, into neuron 2 on processor 2.
     net = NetworkSpec()
     net.neurons = {1: NeuronParams(1.0, 10.0), 2: NeuronParams(1.0, 10.0)}
     net.synapses = [(1, 2, 0.5, 1)]
@@ -107,27 +115,48 @@ def test_node_flushes_a_partial_batch_before_it_waits():
     net.outputs = {2}
     attach_synapses(net)
     mapping = MappingSpec(assignment={1: 1, 2: 2}, procs=2)
-    env, nodes = build_simulation(net, mapping, {0: [1]}, horizon=10)
-    at_first_wait = []
+    return build_simulation(net, mapping, {0: [1]}, horizon=10)
 
-    class Backend(InProcBackend):
-        def poll(self, pid, wait=0):
-            if wait > 0:
-                at_first_wait.append(list(self.inboxes[2].queue))
-                return []
-            return super().poll(pid)
 
-    backend = Backend(procs=2)
-    # T = 2 after a timeout: the spike at 1 may be emitted.
+def test_node_flushes_a_partial_batch_before_it_waits():
+    env, nodes = two_neuron_simulation()
+    # T = 2 after a quiescence advancement: the spike at 1 may be emitted.
     floor = min(node.floor() for node in nodes.values())
-    for broadcast in (env.advance_T(), env.on_timeout(floor)):
-        for dest, msg in enumerate(broadcast, start=1):
-            backend.send(dest, msg)
-    run_node(nodes[1], env, backend, minpak=4, stop=lambda: bool(at_first_wait))
-    assert nodes[1].trace == [(1, 1)]
-    batches = [msg.events for msg in at_first_wait[0] if msg.sender == 1]
-    assert [[(ev.target, ev.source, ev.stamp) for ev in events]
-            for events in batches] == [[(2, 1, 1)]]
+    inbound = [env.advance_T()[0], env.on_timeout(floor)[0]]
+    moved, messages = nodes[1].step(inbound, minpak=4)
+    # One staged event, below minpak, stays in the outbox while work moves.
+    assert moved and messages == [] and nodes[1].trace == [(1, 1)]
+    moved, messages = nodes[1].step([], minpak=4)
+    assert not moved
+    assert [(dest, msg.events) for dest, msg in messages] == [
+        (2, [CMEvent(2, 1, 1)]), (0, [])]
+    assert messages[1][1].report.sent == [0, 0, 1]
+
+
+def test_node_step_reports_once_per_change_of_counts():
+    env, nodes = two_neuron_simulation()
+    node = nodes[2]
+    moved, messages = node.step([], minpak=1)
+    assert not moved
+    assert [(dest, msg.report) for dest, msg in messages] == [
+        (0, Report(UNBOUNDED, [0, 0, 0], [0, 0, 0]))]
+    assert node.step([], minpak=1) == (False, [])
+    # A clock-only broadcast moves nothing here; its receipt is reported at
+    # once, and only once.
+    broadcast = dict(env.step([]))
+    moved, messages = node.step([broadcast[2]], minpak=1)
+    assert not moved
+    assert [(dest, msg.report) for dest, msg in messages] == [
+        (0, Report(UNBOUNDED, [0, 0, 0], [1, 0, 0]))]
+    assert node.step([], minpak=1) == (False, [])
+
+
+def test_det_reports_a_run_that_cannot_advance(monkeypatch):
+    monkeypatch.setattr(EnvState, "quiescence_floor", lambda self: None)
+    net, mapping, stimuli = generate_random(seed=1, n=8, prob=0.0, procs=2,
+                                            horizon=30)
+    result = DeterministicEngine(net, mapping, stimuli, horizon=30).run()
+    assert result.violations == ["no advancement at quiescence (T = 1)"]
 
 
 def test_timeout_drives_time_without_activity():
@@ -186,3 +215,48 @@ def test_tcp_node_gives_up_without_environment(tmp_path, monkeypatch, free_ports
         for backend in envs:
             backend.close()
     assert not env_thread.is_alive() and len(envs) == 1
+
+
+def test_tcp_launcher_stops_soon_after_a_node_dies(tmp_path, monkeypatch,
+                                                    free_ports):
+    # Processor 2 is killed about 1 s into a run that would take far longer.
+    horizon = 20_000
+    net, mapping, stimuli = generate_random(seed=2, n=32, prob=0.1, procs=2,
+                                            horizon=horizon)
+    prefix = str(tmp_path / "w")
+    save_network(net, prefix + ".net")
+    save_mapping(mapping, prefix + ".map")
+    save_stimuli(stimuli, prefix + ".stim")
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(3))))
+    src = str(Path(spikesim.__file__).parent.parent)
+
+    def node_argv(pid, prelude=""):
+        args = ["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                "--stim", prefix + ".stim", "--mode", "tcp",
+                "--horizon", str(horizon), "--roster", str(roster),
+                "--node", str(pid), "--out", prefix]
+        return [sys.executable, "-c",
+                f"import sys; sys.path.insert(0, {src!r}); {prelude}"
+                f"from spikesim.cli import main; sys.exit(main({args!r}))"]
+
+    spawned = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    kill = ("import os, signal, threading; threading.Timer(1.0, os.kill, "
+            "(os.getpid(), signal.SIGKILL)).start(); ")
+    start = time.monotonic()
+    result = engine.run_tcp_launcher(
+        net, mapping, stimuli, horizon, roster_path=str(roster),
+        node_argv=[node_argv(1), node_argv(2, kill)], max_wall_s=30.0)
+    elapsed = time.monotonic() - start
+    assert f"node process exited with {-signal.SIGKILL} (processor 2)" in \
+        result.violations
+    assert elapsed < 6.0
+    assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)

@@ -95,6 +95,46 @@ def test_quiescence_waits_for_outputs_in_flight():
     assert env.quiescence_floor() == UNBOUNDED
 
 
+def report_msg(node, sent, received, floor=UNBOUNDED):
+    return Message(sender=node, clock=[], report=Report(floor, sent, received))
+
+
+def test_step_starts_the_run_and_then_waits_for_mail():
+    env = make_env()
+    assert [(dest, msg.clock[0]) for dest, msg in env.step([])] == [(1, 1), (2, 1)]
+    assert env.step([]) == []
+    assert env.T == 1
+
+
+def test_step_returns_nothing_while_a_channel_is_unbalanced():
+    env = make_env()
+    env.step([])
+    # Node 2 has not yet received the first broadcast.
+    assert env.step([report_msg(1, [0, 0, 0], [1, 0, 0]),
+                     report_msg(2, [0, 0, 0], [0, 0, 0])]) == []
+    # Node 1 sent node 2 a message that node 2 has not reported.
+    assert env.step([report_msg(1, [0, 0, 1], [1, 0, 0], floor=4),
+                     report_msg(2, [0, 0, 0], [1, 0, 0])]) == []
+    assert env.T == 1 and env.stats.timeouts == 0
+    broadcast = env.step([report_msg(2, [0, 0, 0], [1, 1, 0], floor=3)])
+    assert [dest for dest, _ in broadcast] == [1, 2]
+    assert env.T == 2 and env.stats.timeouts == 1
+
+
+def test_step_advances_on_an_output_before_quiescence():
+    env = make_env()
+    env.step([])
+    output = Message(sender=1, clock=[1, 1, 0],
+                     events=[CMEvent(EXT_NEURON, 1, 1)])
+    # The same mail also proves quiescence; the output decides first.
+    broadcast = env.step([report_msg(1, [1, 0, 0], [1, 0, 0], floor=5),
+                          report_msg(2, [0, 0, 0], [1, 0, 0]), output])
+    assert [dest for dest, _ in broadcast] == [1, 2]
+    assert env.T == 2
+    assert env.stats.timeouts == 0 and env.stats.advancements == 2
+    assert env.clock == [2, 1, 0]   # no magnitude raised to the floor
+
+
 def test_report_that_does_not_fit_is_rejected():
     env = make_env()
     with pytest.raises(ValueError):
