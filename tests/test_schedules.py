@@ -63,13 +63,16 @@ def run_schedule(net, mapping, stimuli, horizon, rng, minpak=1, depth=None):
             assert waiting, f"schedule stalled at T = {env.T}"
             actor = max(waiting, key=priority.__getitem__)
             if count in changes:
-                priority[actor] = -count
+                priority[actor] = -1 - count
         if actor == 0:
             pairs = env.step(take(0))
             moved = bool(pairs)
         else:
             moved, pairs = nodes[actor].step(take(actor), minpak)
-        (busy.add if moved else busy.discard)(actor)
+        if moved:
+            busy.add(actor)
+        else:
+            busy.discard(actor)
         for dest, msg in pairs:
             channels[actor, dest].append(msg)
     raise AssertionError(f"no end of run in {MAX_STEPS} steps (T = {env.T})")
