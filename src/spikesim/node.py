@@ -315,14 +315,12 @@ class NodeState:
         messages = []
         for dest in sorted(self.outboxes):
             staged = self.outboxes[dest]
-            if not staged:
-                continue
             if dest == 0 or force or len(staged) >= minpak:
+                del self.outboxes[dest]  # the batch leaves with the message
                 messages.append(
                     (dest, Message(sender=self.id, clock=list(self.clock),
-                                   events=list(staged)))
+                                   events=staged))
                 )
-                staged.clear()
                 self.sent[dest] += 1
                 self.stats.messages_sent += 1
         return messages
