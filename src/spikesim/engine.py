@@ -90,8 +90,8 @@ class InvariantMonitor:
 
     Checked properties: the actual time is positive and never decreases;
     the environment's own emission time equals T and dominates every
-    processor's emission time magnitude; register and clock magnitudes
-    never decrease; register signs match queue emptiness.
+    processor's registers; registers and clock entries never decrease, so
+    none is ever negative.
     """
 
     def __init__(self, env: EnvState, nodes: dict[int, NodeState]) -> None:
@@ -119,25 +119,20 @@ class InvariantMonitor:
         if env.clock[0] != env.T:
             self._flag(f"environment emission time {env.clock[0]} != T {env.T}")
         for pid, node in self.nodes.items():
-            if env.T < abs(node.et):
-                self._flag(f"node {pid}: |et| {abs(node.et)} exceeds T {env.T}")
-            if env.T < abs(node.pt):
-                self._flag(f"node {pid}: |pt| {abs(node.pt)} exceeds T {env.T}")
-            if abs(node.et) < self._prev_et[pid]:
-                self._flag(f"node {pid}: |et| decreased")
-            if abs(node.pt) < self._prev_pt[pid]:
-                self._flag(f"node {pid}: |pt| decreased")
-            self._prev_et[pid] = abs(node.et)
-            self._prev_pt[pid] = abs(node.pt)
-            if (node.et >= 0) != (node.cp_live > 0) and node.et != 0:
-                self._flag(f"node {pid}: et sign {node.et} vs live {node.cp_live}")
-            if (node.pt >= 0) != (len(node.cm_queue) > 0) and node.pt != 0:
-                self._flag(f"node {pid}: pt sign {node.pt} vs queue "
-                           f"{len(node.cm_queue)}")
+            if env.T < node.et:
+                self._flag(f"node {pid}: et {node.et} exceeds T {env.T}")
+            if env.T < node.pt:
+                self._flag(f"node {pid}: pt {node.pt} exceeds T {env.T}")
+            if node.et < self._prev_et[pid]:
+                self._flag(f"node {pid}: et decreased")
+            if node.pt < self._prev_pt[pid]:
+                self._flag(f"node {pid}: pt decreased")
+            self._prev_et[pid] = node.et
+            self._prev_pt[pid] = node.pt
             for m in range(env.procs + 1):
-                if abs(node.clock[m]) < self._prev_clock[pid][m]:
-                    self._flag(f"node {pid}: clock[{m}] magnitude decreased")
-                self._prev_clock[pid][m] = abs(node.clock[m])
+                if node.clock[m] < self._prev_clock[pid][m]:
+                    self._flag(f"node {pid}: clock[{m}] decreased")
+            self._prev_clock[pid] = list(node.clock)
 
 
 class DeterministicEngine:
@@ -228,7 +223,7 @@ def run_node(node: NodeState, env: EnvState, backend, minpak: int,
     ``stop()`` holds, then ship what is staged. After a step that moves
     nothing it waits for mail, at most ``env.timeout_ms`` at a time."""
     wait = 0.0
-    while not env.past_end(abs(node.clock[0])) and not stop():
+    while not env.past_end(node.clock[0]) and not stop():
         moved, messages = node.step(backend.poll(node.id, wait), minpak)
         ship(backend, messages)
         wait = 0.0 if moved else env.timeout_ms / 1000.0
@@ -321,7 +316,8 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     """Spawn one subprocess per compute processor and act as the environment.
 
     ``node_argv`` holds the full command line for each node process; each
-    node writes its firing trace to a shard file merged by the caller.
+    node writes its firing trace to a shard file merged by the caller. A
+    transport failure and every non-zero exit of a node are violations.
     """
     roster = load_roster(roster_path)
     env, _ = build_simulation(net, mapping, stimuli, horizon,
@@ -335,6 +331,8 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
         errors = run_environment(
             env, backend, max_wall_s,
             stop=lambda: any(p.poll() is not None for p in procs))
+    except TransportError as exc:
+        errors = [str(exc)]
     finally:
         # After a finished run every node sees the final advancement (channels
         # are FIFO) and stops by itself, flushing to this backend until then;

@@ -11,7 +11,7 @@ emit clock-only messages.
 T advances when an output shows a processor's clock has reached it, or
 once the idle processors' reports prove the run quiescent (the paper's
 timeout path; channel counting after Mattern 1987). It then raises every
-clock magnitude to the least reported floor (Chandy & Misra 1979).
+clock entry to the least reported floor (Chandy & Misra 1979).
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ class EnvState:
     def on_timeout(self, floor: int) -> list[Message]:
         """Advancement at quiescence: also raise every emission time to
         ``floor``, the least stamp any processor may still emit, but not past
-        T-1. No gate reads the sign of a remote entry, so none is kept."""
+        T-1."""
         self.stats.timeouts += 1
         bound = min(self.T, floor)  # the new T - 1
         for m in range(1, self.procs + 1):
-            self.clock[m] = max(abs(self.clock[m]), bound)
+            self.clock[m] = max(self.clock[m], bound)
         return self._advance()
 
     def on_report(self, msg: Message) -> None:
@@ -154,7 +154,7 @@ class EnvState:
                 self.output_log.append(key)
             self.stats.outputs_received += 1
         merge_clock_into(self.clock, msg.clock, own=0)
-        return any(abs(msg.clock[m]) == self.T for m in range(1, self.procs + 1))
+        return any(msg.clock[m] == self.T for m in range(1, self.procs + 1))
 
     def sorted_outputs(self) -> list[tuple[int, int]]:
         return sorted(self.output_log, key=trace_order)

@@ -1,15 +1,14 @@
 """One logical processor: controller loops, authorization gates, clocks.
 
 Each compute processor owns two stamp-ordered queues (incoming spikes to
-compute, outgoing spikes to emit), two signed time registers, and a local
-clock array with its latest knowledge of every processor's emission time.
+compute, outgoing spikes to emit), two time registers, and a local clock
+array with its latest knowledge of every processor's emission time.
 
-Sign convention for the registers and clock entries: a negative value
-means "the corresponding queue was empty at magnitude |value|". Magnitudes
-never decrease. The gates read only this node's own ``et``/``pt`` signs;
-other processors' entries are compared by magnitude, because an empty
-queue is no promise of silence: a later arrival can refill it at or just
-above its magnitude.
+Registers and clock entries are plain stamps that never decrease. The gates
+read queue emptiness from the queues themselves. Another processor counts
+as silent below a stamp only once its clock entry has reached it: an empty
+queue is no promise, since a later arrival can refill it at or just above
+its last stamp (Chandy & Misra 1979).
 """
 
 from __future__ import annotations
@@ -59,32 +58,20 @@ class NodeState:
         self.procs = procs
         self.cm_queue = EventQueue()
         self.cp_queue = EventQueue()
-        self.et = 0  # emission time register (signed)
-        self.pt = 0  # processing time register (signed)
+        self.et = 0  # emission time register: the last emitted stamp
+        self.pt = 0  # processing time register: the last started stamp
         self.nbth = 0
         self.clock = [0] * (procs + 1)
         self.ecs = ecs
         self.post_tables = post_tables
         self.outputs = outputs
         self.outboxes: dict[int, list[CMEvent]] = {}
-        self.cp_live = 0  # un-cancelled, un-emitted events in cp_queue
         # Spike messages (anything but a report) per destination / source.
         self.sent = [0] * (procs + 1)
         self.received = [0] * (procs + 1)
         self.reported = None  # (sent, received) at the last report
         self.stats = NodeStats()
         self.trace: list[tuple[int, int]] = []  # (neuron, stamp) emissions
-
-    # -- sign maintenance ----------------------------------------------------
-
-    def _set_et(self, magnitude: int | None = None) -> None:
-        mag = abs(self.et) if magnitude is None else magnitude
-        self.et = mag if self.cp_live > 0 else -mag
-        self.clock[self.id] = self.et
-
-    def _set_pt(self, magnitude: int | None = None) -> None:
-        mag = abs(self.pt) if magnitude is None else magnitude
-        self.pt = mag if len(self.cm_queue) > 0 else -mag
 
     # -- queue access ----------------------------------------------------------
 
@@ -108,8 +95,6 @@ class NodeState:
         self.merge_clock(msg.clock)
         for ev in msg.events:
             self.cm_queue.push(ev)
-        if msg.events:
-            self._set_pt()
 
     def floor(self) -> int:
         """The least stamp this processor may still emit without new mail:
@@ -122,19 +107,23 @@ class NodeState:
 
     def others_reached(self, st: int) -> bool:
         """Every other processor, the environment included, can no longer
-        send below ``st``: its clock magnitude has reached ``st``."""
-        return all(st <= abs(self.clock[m])
+        send below ``st``: its clock entry has reached ``st``."""
+        return all(st <= self.clock[m]
                    for m in range(self.procs + 1) if m != self.id)
 
     def _emission_eval(self, e: CPEvent) -> tuple[AuthDecision, str]:
         st = e.stamp
         if st == self.et:
             return AuthDecision.AUTHORIZED, "at_emission_time"
+        behind = st <= self.pt and bool(self.cm_queue)
         if e.crt:
+            # Certified content may still go out of stamp order.
+            if not (behind or self.emission_order_safe(st)):
+                return AuthDecision.DELAYED, "certified_out_of_order"
             return AuthDecision.AUTHORIZED, "certified"
-        if st <= self.pt:
+        if behind:
             return AuthDecision.AUTHORIZED, "behind_processing"
-        if self.nbth == 0 and self.pt < 0 and self.others_reached(st):
+        if self.nbth == 0 and not self.cm_queue and self.others_reached(st):
             return AuthDecision.AUTHORIZED, "quiescent"
         return AuthDecision.DELAYED, "delayed"
 
@@ -168,8 +157,7 @@ class NodeState:
             raise ProtocolViolation("apply_emission on a non-top event")
         self.cp_queue.pop()
         e.emitted = True
-        self.cp_live -= 1
-        self._set_et(e.stamp)
+        self.et = self.clock[self.id] = e.stamp
         self.ecs[e.source].on_emitted(e.stamp)
         self.trace.append((e.source, e.stamp))
         self.stats.emitted += 1
@@ -177,16 +165,12 @@ class NodeState:
         targets = self.post_tables.get(e.source)
         if targets is None:
             raise TopologyError(f"node {self.id}: no post table for {e.source}")
-        local = False
         for tgt, owner in targets:
             cm = CMEvent(target=tgt, source=e.source, stamp=e.stamp)
             if owner == self.id:
                 self.cm_queue.push(cm)
-                local = True
             else:
                 self.outboxes.setdefault(owner, []).append(cm)
-        if local:
-            self._set_pt()
         if e.source in self.outputs:
             out = CMEvent(target=EXT_NEURON, source=e.source, stamp=e.stamp)
             self.outboxes.setdefault(0, []).append(out)
@@ -197,7 +181,7 @@ class NodeState:
             raise ProtocolViolation("start_computation on a non-top event")
         self.cm_queue.pop()
         self.nbth += 1
-        self._set_pt(e.stamp)
+        self.pt = e.stamp
         ec = self.ecs[e.target]
         ec.active = True
         return ec
@@ -207,10 +191,7 @@ class NodeState:
             raise ProtocolViolation("collect_result for an idle cell")
         for ev in result.new_forecasts:
             self.cp_queue.push(ev)
-        # Cancellations were tombstoned during integration; only the live
-        # count moves here.
-        self.cp_live += len(result.new_forecasts) - len(result.cancellations)
-        self._set_et()
+        # Cancellations were tombstoned during integration.
         self.stats.cancellations += len(result.cancellations)
         for ev in result.certifications:
             ev.certify()
@@ -225,8 +206,8 @@ class NodeState:
     # invalidated) but emitting it early could put spikes on the wire out of
     # stamp order: a computation still pending locally or remotely may yet
     # forecast a smaller stamp. Any future forecast is bounded below by
-    # (pending incoming stamp + 1) locally and |et_m| remotely (emission
-    # magnitudes never decrease, but an equal stamp may still follow), and
+    # (pending incoming stamp + 1) locally and et_m remotely (emission
+    # times never decrease, but an equal stamp may still follow), and
     # emissions never exceed the environment time, so the certified branch
     # additionally waits for:
 
@@ -242,7 +223,7 @@ class NodeState:
     # own neuron at or before its stamp, so it doubles as an opportunistic
     # certification rule evaluated at the queue top each loop iteration. It
     # unblocks nodes whose forecast sits just above the d_min bound while
-    # unrelated incoming events keep the processing register positive.
+    # unrelated incoming events keep the incoming queue non-empty.
 
     def certify_top(self) -> bool:
         top = self.cp_top()
@@ -278,13 +259,7 @@ class NodeState:
         progress = False
         self.certify_top()
         while (e := self.cp_top()) is not None:
-            decision, branch = self._emission_eval(e)
-            if decision is not AuthDecision.AUTHORIZED:
-                self.stats.delayed_emissions += 1
-                break
-            if branch == "certified" and not (
-                e.stamp <= self.pt or self.emission_order_safe(e.stamp)
-            ):
+            if self.emission_authorized(e) is not AuthDecision.AUTHORIZED:
                 self.stats.delayed_emissions += 1
                 break
             self.apply_emission(e)

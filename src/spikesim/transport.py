@@ -68,9 +68,10 @@ class Message:
 
 
 def merge_clock_into(local: list[int], remote: list[int], own: int) -> None:
-    """Take each remote entry of larger or equal magnitude, except ``own``."""
+    """Raise each entry but ``own`` to the remote one where that is larger;
+    entries are stamps that never decrease."""
     for m in range(len(local)):
-        if m != own and abs(remote[m]) >= abs(local[m]):
+        if m != own and remote[m] > local[m]:
             local[m] = remote[m]
 
 
@@ -240,21 +241,30 @@ class TcpBackend:
         # Peers close their sockets when they terminate; an EOF or a short
         # read ends the loop. A malformed frame ends it too, and ``poll``
         # raises it, so the run fails instead of waiting for lost frames.
+        # The environment closes only after every node has exited, so a node
+        # that still reads when it does has lost its run; ``poll`` raises
+        # that too. The peer is known from the sender of its frames.
+        peer = None
         try:
             with conn, conn.makefile("rb") as reader:
                 while not self._stop.is_set():
                     header = reader.read(_FRAME.size)
                     if len(header) < _FRAME.size:
-                        return
+                        break
                     (length,) = _FRAME.unpack(header)
                     payload = reader.read(length)
                     if len(payload) < length:
-                        return
-                    self._inbox.put(decode(payload))
+                        break
+                    msg = decode(payload)
+                    peer = msg.sender
+                    self._inbox.put(msg)
         except CodecError as exc:
             self._inbox.put(TransportError(f"processor {self.pid}: bad frame: {exc}"))
         except OSError:
             pass
+        if peer == 0 and not self._stop.is_set():
+            self._inbox.put(TransportError(
+                f"processor {self.pid}: environment closed the connection"))
 
     def send(self, dest: int, msg: Message) -> None:
         msg.validate()

@@ -262,24 +262,27 @@ def test_criterion_9_authorization_branch_coverage():
 
     checks = []
 
-    def emission(st, et, pt, nbth, clock, crt, expect_branch):
+    def emission(st, et, pt, nbth, clock, crt, expect_branch, pending=False):
         n = node()
         e = CPEvent(source=7, stamp=st, crt=crt)
         n.cp_queue.push(e)
-        n.cp_live += 1
+        if pending:  # an incoming spike at pt waits behind the started one
+            n.cm_queue.push(CMEvent(target=7, source=9, stamp=pt))
         n.et, n.pt, n.nbth, n.clock = et, pt, nbth, clock
         decision, branch = n._emission_eval(e)
         checks.append(branch == expect_branch)
 
-    emission(5, 5, -1, 1, [9, 5, -1], False, "at_emission_time")
-    emission(9, 3, -2, 1, [9, 3, -1], True, "certified")
-    emission(6, 4, 8, 1, [9, 4, -1], False, "behind_processing")
-    emission(7, 4, -6, 0, [9, 4, -7], False, "quiescent")
-    emission(7, 4, -6, 0, [9, 4, 8], False, "quiescent")
-    emission(7, 4, -6, 1, [9, 4, -7], False, "delayed")   # threads active
-    emission(7, 4, 3, 0, [9, 4, -7], False, "delayed")    # incoming pending
-    emission(7, 4, -6, 0, [9, 4, 5], False, "delayed")    # remote behind
-    emission(7, 4, -6, 0, [9, 4, -3], False, "delayed")   # remote empty below
+    emission(5, 5, 1, 1, [9, 5, 1], False, "at_emission_time")
+    emission(9, 3, 2, 1, [9, 3, 1], True, "certified_out_of_order")
+    emission(9, 3, 8, 0, [9, 3, 9], True, "certified", pending=True)
+    emission(6, 4, 8, 1, [9, 4, 1], False, "behind_processing", pending=True)
+    emission(7, 4, 6, 0, [9, 4, 7], False, "quiescent")
+    emission(7, 4, 6, 0, [9, 4, 8], False, "quiescent")
+    emission(7, 4, 6, 1, [9, 4, 7], False, "delayed")    # threads active
+    emission(7, 4, 3, 0, [9, 4, 7], False, "delayed",
+             pending=True)                               # incoming pending
+    emission(7, 4, 6, 0, [9, 4, 5], False, "delayed")    # remote behind
+    emission(7, 4, 6, 0, [9, 4, 3], False, "delayed")    # remote idle below
 
     def computation(st, pt, nbth, clock, active=False, forecast=None,
                     et=None, expect=AuthDecision.DELAYED):
@@ -288,24 +291,23 @@ def test_criterion_9_authorization_branch_coverage():
         n.cm_queue.push(e)
         if forecast is not None:
             n.cp_queue.push(CPEvent(source=7, stamp=forecast))
-            n.cp_live += 1
         n.pt, n.nbth, n.clock = pt, nbth, clock
         n.et = et if et is not None else n.et
         n.ecs[7].active = active
         checks.append(n.computation_authorized(e) is expect)
 
-    computation(5, 3, 1, [6, -4, 9], active=True,
+    computation(5, 3, 1, [6, 4, 9], active=True,
                 expect=AuthDecision.PRIORITY_DEFERRED)
-    computation(5, 5, 1, [6, -4, 9], expect=AuthDecision.AUTHORIZED)
-    computation(5, 3, 0, [6, -4, 9], expect=AuthDecision.AUTHORIZED)
-    computation(5, 3, 0, [6, 3, -5], forecast=6, et=3,
+    computation(5, 5, 1, [6, 4, 9], expect=AuthDecision.AUTHORIZED)
+    computation(5, 3, 0, [6, 4, 9], expect=AuthDecision.AUTHORIZED)
+    computation(5, 3, 0, [6, 3, 5], forecast=6, et=3,
                 expect=AuthDecision.AUTHORIZED)        # local deadlock
-    computation(5, 3, 0, [6, 3, -2], forecast=6, et=3,
-                expect=AuthDecision.DELAYED)           # remote empty below
-    computation(5, 3, 0, [6, 3, -5], forecast=4, et=3,
+    computation(5, 3, 0, [6, 3, 2], forecast=6, et=3,
+                expect=AuthDecision.DELAYED)           # remote idle below
+    computation(5, 3, 0, [6, 3, 5], forecast=4, et=3,
                 expect=AuthDecision.DELAYED)           # earlier forecast first
-    computation(5, 3, 0, [6, -4, 2], expect=AuthDecision.DELAYED)
-    computation(5, 3, 2, [6, -4, 9], expect=AuthDecision.DELAYED)
+    computation(5, 3, 0, [6, 4, 2], expect=AuthDecision.DELAYED)
+    computation(5, 3, 2, [6, 4, 9], expect=AuthDecision.DELAYED)
 
     ok = all(checks)
     report(9, ok, f"{sum(checks)}/{len(checks)} hand-built branch states "

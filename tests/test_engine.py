@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spikesim
-from spikesim import engine
+from spikesim import cli, engine, transport
 from spikesim.engine import (DeterministicEngine, ThreadedEngine,
                              build_simulation, run_tcp_node)
 from spikesim.environment import EnvState
@@ -68,6 +68,19 @@ def test_invariant_monitor_samples_states():
     result = engine.run()
     assert engine.monitor.samples > 0
     assert result.violations == []
+
+
+def test_invariant_monitor_flags_a_falling_clock_and_an_et_past_T():
+    net, mapping, stimuli = generate_random(seed=4, n=16, prob=0.1, procs=2)
+    run = DeterministicEngine(net, mapping, stimuli, horizon=60)
+    assert run.run().violations == []
+    monitor, node, T = run.monitor, run.nodes[1], run.env.T
+    node.clock[2] -= 1
+    monitor.check()
+    assert monitor.violations == ["node 1: clock[2] decreased"]
+    node.et = T + 1
+    monitor.check()
+    assert monitor.violations[1:] == [f"node 1: et {T + 1} exceeds T {T}"]
 
 
 def test_single_processor_run_equals_partitioned_run():
@@ -259,4 +272,48 @@ def test_tcp_launcher_stops_soon_after_a_node_dies(tmp_path, monkeypatch,
     assert f"node process exited with {-signal.SIGKILL} (processor 2)" in \
         result.violations
     assert elapsed < 6.0
+    assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+
+
+def test_tcp_launcher_reports_a_backend_it_cannot_build(tmp_path, monkeypatch,
+                                                        free_ports, capsys):
+    # The node processes exit at once, so the environment cannot reach them.
+    net, mapping, stimuli = generate_random(seed=2, n=24, prob=0.12, procs=1,
+                                            horizon=20)
+    prefix = str(tmp_path / "w")
+    save_network(net, prefix + ".net")
+    save_mapping(mapping, prefix + ".map")
+    save_stimuli(stimuli, prefix + ".stim")
+    exit3 = [sys.executable, "-c", "import sys; sys.exit(3)"]
+    spawned = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    def roster():  # a backend that failed to build keeps its port bound
+        path = tmp_path / f"roster{len(spawned)}"
+        path.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                                for pid, port in enumerate(free_ports(2))))
+        return str(path)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(transport, "CONNECT_TIMEOUT_S", 1.0)
+    launch = engine.run_tcp_launcher
+    result = launch(net, mapping, stimuli, 20, roster_path=roster(),
+                    node_argv=[exit3])
+    assert "node process exited with 3 (processor 1)" in result.violations
+    assert any(v.startswith("cannot reach processor 1")
+               for v in result.violations)
+
+    monkeypatch.setattr(cli, "run_tcp_launcher", lambda *args, node_argv, **kw:
+                        launch(*args, node_argv=[exit3], **kw))
+    assert cli.main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                     "--stim", prefix + ".stim", "--horizon", "20",
+                     "--mode", "tcp", "--roster", roster(),
+                     "--out", prefix]) == 1
+    err = capsys.readouterr().err
+    assert "violation: node process exited with 3 (processor 1)" in err
+    assert "violation: cannot reach processor 1" in err
     assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)

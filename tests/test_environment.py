@@ -46,10 +46,10 @@ def test_stimulus_for_unmapped_neuron_raises():
 def test_timeout_raises_magnitudes_to_T_minus_one():
     env = make_env(procs=3, owners={1: 1})
     env.T = 6
-    env.clock = [6, 2, -4, -9]
+    env.clock = [6, 2, 4, 9]
     env.on_timeout(floor=UNBOUNDED)
     assert env.T == 7
-    # Magnitudes behind T-1 = 6 rise to it; |-9| stays. No sign is kept.
+    # Entries behind T-1 = 6 rise to it; 9 stays.
     assert env.clock == [7, 6, 6, 9]
     assert env.stats.timeouts == 1
 
@@ -61,7 +61,7 @@ def test_timeout_raises_no_entry_above_a_pending_forecast():
     # emit at 37.
     env = make_env(procs=4, owners={1: 1})
     env.T = 38
-    env.clock = [38, 38, 38, -32, 36]
+    env.clock = [38, 38, 38, 32, 36]
     env.on_timeout(floor=37)
     assert env.T == 39
     assert env.clock == [39, 38, 38, 37, 37]
@@ -149,7 +149,7 @@ def test_output_logging_and_advancement_trigger():
     env.clock = [4, 2, 2]
     spike = CMEvent(target=EXT_NEURON, source=7, stamp=3)
     msg = Message(sender=1, clock=[4, 4, 2], events=[spike])
-    assert env.on_output(msg) is True  # |et_1| reached T
+    assert env.on_output(msg) is True  # et_1 reached T
     assert env.output_log == [(7, 3)]
     # duplicate copies are logged once
     env.on_output(Message(sender=1, clock=[4, 4, 2], events=[spike]))
@@ -160,8 +160,8 @@ def test_output_below_T_does_not_trigger_advancement():
     env = make_env()
     env.T = 9
     env.clock[0] = 9
-    assert env.on_output(Message(sender=2, clock=[12, -3, 4], events=[])) is False
-    assert env.clock[1:] == [-3, 4]
+    assert env.on_output(Message(sender=2, clock=[12, 3, 4], events=[])) is False
+    assert env.clock[1:] == [3, 4]
     assert env.clock[0] == 9  # own entry never overwritten by merges
 
 

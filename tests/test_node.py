@@ -22,15 +22,12 @@ def make_node(node_id=1, procs=2, neurons=(7,), outputs=(), post=None):
 def queue_forecast(node, stamp, source=7, crt=False):
     e = CPEvent(source=source, stamp=stamp, crt=crt)
     node.cp_queue.push(e)
-    node.cp_live += 1
-    node._set_et()
     return e
 
 
 def queue_incoming(node, stamp, target=7, source=99):
     e = CMEvent(target=target, source=source, stamp=stamp)
     node.cm_queue.push(e)
-    node._set_pt()
     return e
 
 
@@ -48,15 +45,27 @@ def test_emission_authorized_when_stamp_equals_emission_time():
 def test_emission_authorized_when_certified():
     node = make_node()
     e = queue_forecast(node, 9, crt=True)
-    node.et = 3
-    node.pt = -2
-    node.nbth = 1  # nothing else would authorize it
+    queue_incoming(node, 8)  # an uncertified forecast would wait for it
+    node.et, node.pt, node.nbth = 3, 8, 0
+    node.clock = [9, node.et, 9]
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "certified")
+
+
+def test_certified_emission_delayed_out_of_order():
+    # Certified content is final, but a running computation may still
+    # forecast a smaller stamp.
+    node = make_node()
+    e = queue_forecast(node, 9, crt=True)
+    node.et, node.pt, node.nbth = 3, 2, 1
+    node.clock = [9, node.et, 9]
+    assert node._emission_eval(e) == (AuthDecision.DELAYED,
+                                      "certified_out_of_order")
 
 
 def test_emission_authorized_behind_processing_time():
     node = make_node()
     e = queue_forecast(node, 6)
+    queue_incoming(node, 8)
     node.et = 4
     node.pt = 8  # a computation for stamp 8 has already started
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED,
@@ -67,9 +76,9 @@ def test_emission_authorized_in_quiescence():
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
     node.et = 4
-    node.pt = -6          # incoming queue empty
+    node.pt = 6           # incoming queue empty
     node.nbth = 0
-    node.clock = [9, node.et, -7]  # remote empty, and its clock reached 7
+    node.clock = [9, node.et, 7]  # the remote clock reached 7
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "quiescent")
 
 
@@ -78,41 +87,33 @@ def test_emission_delayed_when_remote_empty_below_stamp():
     # and make that processor send at 3 or later, below the stamp.
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
-    node.et, node.pt, node.nbth = 4, -6, 0
-    node.clock = [9, node.et, -3]
+    node.et, node.pt, node.nbth = 4, 6, 0
+    node.clock = [9, node.et, 3]
     assert node._emission_eval(e) == (AuthDecision.DELAYED, "delayed")
 
 
 def test_emission_quiescent_branch_accepts_remote_ahead():
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
-    node.et, node.pt, node.nbth = 4, -6, 0
+    node.et, node.pt, node.nbth = 4, 6, 0
     node.clock = [9, node.et, 8]  # remote already emitted past 7
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "quiescent")
-
-
-def test_emission_delayed_when_remote_lags_positive():
-    node = make_node(node_id=1, procs=2)
-    e = queue_forecast(node, 7)
-    node.et, node.pt, node.nbth = 4, -6, 0
-    node.clock = [9, node.et, 5]  # remote holds un-emitted work at 5 < 7
-    assert node._emission_eval(e) == (AuthDecision.DELAYED, "delayed")
 
 
 def test_emission_delayed_when_threads_active():
     node = make_node()
     e = queue_forecast(node, 7)
-    node.et, node.pt, node.nbth = 4, -6, 1
-    node.clock = [9, node.et, -7]
+    node.et, node.pt, node.nbth = 4, 6, 1
+    node.clock = [9, node.et, 7]
     assert node.emission_authorized(e) is AuthDecision.DELAYED
 
 
 def test_emission_delayed_when_incoming_pending():
     node = make_node()
     e = queue_forecast(node, 7)
-    node.et, node.nbth = 4, 0
-    node.pt = 3  # positive: incoming spikes still queued below the stamp
-    node.clock = [9, node.et, -7]
+    queue_incoming(node, 3)  # may still forecast below the stamp
+    node.et, node.pt, node.nbth = 4, 3, 0
+    node.clock = [9, node.et, 7]
     assert node.emission_authorized(e) is AuthDecision.DELAYED
 
 
@@ -139,12 +140,12 @@ def test_computation_authorized_when_all_clocks_ahead_or_empty():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     node.pt, node.nbth = 3, 0
-    node.clock = [6, -4, 9]  # others ahead; own entry is not read
+    node.clock = [6, 4, 9]  # others ahead; own entry is not read
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
 
 def test_computation_blocked_by_own_pending_emission():
-    # Own clock entry positive and behind the stamp: not authorized by the
+    # Own forecast pending and behind the stamp: not authorized by the
     # global condition, and not a local deadlock either (et >= st fails).
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
@@ -164,7 +165,7 @@ def test_computation_authorized_on_local_deadlock():
     queue_forecast(node, 6)
     node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, -5]
+    node.clock = [6, node.et, 5]
     assert node.others_reached(5)
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
@@ -175,7 +176,7 @@ def test_computation_deadlock_delayed_when_remote_empty_below_stamp():
     queue_forecast(node, 6)
     node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, -2]  # empty at 2 may still send at 2
+    node.clock = [6, node.et, 2]  # idle at 2 may still send at 2
     assert not node.others_reached(5)
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
@@ -186,32 +187,33 @@ def test_computation_deadlock_blocked_by_earlier_forecast():
     queue_forecast(node, 4)  # must be emitted first
     node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, -5]
+    node.clock = [6, node.et, 5]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
 def test_computation_deadlock_with_empty_forecast_queue():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
-    node.et = -3
+    node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, -5]
+    node.clock = [6, node.et, 5]
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
 
 def test_computation_delayed_with_empty_forecast_queue_and_remote_below():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
-    node.et = -3
+    node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, -2]
+    node.clock = [6, node.et, 2]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
-def test_negative_remote_entry_below_stamp_is_no_promise():
-    # Seed 7 (n=64, P=4): node 2 computed stamp 56 while clock[3] read -55,
-    # and node 3 then emitted at 55 towards neuron 9.
-    clock = [57, 60, 0, -55, 56]
+def test_remote_entry_below_stamp_is_no_promise():
+    # Seed 7 (n=64, P=4): node 2 computed stamp 56 while clock[3] read 55
+    # with node 3's queue empty, and node 3 then emitted at 55 towards
+    # neuron 9.
+    clock = [57, 60, 0, 55, 56]
     node = make_node(node_id=2, procs=4)
     e = queue_incoming(node, 56)
     node.pt, node.nbth = 50, 0
@@ -220,11 +222,11 @@ def test_negative_remote_entry_below_stamp_is_no_promise():
 
     node = make_node(node_id=2, procs=4)
     f = queue_forecast(node, 56)
-    node.et, node.pt, node.nbth = 50, -50, 0
+    node.et, node.pt, node.nbth = 50, 50, 0
     node.clock = list(clock)
     node.clock[2] = node.et
     assert node._emission_eval(f) == (AuthDecision.DELAYED, "delayed")
-    node.clock[3] = -56  # once node 3's clock reaches 56, 56 may go
+    node.clock[3] = 56  # once node 3's clock reaches 56, 56 may go
     assert node._emission_eval(f) == (AuthDecision.AUTHORIZED, "quiescent")
 
 
@@ -232,7 +234,7 @@ def test_computation_delayed_when_remote_behind():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     node.pt, node.nbth = 3, 0
-    node.clock = [6, -4, 2]  # remote positive and behind the stamp
+    node.clock = [6, 4, 2]  # remote behind the stamp
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
@@ -240,7 +242,7 @@ def test_computation_delayed_while_threads_running():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     node.pt, node.nbth = 3, 2
-    node.clock = [6, -4, 9]
+    node.clock = [6, 4, 9]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
@@ -249,19 +251,20 @@ def test_computation_delayed_while_threads_running():
 
 def test_merge_clock_keeps_larger_magnitudes_and_skips_self():
     node = make_node(node_id=1, procs=3)
-    node.clock = [5, 4, -3, 2]
-    node.merge_clock([7, 99, 2, -6])
-    assert node.clock == [7, 4, -3, -6]  # entry 1 (self) untouched, |2| < 3
+    node.clock = [5, 4, 3, 2]
+    node.merge_clock([7, 99, 2, 6])
+    assert node.clock == [7, 4, 3, 6]  # entry 1 (self) untouched, 2 < 3
 
 
-def test_receive_flips_pt_only_when_events_arrive():
+def test_receive_queues_events_and_leaves_pt_alone():
     node = make_node()
-    node.pt = -4
+    node.pt = 4
     node.receive(Message(sender=0, clock=[5, 0, 0], events=[]))
-    assert node.pt == -4  # clock-only message: queue still empty
+    assert node.pt == 4 and not node.cm_queue  # clock-only message
     node.receive(Message(sender=0, clock=[5, 0, 0],
                          events=[CMEvent(7, EXT_NEURON, 5)]))
-    assert node.pt == 4
+    assert node.pt == 4  # moves only when a computation starts
+    assert node.cm_queue.peek() == CMEvent(7, EXT_NEURON, 5)
 
 
 def test_cp_top_skips_cancelled_tombstones():
@@ -269,7 +272,6 @@ def test_cp_top_skips_cancelled_tombstones():
     dead = queue_forecast(node, 3)
     live = queue_forecast(node, 4)
     dead.cancel()
-    node.cp_live -= 1
     assert node.cp_top() is live
     assert len(node.cp_queue) == 1  # tombstone physically dropped
 
@@ -279,9 +281,9 @@ def test_apply_emission_routes_local_remote_and_output():
                      post={7: [(8, 1), (9, 2)]})
     e = queue_forecast(node, 5, source=7)
     node.ecs[8].params.synapses[7] = Synapse(0.5, 1)
-    node.pt = -3  # incoming queue empty at magnitude 3
+    node.pt = 3
     assert node.apply_emission(e) is None
-    assert e.emitted and abs(node.et) == 5
+    assert e.emitted and node.et == node.clock[1] == 5
     assert node.trace == [(7, 5)]
     # local target lands in our own incoming queue
     assert node.cm_queue.peek().target == 8
@@ -299,21 +301,21 @@ def test_apply_emission_requires_queue_top():
         node.apply_emission(other)
 
 
-def test_emission_updates_et_sign_for_emptied_queue():
+def test_emission_sets_et_to_its_stamp():
     node = make_node(node_id=1, procs=1)
     e = queue_forecast(node, 5)
-    assert node.et == 0  # magnitude moves only on emission
+    assert node.et == 0  # et moves only on emission
     node.apply_emission(e)
-    assert node.et == -5  # queue empty again, magnitude recorded
+    assert node.et == 5 and node.cp_top() is None
 
 
 def test_certify_top_requires_order_safety():
     node = make_node(node_id=1, procs=2)
     queue_forecast(node, 5)
     node.nbth = 0
-    node.clock = [4, node.et, -9]  # environment time behind the stamp
+    node.clock = [4, node.et, 9]  # environment time behind the stamp
     assert not node.certify_top()
-    node.clock = [5, node.et, -9]
+    node.clock = [5, node.et, 9]
     assert node.certify_top()
     assert node.cp_top().crt
 

@@ -49,7 +49,7 @@ def run_schedule(net, mapping, stimuli, horizon, rng, minpak=1, depth=None):
     def live(actor):
         if actor == 0:
             return not env.done
-        return not env.past_end(abs(nodes[actor].clock[0]))
+        return not env.past_end(nodes[actor].clock[0])
 
     for count in range(MAX_STEPS):
         ready = [a for a in actors if live(a)]

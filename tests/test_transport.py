@@ -249,3 +249,20 @@ def test_tcp_backend_reports_a_malformed_frame(free_ports):
     finally:
         for b in backends.values():
             b.close()
+
+
+def test_tcp_backend_reports_an_environment_that_closes(free_ports):
+    # A node learns its peer from the frames it reads; once the environment
+    # has spoken, its EOF is an error, not the quiet end of a peer.
+    backends = _tcp_pair(free_ports)
+    try:
+        backends[0].send(1, Message(sender=0, clock=[1, 0]))
+        backends[0].close()
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="environment closed"):
+            while time.monotonic() - start < 2.0:
+                backends[1].poll(1, wait=5)
+        assert time.monotonic() - start < 2.0
+    finally:
+        for b in backends.values():
+            b.close()
