@@ -80,13 +80,6 @@ class CPEvent:
         return (self.stamp, self.source, 0)
 
 
-def _stamp_ok(event) -> bool:
-    if event.stamp > 0:
-        return True
-    # Environment stimuli are emitted at T-1 and the run starts at T=1.
-    return event.stamp == 0 and event.source == EXT_NEURON
-
-
 class EventQueue:
     """Priority queue ordered by (stamp, source, target, arrival order).
 
@@ -109,7 +102,8 @@ class EventQueue:
         return bool(self._heap)
 
     def push(self, event) -> None:
-        if not _stamp_ok(event):
+        # Environment stimuli are emitted at T-1 and the run starts at T=1.
+        if event.stamp <= 0 and not (event.stamp == 0 and event.source == EXT_NEURON):
             raise ProtocolViolation(f"non-positive event stamp: {event}")
         heapq.heappush(self._heap, (event.sort_key(), self._seq, event))
         self._seq += 1

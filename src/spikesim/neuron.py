@@ -90,7 +90,7 @@ class NeuronParams:
         return min(delays) if delays else 1
 
 
-@dataclass
+@dataclass(slots=True)
 class IntegrationResult:
     new_forecasts: list[CPEvent] = field(default_factory=list)
     cancellations: list[CPEvent] = field(default_factory=list)
@@ -106,9 +106,16 @@ class ECState:
     folded arrival group (kept separate from ``horizon`` so decay is always
     computed group-to-group, exactly like the oracle).
 
+    Pending arrival groups, all above the horizon between integrations,
+    are parallel lists in time order: effective ``times``, their ``groups``
+    of (source, stamp, weight) and the (v, fired) ``after`` each group as
+    the last replay left it. An arrival lands above the horizon, so only
+    its group and the later ones are replayed, from the cached state.
+
     ``queued`` is the cell's one forecast table, by stamp. It holds every
     unemitted forecast, live or final, and every emitted forecast still
-    above the horizon, which each re-simulation must reproduce.
+    above the horizon. Above the horizon it holds a forecast at a pending
+    time exactly when that group fired (up to ``sim_horizon``).
     """
 
     def __init__(self, neuron: int, params: NeuronParams, sim_horizon: int) -> None:
@@ -119,8 +126,9 @@ class ECState:
         self.v = params.reset
         self.v_time = 0
         self.horizon = 0
-        # effective time -> list of (source, stamp, weight)
-        self.pending: dict[int, list[tuple[int, int, float]]] = {}
+        self.times: list[int] = []
+        self.groups: list[list[tuple[int, int, float]]] = []
+        self.after: list[tuple[float, bool]] = []
         self.queued: dict[int, CPEvent] = {}
         self.priority = False
         self.active = False
@@ -150,7 +158,7 @@ class ECState:
         return e.stamp + syn.delay, syn.weight
 
     def integrate(self, e) -> IntegrationResult:
-        """Process one incoming spike and rebuild the forecast table."""
+        """Process one incoming spike and update the forecast table."""
         if e.target != self.neuron:
             raise ProtocolViolation(f"event for {e.target} routed to {self.neuron}")
         last = self._last_stamp_per_source.get(e.source)
@@ -166,59 +174,65 @@ class ECState:
             raise ProtocolViolation(
                 f"neuron {self.neuron}: stale arrival at {eff}, horizon {self.horizon}"
             )
-        bisect.insort(self.pending.setdefault(eff, []),
-                      (e.source, e.stamp, weight))
+        times, groups, after = self.times, self.groups, self.after
+        i = bisect.bisect_left(times, eff)
+        if i < len(times) and times[i] == eff:
+            bisect.insort(groups[i], (e.source, e.stamp, weight))
+        else:
+            times.insert(i, eff)
+            groups.insert(i, [(e.source, e.stamp, weight)])
+            after.insert(i, (0.0, False))
+        self.horizon = max(self.horizon, e.stamp + self.d_min - 1)
+        result = self._diff(i, cert_bound=e.stamp + self.d_min)
+        k = bisect.bisect_right(times, self.horizon)
+        if k:  # fold: the groups up to the horizon are final
+            self.v, self.v_time = after[k - 1][0], times[k - 1]
+            del times[:k], groups[:k], after[:k]
+        return result
 
-        old_horizon = self.horizon
-        self.horizon = max(old_horizon, e.stamp + self.d_min - 1)
-        fires = self._resimulate(fold_to=self.horizon)
-        return self._diff(fires, old_horizon, cert_bound=e.stamp + self.d_min)
-
-    def _resimulate(self, fold_to: int) -> list[int]:
-        """Replay pending arrivals from the horizon; fold groups <= fold_to."""
-        sim_v, sim_t = self.v, self.v_time
-        fires: list[int] = []
-        folded: list[int] = []
-        for t in sorted(self.pending):
-            sim_v, fired = membrane_step(sim_v, sim_t, t, self.pending[t],
-                                         self.params, presorted=True)
-            sim_t = t
-            if fired:
-                fires.append(t)
-            if t <= fold_to:
-                folded.append(t)
-                self.v, self.v_time = sim_v, sim_t
-        for t in folded:
-            del self.pending[t]
-        return fires
-
-    def _diff(self, fires: list[int], old_horizon: int,
-              cert_bound: int) -> IntegrationResult:
-        """Reconcile the table with the replayed fires, in stamp order."""
+    def _diff(self, start: int, cert_bound: int) -> IntegrationResult:
+        """Replay from group ``start`` and reconcile the table, in stamp order.
+        Earlier groups keep their fires: they are certified, or dropped once
+        emitted and final. The arrival's group lies above both bounds."""
         result = IntegrationResult()
-        fire_set = {t for t in fires if t <= self.sim_horizon}
-        queued = self.queued
-        for stamp in sorted(fire_set.union(queued)):
-            if stamp <= old_horizon:
-                continue  # final: not replayed, a candidate when it became final
-            ev = queued.get(stamp)
-            if ev is None:
-                ev = queued[stamp] = CPEvent(source=self.neuron, stamp=stamp)
-                result.new_forecasts.append(ev)
-            elif stamp not in fire_set:
-                # Emitted fires must be reproduced by every re-simulation.
+        certs = result.certifications
+        queued, times, groups, after = self.queued, self.times, self.groups, self.after
+        horizon, sim_horizon = self.horizon, self.sim_horizon
+        for j in range(start):
+            t = times[j]
+            if t > horizon and t > cert_bound:
+                break
+            if after[j][1] and t <= sim_horizon:
+                ev = queued[t]
                 if ev.emitted:
+                    if t <= horizon:
+                        del queued[t]  # final: no arrival can revoke it now
+                elif t <= cert_bound and not ev.crt:
+                    certs.append(ev)
+
+        v, t_prev = (after[start - 1][0], times[start - 1]) if start else (self.v, self.v_time)
+        for j in range(start, len(times)):
+            t, was = times[j], after[j][1]
+            v, fired = membrane_step(v, t_prev, t, groups[j], self.params, presorted=True)
+            after[j], t_prev = (v, fired), t
+            if t > sim_horizon or not (fired or was):
+                continue
+            if not fired:
+                ev = queued[t]
+                if ev.emitted:  # every replay must reproduce an emitted fire
                     raise ProtocolViolation(
-                        f"neuron {self.neuron}: emitted spike at {stamp} "
+                        f"neuron {self.neuron}: emitted spike at {t} "
                         f"invalidated by a later arrival"
                     )
                 result.cancellations.append(ev)
                 continue
-            if ev.emitted:
-                if stamp <= self.horizon:
-                    del queued[stamp]  # final: no arrival can revoke it now
-            elif stamp <= cert_bound and not ev.crt:
-                result.certifications.append(ev)
+            if was:
+                ev = queued[t]
+            else:
+                ev = queued[t] = CPEvent(source=self.neuron, stamp=t)
+                result.new_forecasts.append(ev)
+            if t <= cert_bound and not ev.emitted and not ev.crt:
+                certs.append(ev)
         # Only now, so an invalidated emission raises before anything moves.
         for ev in result.cancellations:
             ev.cancel()

@@ -157,23 +157,24 @@ class NodeState:
             raise ProtocolViolation("apply_emission on a non-top event")
         self.cp_queue.pop()
         e.emitted = True
-        self.et = self.clock[self.id] = e.stamp
-        self.ecs[e.source].on_emitted(e.stamp)
-        self.trace.append((e.source, e.stamp))
+        source, stamp = e.source, e.stamp
+        self.et = self.clock[self.id] = stamp
+        self.ecs[source].on_emitted(stamp)
+        self.trace.append((source, stamp))
         self.stats.emitted += 1
 
-        targets = self.post_tables.get(e.source)
+        targets = self.post_tables.get(source)
         if targets is None:
-            raise TopologyError(f"node {self.id}: no post table for {e.source}")
+            raise TopologyError(f"node {self.id}: no post table for {source}")
+        own, push, outboxes = self.id, self.cm_queue.push, self.outboxes
         for tgt, owner in targets:
-            cm = CMEvent(target=tgt, source=e.source, stamp=e.stamp)
-            if owner == self.id:
-                self.cm_queue.push(cm)
+            cm = CMEvent(tgt, source, stamp)
+            if owner == own:
+                push(cm)
             else:
-                self.outboxes.setdefault(owner, []).append(cm)
-        if e.source in self.outputs:
-            out = CMEvent(target=EXT_NEURON, source=e.source, stamp=e.stamp)
-            self.outboxes.setdefault(0, []).append(out)
+                outboxes.setdefault(owner, []).append(cm)
+        if source in self.outputs:
+            outboxes.setdefault(0, []).append(CMEvent(EXT_NEURON, source, stamp))
 
     def start_computation(self, e: CMEvent) -> ECState:
         top = self.cm_queue.peek()
@@ -189,13 +190,16 @@ class NodeState:
     def collect_result(self, ec: ECState, result: IntegrationResult) -> None:
         if not ec.active:
             raise ProtocolViolation("collect_result for an idle cell")
-        for ev in result.new_forecasts:
-            self.cp_queue.push(ev)
+        if result.new_forecasts:
+            for ev in result.new_forecasts:
+                self.cp_queue.push(ev)
         # Cancellations were tombstoned during integration.
-        self.stats.cancellations += len(result.cancellations)
-        for ev in result.certifications:
-            ev.certify()
-        self.stats.certifications += len(result.certifications)
+        if result.cancellations:
+            self.stats.cancellations += len(result.cancellations)
+        if result.certifications:
+            for ev in result.certifications:
+                ev.certify()
+            self.stats.certifications += len(result.certifications)
         self.nbth -= 1
         ec.active = False
         ec.priority = False
@@ -268,18 +272,16 @@ class NodeState:
         return progress, self.flush_ready(minpak)
 
     def cpc_step(self) -> bool:
-        progress = False
+        computed = 0
         while (e := self.cm_queue.peek()) is not None:
-            decision = self.computation_authorized(e)
-            if decision is not AuthDecision.AUTHORIZED:
+            if self.computation_authorized(e) is not AuthDecision.AUTHORIZED:
                 self.stats.delayed_computations += 1
                 break
             ec = self.start_computation(e)
-            result = ec.integrate(e)
-            self.collect_result(ec, result)
-            self.stats.computed += 1
-            progress = True
-        return progress
+            self.collect_result(ec, ec.integrate(e))
+            computed += 1
+        self.stats.computed += computed
+        return computed > 0
 
     def flush_ready(self, minpak: int, force: bool = False):
         """Messages ready to send, as (destination, message) pairs.

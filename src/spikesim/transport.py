@@ -141,7 +141,7 @@ def load_roster(path: str) -> dict[int, tuple[str, int]]:
 
 # -- delivery backends -----------------------------------------------------------
 
-def _drain(box: queue.Queue, wait: float) -> list[Message]:
+def _drain(box: queue.SimpleQueue, wait: float) -> list[Message]:
     """Wait up to ``wait`` seconds for a first message, then take every
     message already queued behind it."""
     try:
@@ -159,11 +159,11 @@ class InProcBackend:
     """Thread-safe mailbox delivery for free-running in-process runs.
 
     Per-channel FIFO holds because each sender enqueues its own messages in
-    send order and ``queue.Queue`` preserves insertion order.
+    send order and ``queue.SimpleQueue`` preserves insertion order.
     """
 
     def __init__(self, procs: int) -> None:
-        self.inboxes: dict[int, queue.Queue] = {p: queue.Queue() for p in range(procs + 1)}
+        self.inboxes = {p: queue.SimpleQueue() for p in range(procs + 1)}
 
     def send(self, dest: int, msg: Message) -> None:
         msg.validate()
@@ -197,7 +197,7 @@ class TcpBackend:
     def __init__(self, pid: int, roster: dict[int, tuple[str, int]]) -> None:
         self.pid = pid
         self.roster = roster
-        self._inbox: queue.Queue = queue.Queue()
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._out: dict[int, socket.socket] = {}
         self._stop = threading.Event()
 
@@ -211,11 +211,15 @@ class TcpBackend:
             target=self._accept_loop, args=(len(peers),), daemon=True
         )
         self._accepter.start()
-        for peer in sorted(peers):
-            self._out[peer] = self._connect(peer)
-        self._accepter.join(timeout=CONNECT_TIMEOUT_S)
-        if self._accepter.is_alive():
-            raise TransportError(f"processor {pid}: peers failed to connect")
+        try:
+            for peer in sorted(peers):
+                self._out[peer] = self._connect(peer)
+            self._accepter.join(timeout=CONNECT_TIMEOUT_S)
+            if self._accepter.is_alive():
+                raise TransportError(f"processor {pid}: peers failed to connect")
+        except TransportError:
+            self.close()  # frees the port and ends the accept loop
+            raise
 
     def _connect(self, peer: int) -> socket.socket:
         host, port = self.roster[peer]
@@ -231,11 +235,14 @@ class TcpBackend:
                 time.sleep(0.05)
 
     def _accept_loop(self, expected: int) -> None:
-        for _ in range(expected):
-            conn, _addr = self._listener.accept()
-            threading.Thread(
-                target=self._read_loop, args=(conn,), daemon=True
-            ).start()
+        try:
+            for _ in range(expected):
+                conn, _addr = self._listener.accept()
+                threading.Thread(
+                    target=self._read_loop, args=(conn,), daemon=True
+                ).start()
+        except OSError:
+            pass  # the listener closed before every peer connected
 
     def _read_loop(self, conn: socket.socket) -> None:
         # Peers close their sockets when they terminate; an EOF or a short
@@ -289,6 +296,8 @@ class TcpBackend:
             except OSError:
                 pass
         try:
-            self._listener.close()
+            # Shutting the listener down wakes an accept() blocked on it.
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spikesim
-from spikesim import cli, engine, transport
+from spikesim import cli, engine, neuron, transport
 from spikesim.engine import (DeterministicEngine, ThreadedEngine,
                              build_simulation, run_tcp_node)
 from spikesim.environment import EnvState
@@ -52,6 +52,26 @@ def test_deterministic_engine_stats_are_pinned():
         "messages_sent": 2160, "advancements": 209, "timeouts": 208,
         "outputs_received": 309,
     }
+
+
+def test_deterministic_engine_replay_work_is_pinned(monkeypatch):
+    # Calls to the membrane rule on one README-sized net at P = 1: a cell
+    # replays from the arriving group only, through the module's function.
+    calls = 0
+    real = neuron.membrane_step
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(neuron, "membrane_step", counted)
+    net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=1,
+                                            horizon=200)
+    result = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
+    assert result.violations == []
+    assert result.stats["computed"] == 24528
+    assert calls == 49014
 
 
 def test_outputs_are_subset_of_trace_restricted_to_output_neurons():
@@ -292,16 +312,15 @@ def test_tcp_launcher_reports_a_backend_it_cannot_build(tmp_path, monkeypatch,
             super().__init__(*args, **kwargs)
             spawned.append(self)
 
-    def roster():  # a backend that failed to build keeps its port bound
-        path = tmp_path / f"roster{len(spawned)}"
-        path.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
-                                for pid, port in enumerate(free_ports(2))))
-        return str(path)
+    # Both runs share one roster: a backend that failed to build frees its port.
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(2))))
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.setattr(transport, "CONNECT_TIMEOUT_S", 1.0)
     launch = engine.run_tcp_launcher
-    result = launch(net, mapping, stimuli, 20, roster_path=roster(),
+    result = launch(net, mapping, stimuli, 20, roster_path=str(roster),
                     node_argv=[exit3])
     assert "node process exited with 3 (processor 1)" in result.violations
     assert any(v.startswith("cannot reach processor 1")
@@ -311,7 +330,7 @@ def test_tcp_launcher_reports_a_backend_it_cannot_build(tmp_path, monkeypatch,
                         launch(*args, node_argv=[exit3], **kw))
     assert cli.main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
                      "--stim", prefix + ".stim", "--horizon", "20",
-                     "--mode", "tcp", "--roster", roster(),
+                     "--mode", "tcp", "--roster", str(roster),
                      "--out", prefix]) == 1
     err = capsys.readouterr().err
     assert "violation: node process exited with 3 (processor 1)" in err

@@ -229,3 +229,48 @@ def test_incremental_equals_batch_simulation(arrivals):
             batch.append(t)
     assert incremental(emit=False) == batch
     assert incremental(emit=True) == batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 30)),
+                min_size=1, max_size=16),
+       st.booleans(), st.booleans())
+def test_replay_cache_equals_replay_from_scratch(arrivals, in_stamp_order, emit):
+    """After every integration the cell's live forecasts above the horizon
+    are the fires of a replay of every arrival so far from the reset
+    potential, and its folded state is that replay's state at the horizon,
+    bit for bit. Arrivals that break the protocol's order are skipped."""
+    syn = {0: Synapse(0.7, 2), 1: Synapse(0.8, 4), 2: Synapse(-0.9, 3),
+           3: Synapse(0.5, 5)}
+    params = lif(synapses=syn, tau=8.0, is_input=True)
+    horizon = 40
+    cell = ECState(5, params, sim_horizon=horizon)
+    if in_stamp_order:
+        arrivals = sorted(arrivals, key=lambda sw: sw[1])
+    groups, last = {}, {}
+    for src, stamp in arrivals:
+        source = EXT_NEURON if src == 0 and stamp % 2 else src
+        delay, weight = ((1, params.stim_weight) if source == EXT_NEURON
+                         else (syn[src].delay, syn[src].weight))
+        if stamp <= last.get(source, -1) or stamp + delay <= cell.horizon:
+            continue
+        last[source] = stamp
+        result = cell.integrate(CMEvent(5, source, stamp))
+        groups.setdefault(stamp + delay, []).append((source, stamp, weight))
+        if emit:
+            for e in result.certifications:
+                e.certify()
+                cell.on_emitted(e.stamp)
+
+        v, t_prev, fires = params.reset, 0, []
+        folded = (v, t_prev)
+        for t in sorted(groups):
+            v, fired = membrane_step(v, t_prev, t, groups[t], params)
+            t_prev = t
+            if fired:
+                fires.append(t)
+            if t <= cell.horizon:
+                folded = (v, t_prev)
+        live = sorted(s for s in cell.queued if s > cell.horizon)
+        assert live == [t for t in fires if cell.horizon < t <= horizon]
+        assert (cell.v.hex(), cell.v_time) == (folded[0].hex(), folded[1])

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikesim import transport
 from spikesim.events import CMEvent, EXT_NEURON
 from spikesim.transport import (CodecError, InProcBackend, Message, Report,
                                 TcpBackend, TransportError, decode, encode,
@@ -266,3 +267,19 @@ def test_tcp_backend_reports_an_environment_that_closes(free_ports):
     finally:
         for b in backends.values():
             b.close()
+
+
+def test_tcp_backend_that_fails_to_build_releases_its_port(free_ports,
+                                                          monkeypatch):
+    # No peer listens, so construction fails; the second attempt on the same
+    # roster must fail the same way, not on a port the first left bound.
+    monkeypatch.setattr(transport, "CONNECT_TIMEOUT_S", 0.3)
+    roster = {pid: ("127.0.0.1", port) for pid, port in enumerate(free_ports(2))}
+    before = set(threading.enumerate())
+    for _ in range(2):
+        with pytest.raises(TransportError, match="cannot reach processor 1"):
+            TcpBackend(0, roster)
+    started = [t for t in threading.enumerate() if t not in before]
+    for t in started:
+        t.join(timeout=2.0)
+    assert not any(t.is_alive() for t in started)
