@@ -325,12 +325,13 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     procs = [subprocess.Popen(argv) for argv in node_argv]
     errors: list[str] = []
     backend = None
+
+    def node_exited() -> bool:  # only a failing node exits before the end
+        return any(p.poll() is not None for p in procs)
+
     try:
-        backend = TcpBackend(0, roster)
-        # Only a failing node process exits before the run is done.
-        errors = run_environment(
-            env, backend, max_wall_s,
-            stop=lambda: any(p.poll() is not None for p in procs))
+        backend = TcpBackend(0, roster, give_up=node_exited)
+        errors = run_environment(env, backend, max_wall_s, stop=node_exited)
     except TransportError as exc:
         errors = [str(exc)]
     finally:
@@ -339,9 +340,13 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
         # after a run cut short, none does.
         deadline = time.monotonic() + (15.0 if env.done else STOP_GRACE_S)
         for pid, p in enumerate(procs, start=1):
-            try:
-                code = p.wait(timeout=max(0.0, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
+            # A blocking wait wakes at the exit; Popen.wait(timeout) would
+            # poll with sleeps of up to 50 ms.
+            waiter = threading.Thread(target=p.wait, daemon=True)
+            waiter.start()
+            waiter.join(max(0.0, deadline - time.monotonic()))
+            code = p.returncode
+            if waiter.is_alive():
                 p.kill()
                 code = f"{p.wait()} after the run stopped"
             if code != 0:

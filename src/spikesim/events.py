@@ -49,7 +49,8 @@ class CPEvent:
     ``crt`` marks the forecast as certain (no future incoming spike can
     cancel it). ``cancelled`` tombstones an invalidated forecast; the event
     then stays in the queue until popped, so the owning cell can keep a
-    stable reference. Both flags are one-way.
+    stable reference. ``delayed``: emission control has held it back.
+    All three flags are one-way.
     """
 
     source: int
@@ -57,6 +58,7 @@ class CPEvent:
     crt: bool = False
     cancelled: bool = False
     emitted: bool = field(default=False, compare=False)
+    delayed: bool = field(default=False, compare=False)
 
     def certify(self) -> None:
         if self.cancelled:

@@ -3,7 +3,8 @@
 A cell integrates incoming spikes for one neuron, forecasts the outgoing
 spikes they imply, cancels forecasts invalidated by later-processed
 arrivals with smaller delays (the delayed firing problem), and certifies
-forecasts that no future arrival can touch.
+forecasts that no future arrival can touch. One computation is the cell's
+arrivals of one stamp, integrated in one replay.
 
 Membrane rule, per effective arrival tick t (all arrivals landing at t are
 handled as one group, in a fixed order, so results do not depend on the
@@ -109,8 +110,8 @@ class ECState:
     Pending arrival groups, all above the horizon between integrations,
     are parallel lists in time order: effective ``times``, their ``groups``
     of (source, stamp, weight) and the (v, fired) ``after`` each group as
-    the last replay left it. An arrival lands above the horizon, so only
-    its group and the later ones are replayed, from the cached state.
+    the last replay left it. Arrivals land above the horizon, so a replay
+    starts at the earliest arrival's group, from the cached state.
 
     ``queued`` is the cell's one forecast table, by stamp. It holds every
     unemitted forecast, live or final, and every emitted forecast still
@@ -157,33 +158,36 @@ class ECState:
             )
         return e.stamp + syn.delay, syn.weight
 
-    def integrate(self, e) -> IntegrationResult:
-        """Process one incoming spike and update the forecast table."""
-        if e.target != self.neuron:
-            raise ProtocolViolation(f"event for {e.target} routed to {self.neuron}")
-        last = self._last_stamp_per_source.get(e.source)
-        if last is not None and e.stamp <= last:
-            raise ProtocolViolation(
-                f"neuron {self.neuron}: duplicate or reordered event from "
-                f"{e.source} (stamp {e.stamp} after {last})"
-            )
-        self._last_stamp_per_source[e.source] = e.stamp
-
-        eff, weight = self._arrival(e)
-        if eff <= self.horizon:
-            raise ProtocolViolation(
-                f"neuron {self.neuron}: stale arrival at {eff}, horizon {self.horizon}"
-            )
+    def integrate(self, events) -> IntegrationResult:
+        """Process this neuron's incoming spikes of one stamp in one replay,
+        from the earliest arrival group, and update the forecast table."""
         times, groups, after = self.times, self.groups, self.after
-        i = bisect.bisect_left(times, eff)
-        if i < len(times) and times[i] == eff:
-            bisect.insort(groups[i], (e.source, e.stamp, weight))
-        else:
-            times.insert(i, eff)
-            groups.insert(i, [(e.source, e.stamp, weight)])
-            after.insert(i, (0.0, False))
-        self.horizon = max(self.horizon, e.stamp + self.d_min - 1)
-        result = self._diff(i, cert_bound=e.stamp + self.d_min)
+        last_stamps, start = self._last_stamp_per_source, len(times)
+        for e in events:
+            if e.target != self.neuron:
+                raise ProtocolViolation(f"event for {e.target} routed to {self.neuron}")
+            last = last_stamps.get(e.source)
+            if last is not None and e.stamp <= last:
+                raise ProtocolViolation(
+                    f"neuron {self.neuron}: duplicate or reordered event from "
+                    f"{e.source} (stamp {e.stamp} after {last})"
+                )
+            last_stamps[e.source] = e.stamp
+            eff, weight = self._arrival(e)
+            if eff <= self.horizon:
+                raise ProtocolViolation(
+                    f"neuron {self.neuron}: stale arrival at {eff}, horizon {self.horizon}"
+                )
+            i = bisect.bisect_left(times, eff)
+            if i < len(times) and times[i] == eff:
+                bisect.insort(groups[i], (e.source, e.stamp, weight))
+            else:
+                times.insert(i, eff)
+                groups.insert(i, [(e.source, e.stamp, weight)])
+                after.insert(i, (0.0, False))
+            start = min(start, i)
+            self.horizon = max(self.horizon, e.stamp + self.d_min - 1)
+        result = self._diff(start, cert_bound=e.stamp + self.d_min)
         k = bisect.bisect_right(times, self.horizon)
         if k:  # fold: the groups up to the horizon are final
             self.v, self.v_time = after[k - 1][0], times[k - 1]
@@ -193,7 +197,7 @@ class ECState:
     def _diff(self, start: int, cert_bound: int) -> IntegrationResult:
         """Replay from group ``start`` and reconcile the table, in stamp order.
         Earlier groups keep their fires: they are certified, or dropped once
-        emitted and final. The arrival's group lies above both bounds."""
+        emitted and final. The arrivals' groups lie above the horizon."""
         result = IntegrationResult()
         certs = result.certifications
         queued, times, groups, after = self.queued, self.times, self.groups, self.after

@@ -176,30 +176,26 @@ class NodeState:
         if source in self.outputs:
             outboxes.setdefault(0, []).append(CMEvent(EXT_NEURON, source, stamp))
 
-    def start_computation(self, e: CMEvent) -> ECState:
-        top = self.cm_queue.peek()
-        if top is not e:
-            raise ProtocolViolation("start_computation on a non-top event")
-        self.cm_queue.pop()
+    def start_computation(self, target: int, stamp: int) -> ECState:
+        """Start one cell's arrivals of one stamp, taken from the queue."""
+        ec = self.ecs.get(target)
+        if ec is None:
+            raise TopologyError(f"node {self.id}: no cell for neuron {target}")
         self.nbth += 1
-        self.pt = e.stamp
-        ec = self.ecs[e.target]
+        self.pt = stamp
         ec.active = True
         return ec
 
     def collect_result(self, ec: ECState, result: IntegrationResult) -> None:
         if not ec.active:
             raise ProtocolViolation("collect_result for an idle cell")
-        if result.new_forecasts:
-            for ev in result.new_forecasts:
-                self.cp_queue.push(ev)
+        for ev in result.new_forecasts:
+            self.cp_queue.push(ev)
         # Cancellations were tombstoned during integration.
-        if result.cancellations:
-            self.stats.cancellations += len(result.cancellations)
-        if result.certifications:
-            for ev in result.certifications:
-                ev.certify()
-            self.stats.certifications += len(result.certifications)
+        self.stats.cancellations += len(result.cancellations)
+        for ev in result.certifications:
+            ev.certify()
+        self.stats.certifications += len(result.certifications)
         self.nbth -= 1
         ec.active = False
         ec.priority = False
@@ -264,7 +260,9 @@ class NodeState:
         self.certify_top()
         while (e := self.cp_top()) is not None:
             if self.emission_authorized(e) is not AuthDecision.AUTHORIZED:
-                self.stats.delayed_emissions += 1
+                if not e.delayed:  # count each delayed spike once
+                    e.delayed = True
+                    self.stats.delayed_emissions += 1
                 break
             self.apply_emission(e)
             progress = True
@@ -272,14 +270,21 @@ class NodeState:
         return progress, self.flush_ready(minpak)
 
     def cpc_step(self) -> bool:
-        computed = 0
-        while (e := self.cm_queue.peek()) is not None:
+        """Once the top arrival is authorized, so is every arrival of its stamp
+        (``st == pt``): each cell integrates its own in one computation."""
+        queue, computed = self.cm_queue, 0
+        while (e := queue.peek()) is not None:
             if self.computation_authorized(e) is not AuthDecision.AUTHORIZED:
                 self.stats.delayed_computations += 1
                 break
-            ec = self.start_computation(e)
-            self.collect_result(ec, ec.integrate(e))
-            computed += 1
+            st, by_cell = e.stamp, {}
+            while (e := queue.peek()) is not None and e.stamp == st:
+                queue.pop()
+                by_cell.setdefault(e.target, []).append(e)
+                computed += 1
+            for target, events in by_cell.items():
+                ec = self.start_computation(target, st)
+                self.collect_result(ec, ec.integrate(events))
         self.stats.computed += computed
         return computed > 0
 

@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .events import CMEvent
 
@@ -181,6 +181,7 @@ class TransportError(RuntimeError):
 
 # How long a TcpBackend keeps trying to reach and hear from its peers.
 CONNECT_TIMEOUT_S = 15.0
+CONNECT_RETRY_S = 0.002  # between tries
 
 
 class TcpBackend:
@@ -191,10 +192,11 @@ class TcpBackend:
     incoming connection per peer. Connections carry nothing but frames, and
     frames carry their sender. One reader thread per incoming connection
     reads frames through a buffered reader into the inbox that ``poll``
-    drains.
+    drains. Building it fails at once when ``give_up()`` holds.
     """
 
-    def __init__(self, pid: int, roster: dict[int, tuple[str, int]]) -> None:
+    def __init__(self, pid: int, roster: dict[int, tuple[str, int]],
+                 give_up: Callable[[], bool] = lambda: False) -> None:
         self.pid = pid
         self.roster = roster
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
@@ -213,15 +215,17 @@ class TcpBackend:
         self._accepter.start()
         try:
             for peer in sorted(peers):
-                self._out[peer] = self._connect(peer)
-            self._accepter.join(timeout=CONNECT_TIMEOUT_S)
-            if self._accepter.is_alive():
-                raise TransportError(f"processor {pid}: peers failed to connect")
+                self._out[peer] = self._connect(peer, give_up)
+            end = time.monotonic() + CONNECT_TIMEOUT_S
+            while self._accepter.is_alive():
+                if give_up() or time.monotonic() >= end:
+                    raise TransportError(f"processor {pid}: peers failed to connect")
+                self._accepter.join(timeout=CONNECT_RETRY_S)
         except TransportError:
             self.close()  # frees the port and ends the accept loop
             raise
 
-    def _connect(self, peer: int) -> socket.socket:
+    def _connect(self, peer: int, give_up: Callable[[], bool]) -> socket.socket:
         host, port = self.roster[peer]
         end = time.monotonic() + CONNECT_TIMEOUT_S
         while True:
@@ -230,9 +234,9 @@ class TcpBackend:
                 sock.settimeout(None)
                 return sock
             except OSError:
-                if time.monotonic() >= end:
+                if give_up() or time.monotonic() >= end:
                     raise TransportError(f"cannot reach processor {peer} at {host}:{port}")
-                time.sleep(0.05)
+                time.sleep(CONNECT_RETRY_S)
 
     def _accept_loop(self, expected: int) -> None:
         try:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import spikesim
-from spikesim import cli, engine, neuron, transport
+from spikesim import cli, engine, neuron
 from spikesim.engine import (DeterministicEngine, ThreadedEngine,
                              build_simulation, run_tcp_node)
 from spikesim.environment import EnvState
@@ -47,31 +47,69 @@ def test_deterministic_engine_stats_are_pinned():
     result = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
     assert result.violations == []
     assert result.stats == {
-        "cancellations": 2409, "certifications": 3834, "computed": 24528,
-        "emitted": 3834, "delayed_emissions": 2044, "delayed_computations": 0,
+        "cancellations": 1392, "certifications": 3834, "computed": 24528,
+        "emitted": 3834, "delayed_emissions": 726, "delayed_computations": 0,
         "messages_sent": 2160, "advancements": 209, "timeouts": 208,
         "outputs_received": 309,
     }
 
 
 def test_deterministic_engine_replay_work_is_pinned(monkeypatch):
-    # Calls to the membrane rule on one README-sized net at P = 1: a cell
-    # replays from the arriving group only, through the module's function.
-    calls = 0
-    real = neuron.membrane_step
+    # Computations and calls to the membrane rule on one README-sized net at
+    # P = 1: a computation is one cell's arrivals of one stamp, and it
+    # replays from the earliest arriving group only, through the module's
+    # function.
+    calls = {"integrate": 0, "membrane_step": 0}
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(neuron, "membrane_step", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(neuron, "membrane_step")
+    counted(neuron.ECState, "integrate")
     net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=1,
                                             horizon=200)
     result = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
     assert result.violations == []
     assert result.stats["computed"] == 24528
-    assert calls == 49014
+    assert calls == {"integrate": 8927, "membrane_step": 25585}
+
+
+def test_one_stamp_of_arrivals_is_one_computation(monkeypatch):
+    # Excitatory neurons 1-3 (delay 5) and inhibitory neuron 4 (delay 2) all
+    # fire at 1. Neuron 5 integrates the four arrivals in one computation,
+    # so the inhibition at 3 is in place before any forecast at 6 is made.
+    net = NetworkSpec()
+    for nid in (1, 2, 3, 4, 5):
+        net.neurons[nid] = NeuronParams(threshold=1.0, tau=10.0)
+    for src in (1, 2, 3):
+        net.synapses.append((src, 5, 0.4, 5))
+    net.synapses.append((4, 5, -2.0, 2))
+    net.inputs = {1, 2, 3, 4}
+    net.outputs = {5}
+    attach_synapses(net)
+    stimuli = {0: [1, 2, 3, 4]}
+    computations = []
+    real = neuron.ECState.integrate
+
+    def spy(cell, events):
+        result = real(cell, events)
+        if cell.neuron == 5:
+            computations.append(([(e.source, e.stamp) for e in events],
+                                 result.new_forecasts))
+        return result
+
+    monkeypatch.setattr(neuron.ECState, "integrate", spy)
+    mapping = MappingSpec(assignment={n: 1 for n in net.neurons}, procs=1)
+    run = DeterministicEngine(net, mapping, stimuli, horizon=20).run()
+    assert run.violations == []
+    assert compare_traces(run.trace, sequential_simulate(net, stimuli, 20)).empty
+    assert computations == [([(1, 1), (2, 1), (3, 1), (4, 1)], [])]
+    assert run.stats["cancellations"] == 0
 
 
 def test_outputs_are_subset_of_trace_restricted_to_output_neurons():
@@ -318,10 +356,13 @@ def test_tcp_launcher_reports_a_backend_it_cannot_build(tmp_path, monkeypatch,
                               for pid, port in enumerate(free_ports(2))))
 
     monkeypatch.setattr(subprocess, "Popen", Recorded)
-    monkeypatch.setattr(transport, "CONNECT_TIMEOUT_S", 1.0)
     launch = engine.run_tcp_launcher
+    start = time.monotonic()
     result = launch(net, mapping, stimuli, 20, roster_path=str(roster),
                     node_argv=[exit3])
+    # The backend gives up once the node has exited, well before
+    # CONNECT_TIMEOUT_S.
+    assert time.monotonic() - start < 2.0
     assert "node process exited with 3 (processor 1)" in result.violations
     assert any(v.startswith("cannot reach processor 1")
                for v in result.violations)

@@ -1,3 +1,4 @@
+import socket
 import struct
 import threading
 import time
@@ -283,3 +284,14 @@ def test_tcp_backend_that_fails_to_build_releases_its_port(free_ports,
     for t in started:
         t.join(timeout=2.0)
     assert not any(t.is_alive() for t in started)
+
+
+def test_tcp_backend_build_stops_once_it_gives_up(free_ports):
+    # Processor 1 accepts the connection but never connects back, so the
+    # build would wait CONNECT_TIMEOUT_S for it; ``give_up`` ends it sooner.
+    roster = {pid: ("127.0.0.1", port) for pid, port in enumerate(free_ports(2))}
+    with socket.create_server(roster[1]):
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="peers failed to connect"):
+            TcpBackend(0, roster, give_up=lambda: time.monotonic() > start + 0.2)
+        assert time.monotonic() - start < 2.0
