@@ -20,6 +20,7 @@ whose step moved nothing blocks on its inbox until mail wakes it.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import threading
 import time
@@ -188,6 +189,8 @@ class DeterministicEngine:
 TCP_WALL_S = 120.0
 # How long the launcher lets node processes run on after a run cut short.
 STOP_GRACE_S = 1.0
+# First on each tcp node's PYTHONPATH: nodes import this spikesim, installed or not.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def ship(backend, pairs) -> None:
@@ -322,7 +325,8 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     roster = load_roster(roster_path)
     env, _ = build_simulation(net, mapping, stimuli, horizon,
                               timeout_ms=timeout_ms, only_node=-1)
-    procs = [subprocess.Popen(argv) for argv in node_argv]
+    paths = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    procs = [subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=paths)) for argv in node_argv]
     errors: list[str] = []
     backend = None
 

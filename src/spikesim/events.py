@@ -1,11 +1,11 @@
-"""Event records and the stamp-ordered priority queues used by both controllers.
+"""Event records and the two stamp-ordered queues of a compute processor.
 
 Two kinds of events flow through the system:
 
 * ``CMEvent`` -- an incoming spike, to be computed by the target neuron's
-  event-driven cell.
+  event-driven cell. It waits in an ``ArrivalCalendar``, by stamp and cell.
 * ``CPEvent`` -- an outgoing spike forecast by a cell, to be emitted once
-  it can no longer be invalidated.
+  it can no longer be invalidated. It waits in an ``EventQueue``.
 
 Time is discrete (integer ticks, resolution 1). Event stamps are strictly
 positive, except that stimuli injected by the environment processor may
@@ -37,9 +37,6 @@ class CMEvent(NamedTuple):
     target: int
     source: int
     stamp: int
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.stamp, self.source, self.target)
 
 
 @dataclass
@@ -78,23 +75,53 @@ class CPEvent:
             )
         self.cancelled = True
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.stamp, self.source, 0)
+
+class ArrivalCalendar:
+    """Incoming spikes filed by stamp, then by target cell: a calendar queue
+    (Brown 1988). The heap ``stamps`` holds each pending stamp once."""
+
+    def __init__(self) -> None:
+        self._buckets: dict[int, dict[int, list[CMEvent]]] = {}
+        self.stamps: list[int] = []
+
+    def __bool__(self) -> bool:
+        return bool(self.stamps)
+
+    def bucket(self, stamp: int) -> dict[int, list[CMEvent]]:
+        """The arrivals at ``stamp`` by target; the caller files at least one."""
+        by_cell = self._buckets.get(stamp)
+        if by_cell is None:
+            by_cell = self._buckets[stamp] = {}
+            heapq.heappush(self.stamps, stamp)
+        return by_cell
+
+    def push(self, event: CMEvent) -> None:
+        # Environment stimuli are emitted at T-1 and the run starts at T=1.
+        if event.stamp <= 0 and not (event.stamp == 0 and event.source == EXT_NEURON):
+            raise ProtocolViolation(f"non-positive event stamp: {event}")
+        self.bucket(event.stamp).setdefault(event.target, []).append(event)
+
+    def peek(self) -> CMEvent | None:
+        """An arrival of the least stamp, without removal, or None if empty."""
+        return next(iter(self._buckets[self.stamps[0]].values()))[0] if self.stamps else None
+
+    def pop_stamp(self) -> tuple[int, dict[int, list[CMEvent]]]:
+        """Remove the least stamp's arrivals: (stamp, {target: events})."""
+        stamp = heapq.heappop(self.stamps)
+        return stamp, self._buckets.pop(stamp)
 
 
 class EventQueue:
-    """Priority queue ordered by (stamp, source, target, arrival order).
+    """Forecasts ordered by (stamp, source, push order).
 
-    The content-based part of the key makes pop order independent of the
-    transport. The queue's own push counter breaks ties between otherwise
-    identical events, so no two entries ever compare equal and the events
-    themselves are never compared or written to.
-
-    Instances are not synchronized; the owning node serializes access.
+    The content part of the key keeps pop order independent of the order
+    cells computed in. The push counter breaks ties (a tombstone and its
+    cell's later forecast at one stamp), so entries never compare equal.
+    Neither queue is synchronized; the owning node serializes access.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[tuple[int, int, int], int, object]] = []
+        self._heap: list[tuple[int, int, int, CPEvent]] = []
         self._seq = 0
 
     def __len__(self) -> int:
@@ -103,16 +130,15 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push(self, event) -> None:
-        # Environment stimuli are emitted at T-1 and the run starts at T=1.
-        if event.stamp <= 0 and not (event.stamp == 0 and event.source == EXT_NEURON):
+    def push(self, event: CPEvent) -> None:
+        if event.stamp <= 0:
             raise ProtocolViolation(f"non-positive event stamp: {event}")
-        heapq.heappush(self._heap, (event.sort_key(), self._seq, event))
+        heapq.heappush(self._heap, (event.stamp, event.source, self._seq, event))
         self._seq += 1
 
-    def peek(self):
+    def peek(self) -> CPEvent | None:
         """Minimum event without removal, or None if empty."""
-        return self._heap[0][2] if self._heap else None
+        return self._heap[0][3] if self._heap else None
 
-    def pop(self):
-        return heapq.heappop(self._heap)[2]
+    def pop(self) -> CPEvent:
+        return heapq.heappop(self._heap)[3]

@@ -23,8 +23,8 @@ safe when two presynaptic neurons fire on the same tick.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from .events import EXT_NEURON, CPEvent, ProtocolViolation, TopologyError
@@ -123,6 +123,8 @@ class ECState:
         self.neuron = neuron
         self.params = params
         self.d_min = params.d_min  # topology is fixed for the whole run
+        self._arrivals = dict(params.synapses)  # incoming synapse by source
+        self._arrivals[EXT_NEURON] = Synapse(params.stim_weight, 1)  # stimuli: delay 1
         self.sim_horizon = sim_horizon
         self.v = params.reset
         self.v_time = 0
@@ -148,47 +150,40 @@ class ECState:
 
     # -- integration ---------------------------------------------------------
 
-    def _arrival(self, e) -> tuple[int, float]:
-        if e.source == EXT_NEURON:
-            return e.stamp + 1, self.params.stim_weight
-        syn = self.params.synapses.get(e.source)
-        if syn is None:
-            raise TopologyError(
-                f"neuron {self.neuron}: no synapse from source {e.source}"
-            )
-        return e.stamp + syn.delay, syn.weight
-
     def integrate(self, events) -> IntegrationResult:
         """Process this neuron's incoming spikes of one stamp in one replay,
         from the earliest arrival group, and update the forecast table."""
-        times, groups, after = self.times, self.groups, self.after
-        last_stamps, start = self._last_stamp_per_source, len(times)
-        for e in events:
-            if e.target != self.neuron:
-                raise ProtocolViolation(f"event for {e.target} routed to {self.neuron}")
-            last = last_stamps.get(e.source)
-            if last is not None and e.stamp <= last:
-                raise ProtocolViolation(
-                    f"neuron {self.neuron}: duplicate or reordered event from "
-                    f"{e.source} (stamp {e.stamp} after {last})"
-                )
-            last_stamps[e.source] = e.stamp
-            eff, weight = self._arrival(e)
-            if eff <= self.horizon:
-                raise ProtocolViolation(
-                    f"neuron {self.neuron}: stale arrival at {eff}, horizon {self.horizon}"
-                )
-            i = bisect.bisect_left(times, eff)
+        stamp = events[0].stamp
+        if any(e.stamp != stamp for e in events):
+            raise ProtocolViolation(f"neuron {self.neuron}: one computation, several stamps")
+        times, groups, after, horizon = self.times, self.groups, self.after, self.horizon
+        last_stamps, arrivals, start = self._last_stamp_per_source, self._arrivals, len(times)
+        for target, source, _ in events:
+            if target != self.neuron:
+                raise ProtocolViolation(f"event for {target} routed to {self.neuron}")
+            last = last_stamps.get(source)
+            if last is not None and stamp <= last:
+                raise ProtocolViolation(f"neuron {self.neuron}: duplicate or reordered event "
+                                        f"from {source} (stamp {stamp} after {last})")
+            last_stamps[source] = stamp
+            syn = arrivals.get(source)
+            if syn is None:
+                raise TopologyError(f"neuron {self.neuron}: no synapse from source {source}")
+            eff = stamp + syn.delay
+            if eff <= horizon:
+                raise ProtocolViolation(f"neuron {self.neuron}: stale arrival at {eff}, "
+                                        f"horizon {horizon}")
+            i = bisect_left(times, eff)
             if i < len(times) and times[i] == eff:
-                bisect.insort(groups[i], (e.source, e.stamp, weight))
+                insort(groups[i], (source, stamp, syn.weight))
             else:
                 times.insert(i, eff)
-                groups.insert(i, [(e.source, e.stamp, weight)])
+                groups.insert(i, [(source, stamp, syn.weight)])
                 after.insert(i, (0.0, False))
             start = min(start, i)
-            self.horizon = max(self.horizon, e.stamp + self.d_min - 1)
-        result = self._diff(start, cert_bound=e.stamp + self.d_min)
-        k = bisect.bisect_right(times, self.horizon)
+        self.horizon = max(horizon, stamp + self.d_min - 1)
+        result = self._diff(start, cert_bound=stamp + self.d_min)
+        k = bisect_right(times, self.horizon)
         if k:  # fold: the groups up to the horizon are final
             self.v, self.v_time = after[k - 1][0], times[k - 1]
             del times[:k], groups[:k], after[:k]

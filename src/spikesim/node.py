@@ -1,8 +1,8 @@
 """One logical processor: controller loops, authorization gates, clocks.
 
-Each compute processor owns two stamp-ordered queues (incoming spikes to
-compute, outgoing spikes to emit), two time registers, and a local clock
-array with its latest knowledge of every processor's emission time.
+Each compute processor owns an arrival calendar of incoming spikes, a queue
+of outgoing forecasts, two time registers, and a local clock array with its
+latest knowledge of every processor's emission time.
 
 Registers and clock entries are plain stamps that never decrease. The gates
 read queue emptiness from the queues themselves. Another processor counts
@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .events import CMEvent, CPEvent, EXT_NEURON, EventQueue, ProtocolViolation, TopologyError
+from .events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON, EventQueue,
+                     ProtocolViolation, TopologyError)
 from .neuron import ECState, IntegrationResult
 from .transport import Message, Report, merge_clock_into
 
@@ -56,7 +57,7 @@ class NodeState:
             raise ValueError("compute processor ids start at 1")
         self.id = node_id
         self.procs = procs
-        self.cm_queue = EventQueue()
+        self.cm_queue = ArrivalCalendar()
         self.cp_queue = EventQueue()
         self.et = 0  # emission time register: the last emitted stamp
         self.pt = 0  # processing time register: the last started stamp
@@ -166,18 +167,20 @@ class NodeState:
         targets = self.post_tables.get(source)
         if targets is None:
             raise TopologyError(f"node {self.id}: no post table for {source}")
-        own, push, outboxes = self.id, self.cm_queue.push, self.outboxes
+        own, outboxes, bucket = self.id, self.outboxes, None
         for tgt, owner in targets:
             cm = CMEvent(tgt, source, stamp)
             if owner == own:
-                push(cm)
+                if bucket is None:
+                    bucket = self.cm_queue.bucket(stamp)
+                bucket.setdefault(tgt, []).append(cm)
             else:
                 outboxes.setdefault(owner, []).append(cm)
         if source in self.outputs:
             outboxes.setdefault(0, []).append(CMEvent(EXT_NEURON, source, stamp))
 
     def start_computation(self, target: int, stamp: int) -> ECState:
-        """Start one cell's arrivals of one stamp, taken from the queue."""
+        """Start one cell's arrivals of one stamp, taken from the calendar."""
         ec = self.ecs.get(target)
         if ec is None:
             raise TopologyError(f"node {self.id}: no cell for neuron {target}")
@@ -277,14 +280,11 @@ class NodeState:
             if self.computation_authorized(e) is not AuthDecision.AUTHORIZED:
                 self.stats.delayed_computations += 1
                 break
-            st, by_cell = e.stamp, {}
-            while (e := queue.peek()) is not None and e.stamp == st:
-                queue.pop()
-                by_cell.setdefault(e.target, []).append(e)
-                computed += 1
+            st, by_cell = queue.pop_stamp()
             for target, events in by_cell.items():
                 ec = self.start_computation(target, st)
                 self.collect_result(ec, ec.integrate(events))
+                computed += len(events)
         self.stats.computed += computed
         return computed > 0
 

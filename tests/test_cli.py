@@ -131,3 +131,22 @@ def test_tcp_crashed_node_is_a_violation(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "violation: missing trace shard 1" in err
     assert "violation: missing trace shard 2" in err
+
+
+def test_tcp_nodes_import_the_launchers_package(tmp_path, capsys, monkeypatch,
+                                                free_ports):
+    # Without PYTHONPATH and outside the checkout, `python -m spikesim` finds
+    # the package only through the path the launcher hands its nodes.
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.chdir(tmp_path)
+    prefix = gen_workload(tmp_path, procs=2)
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(3))))
+    inputs = ["--net", prefix + ".net", "--stim", prefix + ".stim", "--horizon", "40"]
+    assert main(["run", *inputs, "--map", prefix + ".map", "--mode", "tcp",
+                 "--roster", str(roster), "--out", str(tmp_path / "tcp.trace")]) == 0
+    assert main(["oracle", *inputs, "--out", str(tmp_path / "oracle.trace")]) == 0
+    assert main(["compare", str(tmp_path / "tcp.trace"),
+                 str(tmp_path / "oracle.trace")]) == 0
+    assert "traces identical" in capsys.readouterr().out

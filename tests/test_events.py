@@ -1,29 +1,38 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from spikesim.events import (CMEvent, CPEvent, EXT_NEURON, EventQueue,
-                             ProtocolViolation)
+from spikesim.events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON,
+                             EventQueue, ProtocolViolation)
 
 
-def test_cm_queue_orders_by_stamp_then_source_then_target():
-    q = EventQueue()
-    q.push(CMEvent(target=5, source=9, stamp=3))
-    q.push(CMEvent(target=5, source=2, stamp=3))
-    q.push(CMEvent(target=1, source=9, stamp=2))
-    q.push(CMEvent(target=4, source=2, stamp=3))
-    popped = [q.pop() for _ in range(4)]
-    assert [(e.stamp, e.source, e.target) for e in popped] == [
-        (2, 9, 1), (3, 2, 4), (3, 2, 5), (3, 9, 5)]
+def test_calendar_orders_by_stamp_and_files_by_target():
+    cal = ArrivalCalendar()
+    cal.push(CMEvent(target=5, source=9, stamp=3))
+    cal.push(CMEvent(target=5, source=2, stamp=3))
+    cal.push(CMEvent(target=1, source=9, stamp=2))
+    cal.push(CMEvent(target=4, source=2, stamp=3))
+    assert cal.peek() == CMEvent(target=1, source=9, stamp=2)
+    assert cal.pop_stamp() == (2, {1: [CMEvent(1, 9, 2)]})
+    assert cal.pop_stamp() == (3, {5: [CMEvent(5, 9, 3), CMEvent(5, 2, 3)],
+                                   4: [CMEvent(4, 2, 3)]})
+    assert not cal and cal.peek() is None
 
 
 def test_identical_events_break_ties_by_arrival_order():
     q = EventQueue()
-    a = CMEvent(target=1, source=2, stamp=5)
-    b = CMEvent(target=1, source=2, stamp=5)
+    a = CPEvent(source=1, stamp=5)
+    b = CPEvent(source=1, stamp=5)
     q.push(a)
     q.push(b)
     assert q.pop() is a
     assert q.pop() is b
+    cal = ArrivalCalendar()
+    c = CMEvent(target=1, source=2, stamp=5)
+    d = CMEvent(target=1, source=2, stamp=5)
+    cal.push(c)
+    cal.push(d)
+    events = cal.pop_stamp()[1][1]
+    assert events[0] is c and events[1] is d
 
 
 def test_peek_does_not_remove():
@@ -31,24 +40,37 @@ def test_peek_does_not_remove():
     q.push(CPEvent(source=1, stamp=4))
     assert q.peek() is q.peek()
     assert len(q) == 1
+    cal = ArrivalCalendar()
+    cal.push(CMEvent(target=1, source=2, stamp=4))
+    assert cal.peek() is cal.peek()
+    assert cal
 
 
 def test_empty_queue_peek_is_none():
     assert EventQueue().peek() is None
+    assert ArrivalCalendar().peek() is None
 
 
 def test_non_positive_stamp_rejected():
     q = EventQueue()
     with pytest.raises(ProtocolViolation):
-        q.push(CMEvent(target=1, source=2, stamp=0))
+        q.push(CPEvent(source=1, stamp=0))
     with pytest.raises(ProtocolViolation):
         q.push(CPEvent(source=1, stamp=-3))
+    cal = ArrivalCalendar()
+    with pytest.raises(ProtocolViolation):
+        cal.push(CMEvent(target=1, source=2, stamp=0))
+    with pytest.raises(ProtocolViolation):
+        cal.push(CMEvent(target=1, source=EXT_NEURON, stamp=-1))
+    assert not q and not cal
 
 
 def test_stamp_zero_allowed_only_for_external_stimuli():
-    q = EventQueue()
-    q.push(CMEvent(target=1, source=EXT_NEURON, stamp=0))
-    assert q.pop().stamp == 0
+    cal = ArrivalCalendar()
+    cal.push(CMEvent(target=1, source=EXT_NEURON, stamp=0))
+    assert cal.pop_stamp() == (0, {1: [CMEvent(1, EXT_NEURON, 0)]})
+    with pytest.raises(ProtocolViolation):  # a forecast is never a stimulus
+        EventQueue().push(CPEvent(source=EXT_NEURON, stamp=0))
 
 
 def test_cancel_is_one_way_and_blocks_certify():
@@ -73,15 +95,43 @@ def test_emitted_event_cannot_be_cancelled():
         e.cancel()
 
 
-@given(st.lists(st.tuples(st.integers(1, 50), st.integers(0, 9),
-                          st.integers(0, 9)), max_size=60))
-def test_pop_order_is_sorted_by_content_key(items):
-    q = EventQueue()
+events = st.tuples(st.integers(1, 50), st.integers(0, 9), st.integers(0, 9))
+
+
+@given(st.lists(st.tuples(st.booleans(), events), max_size=60))
+def test_calendar_pop_order_follows_stamps(ops):
+    """Pushes interleaved with pops: each pop takes exactly the pending
+    arrivals of the least pending stamp, which ``peek`` showed first."""
+    cal, pending = ArrivalCalendar(), []
+    for pop, (stamp, source, target) in ops:
+        if pop and cal:
+            least = min(e.stamp for e in pending)
+            assert cal.peek().stamp == least
+            popped, by_cell = cal.pop_stamp()
+            taken = [e for e in pending if e.stamp == least]
+            pending = [e for e in pending if e.stamp != least]
+            assert popped == least
+            assert sorted(e for es in by_cell.values() for e in es) == sorted(taken)
+        else:
+            e = CMEvent(target=target, source=source, stamp=stamp)
+            cal.push(e)
+            pending.append(e)
+    assert bool(cal) == bool(pending)
+
+
+@given(st.lists(events, max_size=80))
+def test_pop_stamp_files_every_target_its_events(items):
+    cal, expected = ArrivalCalendar(), {}
     for stamp, source, target in items:
-        q.push(CMEvent(target=target, source=source, stamp=stamp))
-    popped = [q.pop() for _ in range(len(q))]
-    keys = [e.sort_key() for e in popped]
-    assert keys == sorted(keys)
-    # Content precedes arrival order in the key.
-    assert [(e.stamp, e.source, e.target) for e in popped] == sorted(
-        (stamp, source, target) for stamp, source, target in items)
+        e = CMEvent(target=target, source=source, stamp=stamp)
+        cal.push(e)
+        expected.setdefault(stamp, {}).setdefault(target, []).append(e)
+    assert sorted(cal.stamps) == sorted(expected)  # one heap entry per stamp
+    popped = []
+    while cal:
+        stamp, by_cell = cal.pop_stamp()
+        assert by_cell == expected[stamp]
+        assert all(e.stamp == stamp and e.target == tgt
+                   for tgt, es in by_cell.items() for e in es)
+        popped.append(stamp)
+    assert popped == sorted(expected)  # strictly increasing, none missing

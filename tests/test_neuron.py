@@ -165,6 +165,15 @@ def test_misrouted_arrival_rejected():
         cell.integrate([CMEvent(5, 1, 10), CMEvent(6, 2, 10)])
 
 
+def test_arrivals_of_several_stamps_rejected_before_any_change():
+    cell = make_cell({1: Synapse(0.6, 2), 2: Synapse(0.6, 3)})
+    cell.integrate([CMEvent(5, 1, 10)])
+    before = _cell_state(cell), dict(cell._last_stamp_per_source)
+    with pytest.raises(ProtocolViolation, match="several stamps"):
+        cell.integrate([CMEvent(5, 2, 11), CMEvent(5, 1, 12)])
+    assert (_cell_state(cell), cell._last_stamp_per_source) == before
+
+
 def test_emitted_spike_invalidated_is_fatal():
     syn = {1: Synapse(2.0, 4), 2: Synapse(-5.0, 2)}
     cell = make_cell(syn)

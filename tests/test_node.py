@@ -291,6 +291,10 @@ def test_apply_emission_routes_local_remote_and_output():
     # remote target staged for processor 2, output copy staged for Pr_0
     assert node.outboxes == {2: [CMEvent(9, 7, 5)],
                              0: [CMEvent(EXT_NEURON, 7, 5)]}
+    # an emission without local targets files no empty stamp
+    assert node.cm_queue.pop_stamp() == (5, {8: [CMEvent(8, 7, 5)]})
+    node.apply_emission(queue_forecast(node, 6, source=8))
+    assert not node.cm_queue and node.cm_queue.peek() is None
 
 
 def test_apply_emission_requires_queue_top():
