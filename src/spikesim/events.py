@@ -2,8 +2,8 @@
 
 Two kinds of events flow through the system:
 
-* ``CMEvent`` -- an incoming spike, to be computed by the target neuron's
-  event-driven cell. It waits in an ``ArrivalCalendar``, by stamp and cell.
+* ``CMEvent`` -- an incoming spike, as inbound mail and the wire carry it.
+  An ``ArrivalCalendar`` files it by stamp and cell as its bare source id.
 * ``CPEvent`` -- an outgoing spike forecast by a cell, to be emitted once
   it can no longer be invalidated. It waits in an ``EventQueue``.
 
@@ -77,18 +77,18 @@ class CPEvent:
 
 
 class ArrivalCalendar:
-    """Incoming spikes filed by stamp, then by target cell: a calendar queue
-    (Brown 1988). The heap ``stamps`` holds each pending stamp once."""
+    """Incoming spikes as source ids, filed by stamp, then by target cell: a
+    calendar queue (Brown 1988). The heap ``stamps`` holds each stamp once."""
 
     def __init__(self) -> None:
-        self._buckets: dict[int, dict[int, list[CMEvent]]] = {}
+        self._buckets: dict[int, dict[int, list[int]]] = {}
         self.stamps: list[int] = []
 
     def __bool__(self) -> bool:
         return bool(self.stamps)
 
-    def bucket(self, stamp: int) -> dict[int, list[CMEvent]]:
-        """The arrivals at ``stamp`` by target; the caller files at least one."""
+    def bucket(self, stamp: int) -> dict[int, list[int]]:
+        """The sources arriving at ``stamp`` by target; the caller files at least one."""
         by_cell = self._buckets.get(stamp)
         if by_cell is None:
             by_cell = self._buckets[stamp] = {}
@@ -99,14 +99,16 @@ class ArrivalCalendar:
         # Environment stimuli are emitted at T-1 and the run starts at T=1.
         if event.stamp <= 0 and not (event.stamp == 0 and event.source == EXT_NEURON):
             raise ProtocolViolation(f"non-positive event stamp: {event}")
-        self.bucket(event.stamp).setdefault(event.target, []).append(event)
+        self.bucket(event.stamp).setdefault(event.target, []).append(event.source)
 
     def peek(self) -> CMEvent | None:
-        """An arrival of the least stamp, without removal, or None if empty."""
-        return next(iter(self._buckets[self.stamps[0]].values()))[0] if self.stamps else None
+        """An arrival of the least stamp as a ``CMEvent``, or None if empty."""
+        if self.stamps:
+            target, sources = next(iter(self._buckets[self.stamps[0]].items()))
+            return CMEvent(target, sources[0], self.stamps[0])
 
-    def pop_stamp(self) -> tuple[int, dict[int, list[CMEvent]]]:
-        """Remove the least stamp's arrivals: (stamp, {target: events})."""
+    def pop_stamp(self) -> tuple[int, dict[int, list[int]]]:
+        """Remove the least stamp's arrivals: (stamp, {target: sources})."""
         stamp = heapq.heappop(self.stamps)
         return stamp, self._buckets.pop(stamp)
 

@@ -91,11 +91,11 @@ class NeuronParams:
         return min(delays) if delays else 1
 
 
-@dataclass(slots=True)
-class IntegrationResult:
-    new_forecasts: list[CPEvent] = field(default_factory=list)
-    cancellations: list[CPEvent] = field(default_factory=list)
-    certifications: list[CPEvent] = field(default_factory=list)
+class IntegrationResult:  # three lists of CPEvent; a dataclass builds them slower
+    __slots__ = ("new_forecasts", "cancellations", "certifications")
+
+    def __init__(self) -> None:
+        self.new_forecasts, self.cancellations, self.certifications = [], [], []
 
 
 class ECState:
@@ -150,21 +150,15 @@ class ECState:
 
     # -- integration ---------------------------------------------------------
 
-    def integrate(self, events) -> IntegrationResult:
-        """Process this neuron's incoming spikes of one stamp in one replay,
-        from the earliest arrival group, and update the forecast table."""
-        stamp = events[0].stamp
-        if any(e.stamp != stamp for e in events):
-            raise ProtocolViolation(f"neuron {self.neuron}: one computation, several stamps")
+    def integrate(self, stamp: int, sources) -> IntegrationResult:
+        """Integrate the spikes ``sources`` fired at ``stamp``, each checked, in
+        one replay from the earliest arriving group; update the forecast table."""
         times, groups, after, horizon = self.times, self.groups, self.after, self.horizon
         last_stamps, arrivals, start = self._last_stamp_per_source, self._arrivals, len(times)
-        for target, source, _ in events:
-            if target != self.neuron:
-                raise ProtocolViolation(f"event for {target} routed to {self.neuron}")
-            last = last_stamps.get(source)
-            if last is not None and stamp <= last:
-                raise ProtocolViolation(f"neuron {self.neuron}: duplicate or reordered event "
-                                        f"from {source} (stamp {stamp} after {last})")
+        for source in sources:
+            if stamp <= last_stamps.get(source, -1):
+                raise ProtocolViolation(f"neuron {self.neuron}: duplicate or reordered event from "
+                                        f"{source} (stamp {stamp} after {last_stamps[source]})")
             last_stamps[source] = stamp
             syn = arrivals.get(source)
             if syn is None:
@@ -180,9 +174,10 @@ class ECState:
                 times.insert(i, eff)
                 groups.insert(i, [(source, stamp, syn.weight)])
                 after.insert(i, (0.0, False))
-            start = min(start, i)
+            if i < start:
+                start = i
         self.horizon = max(horizon, stamp + self.d_min - 1)
-        result = self._diff(start, cert_bound=stamp + self.d_min)
+        result = self._diff(start, stamp + self.d_min)
         k = bisect_right(times, self.horizon)
         if k:  # fold: the groups up to the horizon are final
             self.v, self.v_time = after[k - 1][0], times[k - 1]
@@ -196,7 +191,7 @@ class ECState:
         result = IntegrationResult()
         certs = result.certifications
         queued, times, groups, after = self.queued, self.times, self.groups, self.after
-        horizon, sim_horizon = self.horizon, self.sim_horizon
+        horizon, sim_horizon, params = self.horizon, self.sim_horizon, self.params
         for j in range(start):
             t = times[j]
             if t > horizon and t > cert_bound:
@@ -212,7 +207,7 @@ class ECState:
         v, t_prev = (after[start - 1][0], times[start - 1]) if start else (self.v, self.v_time)
         for j in range(start, len(times)):
             t, was = times[j], after[j][1]
-            v, fired = membrane_step(v, t_prev, t, groups[j], self.params, presorted=True)
+            v, fired = membrane_step(v, t_prev, t, groups[j], params, True)  # presorted
             after[j], t_prev = (v, fired), t
             if t > sim_horizon or not (fired or was):
                 continue

@@ -2,7 +2,8 @@
 
 Each compute processor owns an arrival calendar of incoming spikes, a queue
 of outgoing forecasts, two time registers, and a local clock array with its
-latest knowledge of every processor's emission time.
+latest knowledge of every processor's emission time. A spike to a local cell
+is filed as its bare source id; only mail carries ``CMEvent`` records.
 
 Registers and clock entries are plain stamps that never decrease. The gates
 read queue emptiness from the queues themselves. Another processor counts
@@ -100,9 +101,9 @@ class NodeState:
     def floor(self) -> int:
         """The least stamp this processor may still emit without new mail:
         its top live forecast, or a forecast from its top incoming spike."""
-        top_out, top_in = self.cp_top(), self.cm_queue.peek()
+        top_out, stamps_in = self.cp_top(), self.cm_queue.stamps
         return min(UNBOUNDED if top_out is None else top_out.stamp,
-                   UNBOUNDED if top_in is None else top_in.stamp + 1)
+                   stamps_in[0] + 1 if stamps_in else UNBOUNDED)
 
     # -- authorization algorithms ----------------------------------------------
 
@@ -152,7 +153,7 @@ class NodeState:
     # -- protocol transitions ----------------------------------------------------
 
     def apply_emission(self, e: CPEvent) -> None:
-        """Emit the top outgoing event: queue local targets, stage the rest."""
+        """Emit the top outgoing event: file local targets, stage the rest."""
         top = self.cp_top()
         if top is not e:
             raise ProtocolViolation("apply_emission on a non-top event")
@@ -169,13 +170,12 @@ class NodeState:
             raise TopologyError(f"node {self.id}: no post table for {source}")
         own, outboxes, bucket = self.id, self.outboxes, None
         for tgt, owner in targets:
-            cm = CMEvent(tgt, source, stamp)
-            if owner == own:
+            if owner == own:  # a spike is its source id until the target integrates it
                 if bucket is None:
                     bucket = self.cm_queue.bucket(stamp)
-                bucket.setdefault(tgt, []).append(cm)
+                bucket.setdefault(tgt, []).append(source)
             else:
-                outboxes.setdefault(owner, []).append(cm)
+                outboxes.setdefault(owner, []).append(CMEvent(tgt, source, stamp))
         if source in self.outputs:
             outboxes.setdefault(0, []).append(CMEvent(EXT_NEURON, source, stamp))
 
@@ -217,8 +217,8 @@ class NodeState:
     def emission_order_safe(self, st: int) -> bool:
         if self.nbth != 0:
             return False
-        top = self.cm_queue.peek()
-        if top is not None and st > top.stamp + 1:
+        stamps_in = self.cm_queue.stamps
+        if stamps_in and st > stamps_in[0] + 1:
             return False
         return self.others_reached(st)
 
@@ -281,10 +281,10 @@ class NodeState:
                 self.stats.delayed_computations += 1
                 break
             st, by_cell = queue.pop_stamp()
-            for target, events in by_cell.items():
+            for target, sources in by_cell.items():
                 ec = self.start_computation(target, st)
-                self.collect_result(ec, ec.integrate(events))
-                computed += len(events)
+                self.collect_result(ec, ec.integrate(st, sources))
+                computed += len(sources)
         self.stats.computed += computed
         return computed > 0
 

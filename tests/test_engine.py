@@ -1,3 +1,5 @@
+import hashlib
+import json
 import signal
 import subprocess
 import sys
@@ -79,6 +81,21 @@ def test_deterministic_engine_replay_work_is_pinned(monkeypatch):
     assert calls == {"integrate": 8927, "membrane_step": 25585}
 
 
+def test_deterministic_engine_fingerprint_is_pinned():
+    # Det trace, outputs, stats and violations of 48 small nets, hashed: a
+    # change that claims byte-identical results must leave this digest alone.
+    runs = []
+    for seed in range(8):
+        for prob in (0.1, 0.2):
+            for procs in (1, 2, 4):
+                net, mapping, stimuli = generate_random(seed=seed, n=24, prob=prob,
+                                                        procs=procs, horizon=200)
+                r = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
+                runs.append([r.trace, r.outputs, r.stats, r.violations])
+    digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
+    assert digest == "a6754bde91a6fb7fac215644563c85623681de9a4ab8fc24b56f339e2459e0c5"
+
+
 def test_one_stamp_of_arrivals_is_one_computation(monkeypatch):
     # Excitatory neurons 1-3 (delay 5) and inhibitory neuron 4 (delay 2) all
     # fire at 1. Neuron 5 integrates the four arrivals in one computation,
@@ -96,10 +113,10 @@ def test_one_stamp_of_arrivals_is_one_computation(monkeypatch):
     computations = []
     real = neuron.ECState.integrate
 
-    def spy(cell, events):
-        result = real(cell, events)
+    def spy(cell, stamp, sources):
+        result = real(cell, stamp, sources)
         if cell.neuron == 5:
-            computations.append(([(e.source, e.stamp) for e in events],
+            computations.append(([(source, stamp) for source in sources],
                                  result.new_forecasts))
         return result
 

@@ -12,9 +12,8 @@ def test_calendar_orders_by_stamp_and_files_by_target():
     cal.push(CMEvent(target=1, source=9, stamp=2))
     cal.push(CMEvent(target=4, source=2, stamp=3))
     assert cal.peek() == CMEvent(target=1, source=9, stamp=2)
-    assert cal.pop_stamp() == (2, {1: [CMEvent(1, 9, 2)]})
-    assert cal.pop_stamp() == (3, {5: [CMEvent(5, 9, 3), CMEvent(5, 2, 3)],
-                                   4: [CMEvent(4, 2, 3)]})
+    assert cal.pop_stamp() == (2, {1: [9]})
+    assert cal.pop_stamp() == (3, {5: [9, 2], 4: [2]})
     assert not cal and cal.peek() is None
 
 
@@ -27,12 +26,9 @@ def test_identical_events_break_ties_by_arrival_order():
     assert q.pop() is a
     assert q.pop() is b
     cal = ArrivalCalendar()
-    c = CMEvent(target=1, source=2, stamp=5)
-    d = CMEvent(target=1, source=2, stamp=5)
-    cal.push(c)
-    cal.push(d)
-    events = cal.pop_stamp()[1][1]
-    assert events[0] is c and events[1] is d
+    for source in (3, 2, 3):
+        cal.push(CMEvent(target=1, source=source, stamp=5))
+    assert cal.pop_stamp() == (5, {1: [3, 2, 3]})  # filed in arrival order
 
 
 def test_peek_does_not_remove():
@@ -42,8 +38,8 @@ def test_peek_does_not_remove():
     assert len(q) == 1
     cal = ArrivalCalendar()
     cal.push(CMEvent(target=1, source=2, stamp=4))
-    assert cal.peek() is cal.peek()
-    assert cal
+    assert cal.peek() == cal.peek() == CMEvent(1, 2, 4)
+    assert cal.pop_stamp() == (4, {1: [2]})
 
 
 def test_empty_queue_peek_is_none():
@@ -68,7 +64,7 @@ def test_non_positive_stamp_rejected():
 def test_stamp_zero_allowed_only_for_external_stimuli():
     cal = ArrivalCalendar()
     cal.push(CMEvent(target=1, source=EXT_NEURON, stamp=0))
-    assert cal.pop_stamp() == (0, {1: [CMEvent(1, EXT_NEURON, 0)]})
+    assert cal.pop_stamp() == (0, {1: [EXT_NEURON]})
     with pytest.raises(ProtocolViolation):  # a forecast is never a stimulus
         EventQueue().push(CPEvent(source=EXT_NEURON, stamp=0))
 
@@ -111,7 +107,8 @@ def test_calendar_pop_order_follows_stamps(ops):
             taken = [e for e in pending if e.stamp == least]
             pending = [e for e in pending if e.stamp != least]
             assert popped == least
-            assert sorted(e for es in by_cell.values() for e in es) == sorted(taken)
+            assert (sorted((tgt, src) for tgt, srcs in by_cell.items() for src in srcs)
+                    == sorted((e.target, e.source) for e in taken))
         else:
             e = CMEvent(target=target, source=source, stamp=stamp)
             cal.push(e)
@@ -123,15 +120,14 @@ def test_calendar_pop_order_follows_stamps(ops):
 def test_pop_stamp_files_every_target_its_events(items):
     cal, expected = ArrivalCalendar(), {}
     for stamp, source, target in items:
-        e = CMEvent(target=target, source=source, stamp=stamp)
-        cal.push(e)
-        expected.setdefault(stamp, {}).setdefault(target, []).append(e)
+        cal.push(CMEvent(target=target, source=source, stamp=stamp))
+        expected.setdefault(stamp, {}).setdefault(target, []).append(source)
     assert sorted(cal.stamps) == sorted(expected)  # one heap entry per stamp
     popped = []
     while cal:
+        least = cal.peek()
         stamp, by_cell = cal.pop_stamp()
-        assert by_cell == expected[stamp]
-        assert all(e.stamp == stamp and e.target == tgt
-                   for tgt, es in by_cell.items() for e in es)
+        assert by_cell == expected[stamp]  # each target's sources, in push order
+        assert least.stamp == stamp and least.source in by_cell[least.target]
         popped.append(stamp)
     assert popped == sorted(expected)  # strictly increasing, none missing

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spikesim.events import CMEvent, EXT_NEURON, ProtocolViolation
+from spikesim.events import EXT_NEURON, ProtocolViolation, TopologyError
 from spikesim.neuron import ECState, NeuronParams, Synapse, membrane_step
 
 
@@ -91,7 +91,7 @@ def make_cell(synapses, neuron=5, horizon=100, **kw):
 
 def test_stimulus_fires_input_neuron_next_tick():
     cell = make_cell({}, **{"is_input": True})
-    result = cell.integrate([CMEvent(target=5, source=EXT_NEURON, stamp=3)])
+    result = cell.integrate(3, [EXT_NEURON])
     assert [(e.source, e.stamp) for e in result.new_forecasts] == [(5, 4)]
     # d_min = 1, so the forecast at stamp+1 is immediately certifiable.
     assert result.certifications and result.certifications[0].stamp == 4
@@ -100,8 +100,8 @@ def test_stimulus_fires_input_neuron_next_tick():
 def test_forecast_from_excitatory_sum():
     syn = {1: Synapse(0.6, 5), 2: Synapse(0.6, 5)}
     cell = make_cell(syn)
-    assert cell.integrate([CMEvent(5, 1, 10)]).new_forecasts == []
-    result = cell.integrate([CMEvent(5, 2, 10)])
+    assert cell.integrate(10, [1]).new_forecasts == []
+    result = cell.integrate(10, [2])
     assert [e.stamp for e in result.new_forecasts] == [15]
 
 
@@ -114,10 +114,10 @@ def test_delayed_firing_cancellation():
            4: Synapse(-2.0, 2)}
     cell = make_cell(syn)
     for src in (1, 2, 3):
-        result = cell.integrate([CMEvent(5, src, 1)])
+        result = cell.integrate(1, [src])
     assert [e.stamp for e in result.new_forecasts] == [6]
     forecast = result.new_forecasts[0]
-    result = cell.integrate([CMEvent(5, 4, 1)])
+    result = cell.integrate(1, [4])
     assert result.cancellations == [forecast]
     assert forecast.cancelled
     assert cell.queued == {}
@@ -126,7 +126,7 @@ def test_delayed_firing_cancellation():
 def test_certification_bound_is_stamp_plus_d_min():
     syn = {1: Synapse(2.0, 2), 2: Synapse(-1.0, 6)}
     cell = make_cell(syn)
-    result = cell.integrate([CMEvent(5, 1, 10)])  # fires at 12
+    result = cell.integrate(10, [1])  # fires at 12
     assert [e.stamp for e in result.new_forecasts] == [12]
     # d_min = 2, bound = 10 + 2 = 12: the forecast is certifiable at once
     # (the owning processor flips the crt flag when collecting the result).
@@ -136,7 +136,7 @@ def test_certification_bound_is_stamp_plus_d_min():
 def test_forecast_beyond_bound_not_certified():
     syn = {1: Synapse(0.3, 2), 2: Synapse(1.0, 8)}
     cell = make_cell(syn)
-    result = cell.integrate([CMEvent(5, 2, 10)])  # fires at 18 > 10 + 2
+    result = cell.integrate(10, [2])  # fires at 18 > 10 + 2
     assert [e.stamp for e in result.new_forecasts] == [18]
     assert not result.certifications
 
@@ -144,49 +144,40 @@ def test_forecast_beyond_bound_not_certified():
 def test_stale_arrival_rejected():
     syn = {1: Synapse(0.5, 1), 2: Synapse(0.5, 1)}
     cell = make_cell(syn)
-    cell.integrate([CMEvent(5, 1, 10)])  # horizon -> 10
+    cell.integrate(10, [1])  # horizon -> 10
     with pytest.raises(ProtocolViolation):
-        cell.integrate([CMEvent(5, 2, 8)])
+        cell.integrate(8, [2])
 
 
 def test_duplicate_event_from_same_source_rejected():
     syn = {1: Synapse(0.1, 5)}
     cell = make_cell(syn)
-    cell.integrate([CMEvent(5, 1, 10)])
+    cell.integrate(10, [1])
     with pytest.raises(ProtocolViolation):
-        cell.integrate([CMEvent(5, 1, 10)])
+        cell.integrate(10, [1])
     with pytest.raises(ProtocolViolation, match="duplicate"):
-        make_cell(syn).integrate([CMEvent(5, 1, 10), CMEvent(5, 1, 10)])
+        make_cell(syn).integrate(10, [1, 1])
 
 
-def test_misrouted_arrival_rejected():
-    cell = make_cell({1: Synapse(0.5, 2), 2: Synapse(0.5, 2)})
-    with pytest.raises(ProtocolViolation, match="routed"):
-        cell.integrate([CMEvent(5, 1, 10), CMEvent(6, 2, 10)])
-
-
-def test_arrivals_of_several_stamps_rejected_before_any_change():
-    cell = make_cell({1: Synapse(0.6, 2), 2: Synapse(0.6, 3)})
-    cell.integrate([CMEvent(5, 1, 10)])
-    before = _cell_state(cell), dict(cell._last_stamp_per_source)
-    with pytest.raises(ProtocolViolation, match="several stamps"):
-        cell.integrate([CMEvent(5, 2, 11), CMEvent(5, 1, 12)])
-    assert (_cell_state(cell), cell._last_stamp_per_source) == before
+def test_source_without_synapse_rejected():
+    cell = make_cell({1: Synapse(0.5, 2)})
+    with pytest.raises(TopologyError, match="no synapse from source 3"):
+        cell.integrate(10, [1, 3])
 
 
 def test_emitted_spike_invalidated_is_fatal():
     syn = {1: Synapse(2.0, 4), 2: Synapse(-5.0, 2)}
     cell = make_cell(syn)
-    result = cell.integrate([CMEvent(5, 1, 10)])  # fires at 14
+    result = cell.integrate(10, [1])  # fires at 14
     cell.on_emitted(result.new_forecasts[0].stamp)
     with pytest.raises(ProtocolViolation):
-        cell.integrate([CMEvent(5, 2, 11)])  # inhibition lands at 13 < 14
+        cell.integrate(11, [2])  # inhibition lands at 13 < 14
 
 
 def test_forecasts_beyond_simulation_horizon_discarded():
     syn = {1: Synapse(2.0, 4)}
     cell = make_cell(syn, horizon=12)
-    result = cell.integrate([CMEvent(5, 1, 10)])  # would fire at 14 > 12
+    result = cell.integrate(10, [1])  # would fire at 14 > 12
     assert result.new_forecasts == []
 
 
@@ -219,7 +210,7 @@ def test_incremental_equals_batch_simulation(arrivals):
         cell = ECState(5, params, sim_horizon=horizon)
         fired = {}
         for src, stamp in ordered:
-            result = cell.integrate([CMEvent(5, src, stamp)])
+            result = cell.integrate(stamp, [src])
             for e in result.new_forecasts:
                 assert e.stamp not in fired  # never forecast a stamp twice
                 fired[e.stamp] = e
@@ -272,7 +263,7 @@ def test_replay_cache_equals_replay_from_scratch(arrivals, in_stamp_order, emit)
         if stamp <= last.get(source, -1) or stamp + delay <= cell.horizon:
             continue
         last[source] = stamp
-        result = cell.integrate([CMEvent(5, source, stamp)])
+        result = cell.integrate(stamp, [source])
         groups.setdefault(stamp + delay, []).append((source, stamp, weight))
         if emit:
             for e in result.certifications:
@@ -322,20 +313,20 @@ def test_one_computation_equals_one_call_per_arrival(batches, emit):
 
     groups, last = {}, {}
     for stamp, sources in sorted(batches, key=lambda b: b[0]):
-        events = []
+        arriving = []
         for src in sorted(sources):
             source = EXT_NEURON if src == 4 else src
             if stamp > last.get(source, -1):
                 last[source] = stamp
-                events.append(CMEvent(5, source, stamp))
+                arriving.append(source)
                 delay, weight = ((1, params.stim_weight) if source == EXT_NEURON
                                  else (syn[src].delay, syn[src].weight))
                 groups.setdefault(stamp + delay, []).append((source, stamp, weight))
-        if not events:
+        if not arriving:
             continue
-        settle(whole, whole.integrate(events))
-        for e in events:
-            settle(split, split.integrate([e]))
+        settle(whole, whole.integrate(stamp, arriving))
+        for source in arriving:
+            settle(split, split.integrate(stamp, [source]))
         assert _cell_state(whole) == _cell_state(split)
 
         v, t_prev, fires = params.reset, 0, []

@@ -2,7 +2,8 @@
 
 import pytest
 
-from spikesim.events import CMEvent, CPEvent, EXT_NEURON, ProtocolViolation
+from spikesim.events import (CMEvent, CPEvent, EXT_NEURON, ProtocolViolation,
+                             TopologyError)
 from spikesim.neuron import ECState, NeuronParams, Synapse
 from spikesim.node import AuthDecision, NodeState
 from spikesim.transport import Message
@@ -292,9 +293,25 @@ def test_apply_emission_routes_local_remote_and_output():
     assert node.outboxes == {2: [CMEvent(9, 7, 5)],
                              0: [CMEvent(EXT_NEURON, 7, 5)]}
     # an emission without local targets files no empty stamp
-    assert node.cm_queue.pop_stamp() == (5, {8: [CMEvent(8, 7, 5)]})
+    assert node.cm_queue.pop_stamp() == (5, {8: [7]})  # the source id alone
     node.apply_emission(queue_forecast(node, 6, source=8))
     assert not node.cm_queue and node.cm_queue.peek() is None
+
+
+def test_arrival_for_a_neuron_the_node_does_not_own_rejected():
+    # A misrouted spike is filed under its target. The node finds no cell for
+    # it at the gate when it is the top arrival, and when its computation
+    # starts when it shares an authorized stamp with an owned cell's.
+    node = make_node(neurons=(7,))
+    node.receive(Message(sender=0, clock=[5, 0, 0], events=[CMEvent(3, EXT_NEURON, 2)]))
+    with pytest.raises(TopologyError, match="no cell for neuron 3"):
+        node.cpc_step()
+    node = make_node(neurons=(7,))
+    node.receive(Message(sender=0, clock=[5, 0, 0],
+                         events=[CMEvent(7, EXT_NEURON, 2), CMEvent(9, EXT_NEURON, 2)]))
+    node.pt = 2  # the top arrival, for neuron 7, is authorized by st == pt
+    with pytest.raises(TopologyError, match="no cell for neuron 9"):
+        node.cpc_step()
 
 
 def test_apply_emission_requires_queue_top():
