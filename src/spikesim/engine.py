@@ -100,7 +100,6 @@ class InvariantMonitor:
         self.nodes = nodes
         self.violations: list[str] = []
         self._prev_T = 0
-        self._prev_et = {p: 0 for p in nodes}
         self._prev_pt = {p: 0 for p in nodes}
         self._prev_clock = {p: [0] * (env.procs + 1) for p in nodes}
         self.samples = 0
@@ -120,15 +119,12 @@ class InvariantMonitor:
         if env.clock[0] != env.T:
             self._flag(f"environment emission time {env.clock[0]} != T {env.T}")
         for pid, node in self.nodes.items():
-            if env.T < node.et:
-                self._flag(f"node {pid}: et {node.et} exceeds T {env.T}")
+            if env.T < node.clock[pid]:  # its own entry is its emission time
+                self._flag(f"node {pid}: et {node.clock[pid]} exceeds T {env.T}")
             if env.T < node.pt:
                 self._flag(f"node {pid}: pt {node.pt} exceeds T {env.T}")
-            if node.et < self._prev_et[pid]:
-                self._flag(f"node {pid}: et decreased")
             if node.pt < self._prev_pt[pid]:
                 self._flag(f"node {pid}: pt decreased")
-            self._prev_et[pid] = node.et
             self._prev_pt[pid] = node.pt
             for m in range(env.procs + 1):
                 if node.clock[m] < self._prev_clock[pid][m]:

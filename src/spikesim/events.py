@@ -1,11 +1,12 @@
-"""Event records and the two stamp-ordered queues of a compute processor.
+"""Event records and the arrival calendar of a compute processor.
 
 Two kinds of events flow through the system:
 
 * ``CMEvent`` -- an incoming spike, as inbound mail and the wire carry it.
   An ``ArrivalCalendar`` files it by stamp and cell as its bare source id.
 * ``CPEvent`` -- an outgoing spike forecast by a cell, to be emitted once
-  it can no longer be invalidated. It waits in an ``EventQueue``.
+  it can no longer be invalidated. Its cell's forecast table is its only
+  record; the node queues its ``(stamp, source)`` key.
 
 Time is discrete (integer ticks, resolution 1). Event stamps are strictly
 positive, except that stimuli injected by the environment processor may
@@ -44,10 +45,9 @@ class CPEvent:
     """Outgoing spike forecast: ``source`` is expected to fire at ``stamp``.
 
     ``crt`` marks the forecast as certain (no future incoming spike can
-    cancel it). ``cancelled`` tombstones an invalidated forecast; the event
-    then stays in the queue until popped, so the owning cell can keep a
-    stable reference. ``delayed``: emission control has held it back.
-    All three flags are one-way.
+    cancel it). ``cancelled`` marks an invalidated forecast, which leaves
+    its cell's table at once; the flag stays to catch a later ``certify()``.
+    ``delayed``: emission control has held it back. All flags are one-way.
     """
 
     source: int
@@ -112,35 +112,3 @@ class ArrivalCalendar:
         stamp = heapq.heappop(self.stamps)
         return stamp, self._buckets.pop(stamp)
 
-
-class EventQueue:
-    """Forecasts ordered by (stamp, source, push order).
-
-    The content part of the key keeps pop order independent of the order
-    cells computed in. The push counter breaks ties (a tombstone and its
-    cell's later forecast at one stamp), so entries never compare equal.
-    Neither queue is synchronized; the owning node serializes access.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, CPEvent]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, event: CPEvent) -> None:
-        if event.stamp <= 0:
-            raise ProtocolViolation(f"non-positive event stamp: {event}")
-        heapq.heappush(self._heap, (event.stamp, event.source, self._seq, event))
-        self._seq += 1
-
-    def peek(self) -> CPEvent | None:
-        """Minimum event without removal, or None if empty."""
-        return self._heap[0][3] if self._heap else None
-
-    def pop(self) -> CPEvent:
-        return heapq.heappop(self._heap)[3]

@@ -124,7 +124,8 @@ class ECState:
         self.params = params
         self.d_min = params.d_min  # topology is fixed for the whole run
         self._arrivals = dict(params.synapses)  # incoming synapse by source
-        self._arrivals[EXT_NEURON] = Synapse(params.stim_weight, 1)  # stimuli: delay 1
+        if params.is_input:  # stimuli: delay 1, for inputs alone, as d_min counts them
+            self._arrivals[EXT_NEURON] = Synapse(params.stim_weight, 1)
         self.sim_horizon = sim_horizon
         self.v = params.reset
         self.v_time = 0
@@ -141,10 +142,7 @@ class ECState:
 
     def on_emitted(self, stamp: int) -> None:
         """Mark the forecast at ``stamp`` emitted; a final one leaves the table."""
-        ev = self.queued.get(stamp)
-        if ev is None:
-            return
-        ev.emitted = True
+        self.queued[stamp].emitted = True
         if stamp <= self.horizon:
             del self.queued[stamp]
 

@@ -1,23 +1,26 @@
 """One logical processor: controller loops, authorization gates, clocks.
 
-Each compute processor owns an arrival calendar of incoming spikes, a queue
-of outgoing forecasts, two time registers, and a local clock array with its
-latest knowledge of every processor's emission time. A spike to a local cell
-is filed as its bare source id; only mail carries ``CMEvent`` records.
+Each compute processor owns an arrival calendar of incoming spikes, a heap
+of ``(stamp, source)`` keys into its cells' forecast tables, a processing
+time register, and a local clock array with its latest knowledge of every
+processor's emission time; its own entry is its emission time register. A
+spike to a local cell is filed as its bare source id; only mail carries
+``CMEvent`` records.
 
-Registers and clock entries are plain stamps that never decrease. The gates
-read queue emptiness from the queues themselves. Another processor counts
-as silent below a stamp only once its clock entry has reached it: an empty
-queue is no promise, since a later arrival can refill it at or just above
-its last stamp (Chandy & Misra 1979).
+The processing time and the clock entries are plain stamps that never
+decrease. The gates read queue emptiness from the queues themselves.
+Another processor counts as silent below a stamp only once its clock entry
+has reached it: an empty queue is no promise, since a later arrival can
+refill it at or just above its last stamp (Chandy & Misra 1979).
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 
-from .events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON, EventQueue,
+from .events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON,
                      ProtocolViolation, TopologyError)
 from .neuron import ECState, IntegrationResult
 from .transport import Message, Report, merge_clock_into
@@ -59,11 +62,11 @@ class NodeState:
         self.id = node_id
         self.procs = procs
         self.cm_queue = ArrivalCalendar()
-        self.cp_queue = EventQueue()
-        self.et = 0  # emission time register: the last emitted stamp
+        # Forecast keys; a cell that re-forecasts a cancelled stamp adds a duplicate.
+        self.cp_queue: list[tuple[int, int]] = []
         self.pt = 0  # processing time register: the last started stamp
         self.nbth = 0
-        self.clock = [0] * (procs + 1)
+        self.clock = [0] * (procs + 1)  # clock[id]: the last emitted stamp
         self.ecs = ecs
         self.post_tables = post_tables
         self.outputs = outputs
@@ -78,14 +81,22 @@ class NodeState:
     # -- queue access ----------------------------------------------------------
 
     def cp_top(self) -> CPEvent | None:
-        """Top un-cancelled outgoing event; tombstones are dropped on sight."""
-        while self.cp_queue:
-            top = self.cp_queue.peek()
-            if top.cancelled:
-                self.cp_queue.pop()
-                continue
-            return top
+        """The least unemitted forecast by (stamp, source). A key whose cell
+        table holds no unemitted forecast at its stamp is dropped on sight."""
+        queue, ecs = self.cp_queue, self.ecs
+        while queue:
+            stamp, source = queue[0]
+            top = ecs[source].queued.get(stamp)
+            if top is not None and not top.emitted:
+                return top
+            heapq.heappop(queue)
         return None
+
+    def queue_forecast(self, ev: CPEvent) -> None:
+        """Queue the key of a forecast its cell has filed in its table."""
+        if ev.stamp <= 0:
+            raise ProtocolViolation(f"non-positive event stamp: {ev}")
+        heapq.heappush(self.cp_queue, (ev.stamp, ev.source))
 
     # -- message handling ------------------------------------------------------
 
@@ -115,7 +126,7 @@ class NodeState:
 
     def _emission_eval(self, e: CPEvent) -> tuple[AuthDecision, str]:
         st = e.stamp
-        if st == self.et:
+        if st == self.clock[self.id]:
             return AuthDecision.AUTHORIZED, "at_emission_time"
         behind = st <= self.pt and bool(self.cm_queue)
         if e.crt:
@@ -146,7 +157,7 @@ class NodeState:
             # Our own clock has reached st, or (the paper's local deadlock)
             # no forecast of ours lies below it.
             top = self.cp_top()
-            if st <= self.et or top is None or st <= top.stamp:
+            if st <= self.clock[self.id] or top is None or st <= top.stamp:
                 return AuthDecision.AUTHORIZED
         return AuthDecision.DELAYED
 
@@ -157,10 +168,9 @@ class NodeState:
         top = self.cp_top()
         if top is not e:
             raise ProtocolViolation("apply_emission on a non-top event")
-        self.cp_queue.pop()
-        e.emitted = True
+        heapq.heappop(self.cp_queue)
         source, stamp = e.source, e.stamp
-        self.et = self.clock[self.id] = stamp
+        self.clock[self.id] = stamp
         self.ecs[source].on_emitted(stamp)
         self.trace.append((source, stamp))
         self.stats.emitted += 1
@@ -193,8 +203,7 @@ class NodeState:
         if not ec.active:
             raise ProtocolViolation("collect_result for an idle cell")
         for ev in result.new_forecasts:
-            self.cp_queue.push(ev)
-        # Cancellations were tombstoned during integration.
+            self.queue_forecast(ev)
         self.stats.cancellations += len(result.cancellations)
         for ev in result.certifications:
             ev.certify()
@@ -209,7 +218,7 @@ class NodeState:
     # invalidated) but emitting it early could put spikes on the wire out of
     # stamp order: a computation still pending locally or remotely may yet
     # forecast a smaller stamp. Any future forecast is bounded below by
-    # (pending incoming stamp + 1) locally and et_m remotely (emission
+    # (pending incoming stamp + 1) locally and clock[m] remotely (emission
     # times never decrease, but an equal stamp may still follow), and
     # emissions never exceed the environment time, so the certified branch
     # additionally waits for:

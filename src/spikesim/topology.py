@@ -42,7 +42,6 @@ class MappingSpec:
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
-    d_min: dict[int, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -88,8 +87,6 @@ def validate(net: NetworkSpec, mapping: MappingSpec) -> ValidationReport:
     for nid in net.outputs:
         if nid in net.neurons and nid not in reachable:
             report.violations.append(f"output neuron {nid} unreachable from inputs")
-    for nid, params in net.neurons.items():
-        report.d_min[nid] = params.d_min
     return report
 
 

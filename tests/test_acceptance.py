@@ -268,11 +268,12 @@ def test_criterion_9_authorization_branch_coverage():
 
     def emission(st, et, pt, nbth, clock, crt, expect_branch, pending=False):
         n = node()
-        e = CPEvent(source=7, stamp=st, crt=crt)
-        n.cp_queue.push(e)
+        e = n.ecs[7].queued[st] = CPEvent(source=7, stamp=st, crt=crt)
+        n.queue_forecast(e)
         if pending:  # an incoming spike at pt waits behind the started one
             n.cm_queue.push(CMEvent(target=7, source=9, stamp=pt))
-        n.et, n.pt, n.nbth, n.clock = et, pt, nbth, clock
+        n.pt, n.nbth, n.clock = pt, nbth, clock
+        n.clock[n.id] = et  # the own entry is the emission time
         decision, branch = n._emission_eval(e)
         checks.append(branch == expect_branch)
 
@@ -294,9 +295,11 @@ def test_criterion_9_authorization_branch_coverage():
         e = CMEvent(target=7, source=9, stamp=st)
         n.cm_queue.push(e)
         if forecast is not None:
-            n.cp_queue.push(CPEvent(source=7, stamp=forecast))
+            f = n.ecs[7].queued[forecast] = CPEvent(source=7, stamp=forecast)
+            n.queue_forecast(f)
         n.pt, n.nbth, n.clock = pt, nbth, clock
-        n.et = et if et is not None else n.et
+        if et is not None:
+            n.clock[n.id] = et
         n.ecs[7].active = active
         checks.append(n.computation_authorized(e) is expect)
 

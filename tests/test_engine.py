@@ -14,7 +14,7 @@ from spikesim import cli, engine, neuron
 from spikesim.engine import (DeterministicEngine, ThreadedEngine,
                              build_simulation, run_tcp_node)
 from spikesim.environment import EnvState
-from spikesim.events import CMEvent
+from spikesim.events import CMEvent, EXT_NEURON, TopologyError
 from spikesim.neuron import NeuronParams
 from spikesim.node import UNBOUNDED
 from spikesim.oracle import compare_traces, sequential_simulate
@@ -81,19 +81,39 @@ def test_deterministic_engine_replay_work_is_pinned(monkeypatch):
     assert calls == {"integrate": 8927, "membrane_step": 25585}
 
 
-def test_deterministic_engine_fingerprint_is_pinned():
-    # Det trace, outputs, stats and violations of 48 small nets, hashed: a
-    # change that claims byte-identical results must leave this digest alone.
+@pytest.mark.parametrize("nets, pinned", [
+    # 48 small nets, with 6 cancellations in all.
+    pytest.param([(seed, 24, prob, procs) for seed in range(8) for prob in (0.1, 0.2)
+                  for procs in (1, 2, 4)],
+                 "a6754bde91a6fb7fac215644563c85623681de9a4ab8fc24b56f339e2459e0c5",
+                 id="small"),
+    # det-dense: 14,705 cancellations, many of them re-forecast at one stamp.
+    pytest.param([(seed, 64, 0.2, procs) for seed in (3, 7, 11) for procs in (1, 4)],
+                 "163bcbb155333e87fec17e41fdf4dfbf98d9257f6d0662b59cbb0728669069ab",
+                 id="dense"),
+])
+def test_deterministic_engine_fingerprint_is_pinned(nets, pinned):
+    # Det trace, outputs, stats and violations of each net at H=200, hashed: a
+    # change that claims byte-identical results must leave the digest alone.
     runs = []
-    for seed in range(8):
-        for prob in (0.1, 0.2):
-            for procs in (1, 2, 4):
-                net, mapping, stimuli = generate_random(seed=seed, n=24, prob=prob,
-                                                        procs=procs, horizon=200)
-                r = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
-                runs.append([r.trace, r.outputs, r.stats, r.violations])
+    for seed, n, prob, procs in nets:
+        net, mapping, stimuli = generate_random(seed=seed, n=n, prob=prob,
+                                                procs=procs, horizon=200)
+        r = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
+        runs.append([r.trace, r.outputs, r.stats, r.violations])
     digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
-    assert digest == "a6754bde91a6fb7fac215644563c85623681de9a4ab8fc24b56f339e2459e0c5"
+    assert digest == pinned
+
+
+def test_stimulus_to_a_non_input_is_a_topology_error():
+    # Only inputs have a stimulus synapse, as only their d_min counts one. The
+    # CLI rejects such stimuli first; an engine given one directly must not
+    # integrate it, where it could land at or below the cell's horizon.
+    net, mapping, stimuli = generate_random(seed=0, n=12, prob=0.25, procs=2, horizon=100)
+    nid = min(set(net.neurons) - net.inputs)
+    stimuli.setdefault(5, []).append(nid)
+    with pytest.raises(TopologyError, match=f"neuron {nid}: no synapse from source {EXT_NEURON}"):
+        DeterministicEngine(net, mapping, stimuli, horizon=100).run()
 
 
 def test_one_stamp_of_arrivals_is_one_computation(monkeypatch):
@@ -153,7 +173,7 @@ def test_invariant_monitor_flags_a_falling_clock_and_an_et_past_T():
     node.clock[2] -= 1
     monitor.check()
     assert monitor.violations == ["node 1: clock[2] decreased"]
-    node.et = T + 1
+    node.clock[1] = T + 1  # its own entry is its emission time
     monitor.check()
     assert monitor.violations[1:] == [f"node 1: et {T + 1} exceeds T {T}"]
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spikesim.events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON,
-                             EventQueue, ProtocolViolation)
+                             ProtocolViolation)
 
 
 def test_calendar_orders_by_stamp_and_files_by_target():
@@ -18,13 +18,6 @@ def test_calendar_orders_by_stamp_and_files_by_target():
 
 
 def test_identical_events_break_ties_by_arrival_order():
-    q = EventQueue()
-    a = CPEvent(source=1, stamp=5)
-    b = CPEvent(source=1, stamp=5)
-    q.push(a)
-    q.push(b)
-    assert q.pop() is a
-    assert q.pop() is b
     cal = ArrivalCalendar()
     for source in (3, 2, 3):
         cal.push(CMEvent(target=1, source=source, stamp=5))
@@ -32,10 +25,6 @@ def test_identical_events_break_ties_by_arrival_order():
 
 
 def test_peek_does_not_remove():
-    q = EventQueue()
-    q.push(CPEvent(source=1, stamp=4))
-    assert q.peek() is q.peek()
-    assert len(q) == 1
     cal = ArrivalCalendar()
     cal.push(CMEvent(target=1, source=2, stamp=4))
     assert cal.peek() == cal.peek() == CMEvent(1, 2, 4)
@@ -43,30 +32,22 @@ def test_peek_does_not_remove():
 
 
 def test_empty_queue_peek_is_none():
-    assert EventQueue().peek() is None
     assert ArrivalCalendar().peek() is None
 
 
 def test_non_positive_stamp_rejected():
-    q = EventQueue()
-    with pytest.raises(ProtocolViolation):
-        q.push(CPEvent(source=1, stamp=0))
-    with pytest.raises(ProtocolViolation):
-        q.push(CPEvent(source=1, stamp=-3))
     cal = ArrivalCalendar()
     with pytest.raises(ProtocolViolation):
         cal.push(CMEvent(target=1, source=2, stamp=0))
     with pytest.raises(ProtocolViolation):
         cal.push(CMEvent(target=1, source=EXT_NEURON, stamp=-1))
-    assert not q and not cal
+    assert not cal
 
 
 def test_stamp_zero_allowed_only_for_external_stimuli():
     cal = ArrivalCalendar()
     cal.push(CMEvent(target=1, source=EXT_NEURON, stamp=0))
     assert cal.pop_stamp() == (0, {1: [EXT_NEURON]})
-    with pytest.raises(ProtocolViolation):  # a forecast is never a stimulus
-        EventQueue().push(CPEvent(source=EXT_NEURON, stamp=0))
 
 
 def test_cancel_is_one_way_and_blocks_certify():

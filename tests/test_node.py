@@ -21,8 +21,8 @@ def make_node(node_id=1, procs=2, neurons=(7,), outputs=(), post=None):
 
 
 def queue_forecast(node, stamp, source=7, crt=False):
-    e = CPEvent(source=source, stamp=stamp, crt=crt)
-    node.cp_queue.push(e)
+    e = node.ecs[source].queued[stamp] = CPEvent(source=source, stamp=stamp, crt=crt)
+    node.queue_forecast(e)
     return e
 
 
@@ -38,7 +38,7 @@ def queue_incoming(node, stamp, target=7, source=99):
 def test_emission_authorized_when_stamp_equals_emission_time():
     node = make_node()
     e = queue_forecast(node, 5)
-    node.et = 5
+    node.clock[node.id] = 5
     assert node.emission_authorized(e) is AuthDecision.AUTHORIZED
     assert node._emission_eval(e)[1] == "at_emission_time"
 
@@ -47,8 +47,8 @@ def test_emission_authorized_when_certified():
     node = make_node()
     e = queue_forecast(node, 9, crt=True)
     queue_incoming(node, 8)  # an uncertified forecast would wait for it
-    node.et, node.pt, node.nbth = 3, 8, 0
-    node.clock = [9, node.et, 9]
+    node.pt, node.nbth = 8, 0
+    node.clock = [9, 3, 9]
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "certified")
 
 
@@ -57,8 +57,8 @@ def test_certified_emission_delayed_out_of_order():
     # forecast a smaller stamp.
     node = make_node()
     e = queue_forecast(node, 9, crt=True)
-    node.et, node.pt, node.nbth = 3, 2, 1
-    node.clock = [9, node.et, 9]
+    node.pt, node.nbth = 2, 1
+    node.clock = [9, 3, 9]
     assert node._emission_eval(e) == (AuthDecision.DELAYED,
                                       "certified_out_of_order")
 
@@ -67,7 +67,7 @@ def test_emission_authorized_behind_processing_time():
     node = make_node()
     e = queue_forecast(node, 6)
     queue_incoming(node, 8)
-    node.et = 4
+    node.clock[node.id] = 4
     node.pt = 8  # a computation for stamp 8 has already started
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED,
                                       "behind_processing")
@@ -76,10 +76,9 @@ def test_emission_authorized_behind_processing_time():
 def test_emission_authorized_in_quiescence():
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
-    node.et = 4
     node.pt = 6           # incoming queue empty
     node.nbth = 0
-    node.clock = [9, node.et, 7]  # the remote clock reached 7
+    node.clock = [9, 4, 7]  # the remote clock reached 7
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "quiescent")
 
 
@@ -88,24 +87,24 @@ def test_emission_delayed_when_remote_empty_below_stamp():
     # and make that processor send at 3 or later, below the stamp.
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
-    node.et, node.pt, node.nbth = 4, 6, 0
-    node.clock = [9, node.et, 3]
+    node.pt, node.nbth = 6, 0
+    node.clock = [9, 4, 3]
     assert node._emission_eval(e) == (AuthDecision.DELAYED, "delayed")
 
 
 def test_emission_quiescent_branch_accepts_remote_ahead():
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
-    node.et, node.pt, node.nbth = 4, 6, 0
-    node.clock = [9, node.et, 8]  # remote already emitted past 7
+    node.pt, node.nbth = 6, 0
+    node.clock = [9, 4, 8]  # remote already emitted past 7
     assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "quiescent")
 
 
 def test_emission_delayed_when_threads_active():
     node = make_node()
     e = queue_forecast(node, 7)
-    node.et, node.pt, node.nbth = 4, 6, 1
-    node.clock = [9, node.et, 7]
+    node.pt, node.nbth = 6, 1
+    node.clock = [9, 4, 7]
     assert node.emission_authorized(e) is AuthDecision.DELAYED
 
 
@@ -113,8 +112,8 @@ def test_emission_delayed_when_incoming_pending():
     node = make_node()
     e = queue_forecast(node, 7)
     queue_incoming(node, 3)  # may still forecast below the stamp
-    node.et, node.pt, node.nbth = 4, 3, 0
-    node.clock = [9, node.et, 7]
+    node.pt, node.nbth = 3, 0
+    node.clock = [9, 4, 7]
     assert node.emission_authorized(e) is AuthDecision.DELAYED
 
 
@@ -151,9 +150,8 @@ def test_computation_blocked_by_own_pending_emission():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 4)
-    node.et = 4
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, 9]
+    node.clock = [6, 4, 9]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
@@ -164,9 +162,8 @@ def test_computation_authorized_on_local_deadlock():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 6)
-    node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, 5]
+    node.clock = [6, 3, 5]
     assert node.others_reached(5)
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
@@ -175,9 +172,8 @@ def test_computation_deadlock_delayed_when_remote_empty_below_stamp():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 6)
-    node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, 2]  # idle at 2 may still send at 2
+    node.clock = [6, 3, 2]  # idle at 2 may still send at 2
     assert not node.others_reached(5)
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
@@ -186,27 +182,24 @@ def test_computation_deadlock_blocked_by_earlier_forecast():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 4)  # must be emitted first
-    node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, 5]
+    node.clock = [6, 3, 5]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
 def test_computation_deadlock_with_empty_forecast_queue():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
-    node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, 5]
+    node.clock = [6, 3, 5]
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
 
 def test_computation_delayed_with_empty_forecast_queue_and_remote_below():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
-    node.et = 3
     node.pt, node.nbth = 3, 0
-    node.clock = [6, node.et, 2]
+    node.clock = [6, 3, 2]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
@@ -223,9 +216,9 @@ def test_remote_entry_below_stamp_is_no_promise():
 
     node = make_node(node_id=2, procs=4)
     f = queue_forecast(node, 56)
-    node.et, node.pt, node.nbth = 50, 50, 0
+    node.pt, node.nbth = 50, 0
     node.clock = list(clock)
-    node.clock[2] = node.et
+    node.clock[2] = 50  # node 2's own entry: its emission time
     assert node._emission_eval(f) == (AuthDecision.DELAYED, "delayed")
     node.clock[3] = 56  # once node 3's clock reaches 56, 56 may go
     assert node._emission_eval(f) == (AuthDecision.AUTHORIZED, "quiescent")
@@ -273,8 +266,35 @@ def test_cp_top_skips_cancelled_tombstones():
     dead = queue_forecast(node, 3)
     live = queue_forecast(node, 4)
     dead.cancel()
+    del node.ecs[7].queued[3]  # a cancelled forecast leaves its cell's table
     assert node.cp_top() is live
-    assert len(node.cp_queue) == 1  # tombstone physically dropped
+    assert node.cp_queue == [(4, 7)]  # its key dropped on sight
+
+
+def test_reforecast_at_a_cancelled_stamp_is_emitted_once():
+    # A cell that cancels a forecast and forecasts again at the same stamp
+    # leaves two equal keys; the second reads emitted and is dropped.
+    node = make_node(node_id=1, procs=2)
+    dead = queue_forecast(node, 5)
+    dead.cancel()
+    del node.ecs[7].queued[5]
+    live = queue_forecast(node, 5)
+    assert node.cp_queue == [(5, 7), (5, 7)]
+    assert node.cp_top() is live
+    node.clock = [5, 0, 5]  # every other processor has reached 5
+    assert node.cmc_step() == (True, [])
+    assert node.cmc_step() == (False, [])
+    assert node.trace == [(7, 5)] and node.stats.emitted == 1
+    assert live.emitted and not dead.emitted
+    assert node.cp_top() is None and node.cp_queue == []
+
+
+def test_queue_forecast_rejects_non_positive_stamps():
+    node = make_node()
+    for source, stamp in ((7, 0), (7, -3), (EXT_NEURON, 0)):  # a forecast is never a stimulus
+        with pytest.raises(ProtocolViolation, match="non-positive event stamp"):
+            node.queue_forecast(CPEvent(source=source, stamp=stamp))
+    assert node.cp_queue == []
 
 
 def test_apply_emission_routes_local_remote_and_output():
@@ -284,7 +304,7 @@ def test_apply_emission_routes_local_remote_and_output():
     node.ecs[8].params.synapses[7] = Synapse(0.5, 1)
     node.pt = 3
     assert node.apply_emission(e) is None
-    assert e.emitted and node.et == node.clock[1] == 5
+    assert e.emitted and node.clock[1] == 5
     assert node.trace == [(7, 5)]
     # local target lands in our own incoming queue
     assert node.cm_queue.peek().target == 8
@@ -325,18 +345,18 @@ def test_apply_emission_requires_queue_top():
 def test_emission_sets_et_to_its_stamp():
     node = make_node(node_id=1, procs=1)
     e = queue_forecast(node, 5)
-    assert node.et == 0  # et moves only on emission
+    assert node.clock[1] == 0  # the own entry moves only on emission
     node.apply_emission(e)
-    assert node.et == 5 and node.cp_top() is None
+    assert node.clock[1] == 5 and node.cp_top() is None
 
 
 def test_certify_top_requires_order_safety():
     node = make_node(node_id=1, procs=2)
     queue_forecast(node, 5)
     node.nbth = 0
-    node.clock = [4, node.et, 9]  # environment time behind the stamp
+    node.clock = [4, 0, 9]  # environment time behind the stamp
     assert not node.certify_top()
-    node.clock = [5, node.et, 9]
+    node.clock = [5, 0, 9]
     assert node.certify_top()
     assert node.cp_top().crt
 

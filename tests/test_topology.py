@@ -42,7 +42,6 @@ def test_file_round_trip(tmp_path):
 def test_validate_accepts_consistent_spec():
     report = validate(small_net(), MappingSpec({1: 1, 2: 1, 3: 2}, procs=2))
     assert report.ok
-    assert report.d_min == {1: 1, 2: 2, 3: 1}
 
 
 def test_validate_rejects_zero_delay():
