@@ -16,7 +16,7 @@ clock entry to the least reported floor (Chandy & Misra 1979).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .events import CMEvent, EXT_NEURON
 from .oracle import trace_order

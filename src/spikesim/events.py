@@ -44,9 +44,10 @@ class CMEvent(NamedTuple):
 class CPEvent:
     """Outgoing spike forecast: ``source`` is expected to fire at ``stamp``.
 
-    ``crt`` marks the forecast as certain (no future incoming spike can
-    cancel it). ``cancelled`` marks an invalidated forecast, which leaves
-    its cell's table at once; the flag stays to catch a later ``certify()``.
+    ``crt``: its cell has certified the forecast (no future incoming spike
+    can cancel it), so ``cancel()`` refuses it; emission does not read it.
+    ``cancelled`` marks an invalidated forecast, which leaves its cell's
+    table at once; the flag stays to catch a later ``certify()``.
     ``delayed``: emission control has held it back. All flags are one-way.
     """
 

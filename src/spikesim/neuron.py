@@ -229,4 +229,6 @@ class ECState:
         for ev in result.cancellations:
             ev.cancel()
             del queued[ev.stamp]
+        for ev in certs:
+            ev.certify()
         return result

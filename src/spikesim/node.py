@@ -12,13 +12,16 @@ decrease. The gates read queue emptiness from the queues themselves.
 Another processor counts as silent below a stamp only once its clock entry
 has reached it: an empty queue is no promise, since a later arrival can
 refill it at or just above its last stamp (Chandy & Misra 1979).
+
+A forecast goes out once the stamp order is safe (``emission_authorized``).
+Certification is its cell's guard against cancellation, not an emission gate.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON,
                      ProtocolViolation, TopologyError)
@@ -124,24 +127,11 @@ class NodeState:
         return all(st <= self.clock[m]
                    for m in range(self.procs + 1) if m != self.id)
 
-    def _emission_eval(self, e: CPEvent) -> tuple[AuthDecision, str]:
+    def emission_authorized(self, e: CPEvent) -> bool:
+        """At the node's emission time, behind a started computation, or in stamp order."""
         st = e.stamp
-        if st == self.clock[self.id]:
-            return AuthDecision.AUTHORIZED, "at_emission_time"
-        behind = st <= self.pt and bool(self.cm_queue)
-        if e.crt:
-            # Certified content may still go out of stamp order.
-            if not (behind or self.emission_order_safe(st)):
-                return AuthDecision.DELAYED, "certified_out_of_order"
-            return AuthDecision.AUTHORIZED, "certified"
-        if behind:
-            return AuthDecision.AUTHORIZED, "behind_processing"
-        if self.nbth == 0 and not self.cm_queue and self.others_reached(st):
-            return AuthDecision.AUTHORIZED, "quiescent"
-        return AuthDecision.DELAYED, "delayed"
-
-    def emission_authorized(self, e: CPEvent) -> AuthDecision:
-        return self._emission_eval(e)[0]
+        return (st == self.clock[self.id] or (st <= self.pt and bool(self.cm_queue))
+                or self.emission_order_safe(st))
 
     def computation_authorized(self, e: CMEvent) -> AuthDecision:
         ec = self.ecs.get(e.target)
@@ -205,23 +195,20 @@ class NodeState:
         for ev in result.new_forecasts:
             self.queue_forecast(ev)
         self.stats.cancellations += len(result.cancellations)
-        for ev in result.certifications:
-            ev.certify()
         self.stats.certifications += len(result.certifications)
         self.nbth -= 1
         ec.active = False
         ec.priority = False
 
-    # -- emission-order safety -------------------------------------------------
+    # -- emission order --------------------------------------------------------
     #
-    # A certified forecast is content-safe (the spike itself can never be
-    # invalidated) but emitting it early could put spikes on the wire out of
-    # stamp order: a computation still pending locally or remotely may yet
-    # forecast a smaller stamp. Any future forecast is bounded below by
-    # (pending incoming stamp + 1) locally and clock[m] remotely (emission
-    # times never decrease, but an equal stamp may still follow), and
-    # emissions never exceed the environment time, so the certified branch
-    # additionally waits for:
+    # Emitting a forecast early could put spikes on the wire out of stamp
+    # order: a pending computation, local or remote, may yet forecast a
+    # smaller stamp. Any future forecast is bounded below by (pending
+    # incoming stamp + 1) locally and clock[m] remotely (emission times never
+    # decrease, but an equal stamp may still follow), and emissions never
+    # exceed the environment time. The same bound keeps every incoming spike
+    # off the forecast's neuron at or before its stamp: the spike is final.
 
     def emission_order_safe(self, st: int) -> bool:
         if self.nbth != 0:
@@ -230,22 +217,6 @@ class NodeState:
         if stamps_in and st > stamps_in[0] + 1:
             return False
         return self.others_reached(st)
-
-    # The same bound proves no incoming spike can still reach the forecast's
-    # own neuron at or before its stamp, so it doubles as an opportunistic
-    # certification rule evaluated at the queue top each loop iteration. It
-    # unblocks nodes whose forecast sits just above the d_min bound while
-    # unrelated incoming events keep the incoming queue non-empty.
-
-    def certify_top(self) -> bool:
-        top = self.cp_top()
-        if top is None or top.crt:
-            return False
-        if self.emission_order_safe(top.stamp):
-            top.certify()
-            self.stats.certifications += 1
-            return True
-        return False
 
     # -- controller steps ---------------------------------------------------------
 
@@ -269,16 +240,14 @@ class NodeState:
     def cmc_step(self, minpak: int = 1):
         """Emission control + message staging; returns (progress, messages)."""
         progress = False
-        self.certify_top()
         while (e := self.cp_top()) is not None:
-            if self.emission_authorized(e) is not AuthDecision.AUTHORIZED:
+            if not self.emission_authorized(e):
                 if not e.delayed:  # count each delayed spike once
                     e.delayed = True
                     self.stats.delayed_emissions += 1
                 break
             self.apply_emission(e)
             progress = True
-            self.certify_top()
         return progress, self.flush_ready(minpak)
 
     def cpc_step(self) -> bool:

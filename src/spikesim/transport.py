@@ -253,8 +253,10 @@ class TcpBackend:
         # read ends the loop. A malformed frame ends it too, and ``poll``
         # raises it, so the run fails instead of waiting for lost frames.
         # The environment closes only after every node has exited, so a node
-        # that still reads when it does has lost its run; ``poll`` raises
-        # that too. The peer is known from the sender of its frames.
+        # still reading has lost its run, and ``poll`` raises that too. The
+        # peer is known from its first frame; an environment that closes
+        # before it failed to build its backend (its launcher kills the nodes
+        # after STOP_GRACE_S) or was killed (they fail at TCP_WALL_S).
         peer = None
         try:
             with conn, conn.makefile("rb") as reader:

@@ -266,7 +266,7 @@ def test_criterion_9_authorization_branch_coverage():
 
     checks = []
 
-    def emission(st, et, pt, nbth, clock, crt, expect_branch, pending=False):
+    def emission(st, et, pt, nbth, clock, crt, expect, pending=False):
         n = node()
         e = n.ecs[7].queued[st] = CPEvent(source=7, stamp=st, crt=crt)
         n.queue_forecast(e)
@@ -274,20 +274,23 @@ def test_criterion_9_authorization_branch_coverage():
             n.cm_queue.push(CMEvent(target=7, source=9, stamp=pt))
         n.pt, n.nbth, n.clock = pt, nbth, clock
         n.clock[n.id] = et  # the own entry is the emission time
-        decision, branch = n._emission_eval(e)
-        checks.append(branch == expect_branch)
+        decision = n.emission_authorized(e)
+        e.crt = not crt  # certification does not enter the decision
+        checks.append(decision is expect and n.emission_authorized(e) is expect)
 
-    emission(5, 5, 1, 1, [9, 5, 1], False, "at_emission_time")
-    emission(9, 3, 2, 1, [9, 3, 1], True, "certified_out_of_order")
-    emission(9, 3, 8, 0, [9, 3, 9], True, "certified", pending=True)
-    emission(6, 4, 8, 1, [9, 4, 1], False, "behind_processing", pending=True)
-    emission(7, 4, 6, 0, [9, 4, 7], False, "quiescent")
-    emission(7, 4, 6, 0, [9, 4, 8], False, "quiescent")
-    emission(7, 4, 6, 1, [9, 4, 7], False, "delayed")    # threads active
-    emission(7, 4, 3, 0, [9, 4, 7], False, "delayed",
-             pending=True)                               # incoming pending
-    emission(7, 4, 6, 0, [9, 4, 5], False, "delayed")    # remote behind
-    emission(7, 4, 6, 0, [9, 4, 3], False, "delayed")    # remote idle below
+    emission(5, 5, 1, 1, [9, 5, 1], False, True)   # at the emission time
+    emission(9, 3, 2, 1, [9, 3, 1], True, False)   # certified, out of order
+    emission(9, 3, 8, 0, [9, 3, 9], True, True,
+             pending=True)                         # order safe past stamp 8
+    emission(6, 4, 8, 1, [9, 4, 1], False, True,
+             pending=True)                         # behind processing
+    emission(7, 4, 6, 0, [9, 4, 7], False, True)   # quiescent, order safe
+    emission(7, 4, 6, 0, [9, 4, 8], False, True)   # remote ahead
+    emission(7, 4, 6, 1, [9, 4, 7], False, False)  # threads active
+    emission(7, 4, 3, 0, [9, 4, 7], False, False,
+             pending=True)                         # incoming pending
+    emission(7, 4, 6, 0, [9, 4, 5], False, False)  # remote behind
+    emission(7, 4, 6, 0, [9, 4, 3], False, False)  # remote idle below
 
     def computation(st, pt, nbth, clock, active=False, forecast=None,
                     et=None, expect=AuthDecision.DELAYED):

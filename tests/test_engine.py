@@ -44,12 +44,14 @@ def test_deterministic_engine_is_reproducible():
 def test_deterministic_engine_stats_are_pinned():
     # Counts of the cell and node bookkeeping on one README-sized net;
     # any change to forecasting, cancelling, certifying or batching shows.
+    # The cells certify 3,769 of the 3,834 emitted forecasts before they go
+    # out; the other 65 go out on stamp order alone.
     net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=4,
                                             horizon=200)
     result = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
     assert result.violations == []
     assert result.stats == {
-        "cancellations": 1392, "certifications": 3834, "computed": 24528,
+        "cancellations": 1392, "certifications": 3769, "computed": 24528,
         "emitted": 3834, "delayed_emissions": 726, "delayed_computations": 0,
         "messages_sent": 2160, "advancements": 209, "timeouts": 208,
         "outputs_received": 309,
@@ -85,11 +87,11 @@ def test_deterministic_engine_replay_work_is_pinned(monkeypatch):
     # 48 small nets, with 6 cancellations in all.
     pytest.param([(seed, 24, prob, procs) for seed in range(8) for prob in (0.1, 0.2)
                   for procs in (1, 2, 4)],
-                 "a6754bde91a6fb7fac215644563c85623681de9a4ab8fc24b56f339e2459e0c5",
+                 "8e0fca03459b0e6f5ccfc60222646c6fc2f2f81738ff0f109088d8055f4a2251",
                  id="small"),
     # det-dense: 14,705 cancellations, many of them re-forecast at one stamp.
     pytest.param([(seed, 64, 0.2, procs) for seed in (3, 7, 11) for procs in (1, 4)],
-                 "163bcbb155333e87fec17e41fdf4dfbf98d9257f6d0662b59cbb0728669069ab",
+                 "940150ac66fa36b6e1a3c1c7c335bf8a2abb0cd9034ce9aca4c2819734d93556",
                  id="dense"),
 ])
 def test_deterministic_engine_fingerprint_is_pinned(nets, pinned):

@@ -128,9 +128,9 @@ def test_certification_bound_is_stamp_plus_d_min():
     cell = make_cell(syn)
     result = cell.integrate(10, [1])  # fires at 12
     assert [e.stamp for e in result.new_forecasts] == [12]
-    # d_min = 2, bound = 10 + 2 = 12: the forecast is certifiable at once
-    # (the owning processor flips the crt flag when collecting the result).
+    # d_min = 2, bound = 10 + 2 = 12: the cell certifies the forecast at once.
     assert result.certifications == result.new_forecasts
+    assert result.new_forecasts[0].crt
 
 
 def test_forecast_beyond_bound_not_certified():
@@ -138,7 +138,7 @@ def test_forecast_beyond_bound_not_certified():
     cell = make_cell(syn)
     result = cell.integrate(10, [2])  # fires at 18 > 10 + 2
     assert [e.stamp for e in result.new_forecasts] == [18]
-    assert not result.certifications
+    assert not result.certifications and not result.new_forecasts[0].crt
 
 
 def test_stale_arrival_rejected():
@@ -218,7 +218,6 @@ def test_incremental_equals_batch_simulation(arrivals):
                 fired.pop(e.stamp, None)
             if emit:
                 for e in result.certifications:
-                    e.certify()
                     e.emitted = True
                     cell.on_emitted(e.stamp)
         return sorted(fired)
@@ -267,7 +266,6 @@ def test_replay_cache_equals_replay_from_scratch(arrivals, in_stamp_order, emit)
         groups.setdefault(stamp + delay, []).append((source, stamp, weight))
         if emit:
             for e in result.certifications:
-                e.certify()
                 cell.on_emitted(e.stamp)
 
         v, t_prev, fires = params.reset, 0, []
@@ -308,7 +306,6 @@ def test_one_computation_equals_one_call_per_arrival(batches, emit):
     def settle(cell, result):
         if emit:
             for e in result.certifications:
-                e.certify()
                 cell.on_emitted(e.stamp)
 
     groups, last = {}, {}

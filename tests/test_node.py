@@ -32,24 +32,37 @@ def queue_incoming(node, stamp, target=7, source=99):
     return e
 
 
-# -- emission authorization branches -------------------------------------------
+# -- emission authorization ------------------------------------------------------
+#
+# One rule: a forecast goes out at the node's emission time, behind a started
+# computation (st <= pt with an arrival pending), or once the stamp order is
+# safe. A cell's certification does not enter it.
+
+
+def decides(node, e):
+    """The gate's decision, checked to be the same with ``crt`` flipped."""
+    decision = node.emission_authorized(e)
+    assert type(decision) is bool
+    e.crt = not e.crt
+    assert node.emission_authorized(e) is decision
+    e.crt = not e.crt
+    return decision
 
 
 def test_emission_authorized_when_stamp_equals_emission_time():
     node = make_node()
     e = queue_forecast(node, 5)
     node.clock[node.id] = 5
-    assert node.emission_authorized(e) is AuthDecision.AUTHORIZED
-    assert node._emission_eval(e)[1] == "at_emission_time"
+    assert decides(node, e) is True
 
 
 def test_emission_authorized_when_certified():
     node = make_node()
     e = queue_forecast(node, 9, crt=True)
-    queue_incoming(node, 8)  # an uncertified forecast would wait for it
+    queue_incoming(node, 8)  # can forecast 9 at the earliest
     node.pt, node.nbth = 8, 0
     node.clock = [9, 3, 9]
-    assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "certified")
+    assert decides(node, e) is True
 
 
 def test_certified_emission_delayed_out_of_order():
@@ -59,8 +72,7 @@ def test_certified_emission_delayed_out_of_order():
     e = queue_forecast(node, 9, crt=True)
     node.pt, node.nbth = 2, 1
     node.clock = [9, 3, 9]
-    assert node._emission_eval(e) == (AuthDecision.DELAYED,
-                                      "certified_out_of_order")
+    assert decides(node, e) is False
 
 
 def test_emission_authorized_behind_processing_time():
@@ -69,8 +81,7 @@ def test_emission_authorized_behind_processing_time():
     queue_incoming(node, 8)
     node.clock[node.id] = 4
     node.pt = 8  # a computation for stamp 8 has already started
-    assert node._emission_eval(e) == (AuthDecision.AUTHORIZED,
-                                      "behind_processing")
+    assert decides(node, e) is True
 
 
 def test_emission_authorized_in_quiescence():
@@ -79,7 +90,7 @@ def test_emission_authorized_in_quiescence():
     node.pt = 6           # incoming queue empty
     node.nbth = 0
     node.clock = [9, 4, 7]  # the remote clock reached 7
-    assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "quiescent")
+    assert decides(node, e) is True
 
 
 def test_emission_delayed_when_remote_empty_below_stamp():
@@ -89,7 +100,7 @@ def test_emission_delayed_when_remote_empty_below_stamp():
     e = queue_forecast(node, 7)
     node.pt, node.nbth = 6, 0
     node.clock = [9, 4, 3]
-    assert node._emission_eval(e) == (AuthDecision.DELAYED, "delayed")
+    assert decides(node, e) is False
 
 
 def test_emission_quiescent_branch_accepts_remote_ahead():
@@ -97,7 +108,7 @@ def test_emission_quiescent_branch_accepts_remote_ahead():
     e = queue_forecast(node, 7)
     node.pt, node.nbth = 6, 0
     node.clock = [9, 4, 8]  # remote already emitted past 7
-    assert node._emission_eval(e) == (AuthDecision.AUTHORIZED, "quiescent")
+    assert decides(node, e) is True
 
 
 def test_emission_delayed_when_threads_active():
@@ -105,7 +116,7 @@ def test_emission_delayed_when_threads_active():
     e = queue_forecast(node, 7)
     node.pt, node.nbth = 6, 1
     node.clock = [9, 4, 7]
-    assert node.emission_authorized(e) is AuthDecision.DELAYED
+    assert decides(node, e) is False
 
 
 def test_emission_delayed_when_incoming_pending():
@@ -114,7 +125,51 @@ def test_emission_delayed_when_incoming_pending():
     queue_incoming(node, 3)  # may still forecast below the stamp
     node.pt, node.nbth = 3, 0
     node.clock = [9, 4, 7]
-    assert node.emission_authorized(e) is AuthDecision.DELAYED
+    assert decides(node, e) is False
+
+
+@pytest.mark.parametrize("at_et, behind, order_safe", [
+    (True, False, False), (False, True, False), (False, False, True),
+    (False, False, False)])
+def test_each_disjunct_alone_decides(at_et, behind, order_safe):
+    # A forecast at 7; one condition of the rule holds at a time, or none.
+    node = make_node(node_id=1, procs=2)
+    e = queue_forecast(node, 7)
+    node.clock = [9, 7 if at_et else 4, 7 if order_safe else 5]
+    if behind:
+        queue_incoming(node, 8)  # a computation at 8 has started
+        node.pt, node.nbth = 8, 1
+    else:
+        node.pt = 6
+    assert (e.stamp == node.clock[node.id]) is at_et
+    assert (e.stamp <= node.pt and bool(node.cm_queue)) is behind
+    assert node.emission_order_safe(e.stamp) is order_safe
+    assert decides(node, e) is (at_et or behind or order_safe)
+
+
+def test_uncertified_order_safe_forecast_goes_out_past_a_pending_spike():
+    # The spike pending at 8 can forecast 9 at the earliest, so 9 is in stamp
+    # order though the cell has not certified it; no certification precedes
+    # the emission.
+    node = make_node(node_id=1, procs=2)
+    e = queue_forecast(node, 9)
+    queue_incoming(node, 8)
+    node.pt, node.nbth = 5, 0
+    node.clock = [9, 3, 9]
+    assert node.emission_authorized(e) is True
+    assert node.cmc_step() == (True, [])
+    assert node.trace == [(7, 9)] and e.emitted and not e.crt
+    assert node.stats.certifications == 0
+
+
+def test_emission_waits_for_the_environment_clock():
+    node = make_node(node_id=1, procs=2)
+    e = queue_forecast(node, 5)
+    node.nbth = 0
+    node.clock = [4, 0, 9]  # environment time behind the stamp
+    assert decides(node, e) is False
+    node.clock = [5, 0, 9]
+    assert decides(node, e) is True
 
 
 # -- computation authorization branches -----------------------------------------
@@ -219,9 +274,9 @@ def test_remote_entry_below_stamp_is_no_promise():
     node.pt, node.nbth = 50, 0
     node.clock = list(clock)
     node.clock[2] = 50  # node 2's own entry: its emission time
-    assert node._emission_eval(f) == (AuthDecision.DELAYED, "delayed")
+    assert decides(node, f) is False
     node.clock[3] = 56  # once node 3's clock reaches 56, 56 may go
-    assert node._emission_eval(f) == (AuthDecision.AUTHORIZED, "quiescent")
+    assert decides(node, f) is True
 
 
 def test_computation_delayed_when_remote_behind():
@@ -350,17 +405,6 @@ def test_emission_sets_et_to_its_stamp():
     assert node.clock[1] == 5 and node.cp_top() is None
 
 
-def test_certify_top_requires_order_safety():
-    node = make_node(node_id=1, procs=2)
-    queue_forecast(node, 5)
-    node.nbth = 0
-    node.clock = [4, 0, 9]  # environment time behind the stamp
-    assert not node.certify_top()
-    node.clock = [5, 0, 9]
-    assert node.certify_top()
-    assert node.cp_top().crt
-
-
 def test_stats_count_transitions():
     node = make_node(node_id=1, procs=1, post={7: []})
     queue_incoming(node, 2, source=EXT_NEURON)
@@ -370,4 +414,5 @@ def test_stats_count_transitions():
     _progress, _msgs = node.cmc_step()
     assert node.stats.computed == 1
     assert node.stats.emitted == 1
+    assert node.stats.certifications == 1  # by the cell: 3 <= 2 + d_min
     assert node.trace == [(7, 3)]
