@@ -15,7 +15,9 @@ invariant failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .engine import (DeterministicEngine, ThreadedEngine, run_tcp_launcher,
@@ -114,21 +116,23 @@ def _cmd_run(args) -> int:
         if not args.roster:
             print("tcp mode requires --roster", file=sys.stderr)
             return 2
+        prefix = args.out or "trace"
         if args.node is not None:
             node = run_tcp_node(net, mapping, stimuli, args.horizon,
                                 node_id=args.node, roster_path=args.roster,
                                 minpak=args.minpak)
-            shard = (args.out or "trace") + f".shard{args.node}"
-            write_trace(node.trace, shard)
+            write_trace(node.trace, f"{prefix}.shard{args.node}")
             return 0
         node_argv = []
         for pid in range(1, mapping.procs + 1):
+            with contextlib.suppress(FileNotFoundError):  # a shard of an earlier run
+                os.remove(f"{prefix}.shard{pid}")
             node_argv.append([
                 sys.executable, "-m", "spikesim", "run",
                 "--net", args.net, "--map", args.mapping, "--stim", args.stim,
                 "--mode", "tcp", "--horizon", str(args.horizon),
                 "--minpak", str(args.minpak), "--roster", args.roster,
-                "--node", str(pid), "--out", args.out or "trace",
+                "--node", str(pid), "--out", prefix,
             ])
         result = run_tcp_launcher(net, mapping, stimuli, args.horizon,
                                   roster_path=args.roster, node_argv=node_argv,
@@ -136,7 +140,7 @@ def _cmd_run(args) -> int:
         trace = []
         for pid in range(1, mapping.procs + 1):
             try:
-                trace.extend(read_trace((args.out or "trace") + f".shard{pid}"))
+                trace.extend(read_trace(f"{prefix}.shard{pid}"))
             except FileNotFoundError:
                 result.violations.append(f"missing trace shard {pid}")
         trace.sort(key=trace_order)

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .environment import EnvState
-from .neuron import ECState
+from .events import EXT_NEURON
+from .neuron import ECState, Synapse
 from .node import NodeState
 from .oracle import trace_order
 from .topology import MappingSpec, NetworkSpec, build_post_tables
@@ -47,7 +48,9 @@ class RunResult:
 def build_simulation(net: NetworkSpec, mapping: MappingSpec,
                      stimuli: dict[int, list[int]], horizon: int,
                      timeout_ms: int = 20, only_node: int | None = None):
-    """Instantiate the environment and the compute processors.
+    """Instantiate the environment and the compute processors; each cell gets
+    its incoming synapses from ``net.synapses``, plus the stimulus synapse
+    of an input.
 
     ``only_node`` restricts construction to one processor (multi-process
     mode, where each OS process owns a single node).
@@ -56,14 +59,17 @@ def build_simulation(net: NetworkSpec, mapping: MappingSpec,
     owner_of = dict(mapping.assignment)
     env = EnvState(procs=mapping.procs, stimuli=stimuli, owner_of=owner_of,
                    horizon=horizon, timeout_ms=timeout_ms)
+    built = [pid for pid in range(1, mapping.procs + 1) if only_node in (None, pid)]
+    incoming: dict[int, dict[int, Synapse]] = {nid: {} for pid in built for nid in tables[pid]}
+    for src, dst, weight, delay in net.synapses:
+        if dst in incoming:
+            incoming[dst][src] = Synapse(weight, delay)
+    for nid in net.inputs & incoming.keys():  # a stimulus lands one tick after its time
+        incoming[nid][EXT_NEURON] = Synapse(net.neurons[nid].stim_weight, 1)
     nodes: dict[int, NodeState] = {}
-    for pid in range(1, mapping.procs + 1):
-        if only_node is not None and pid != only_node:
-            continue
-        ecs = {
-            nid: ECState(nid, net.neurons[nid], sim_horizon=horizon)
-            for nid in tables[pid]
-        }
+    for pid in built:
+        ecs = {nid: ECState(nid, net.neurons[nid], incoming[nid], horizon)
+               for nid in tables[pid]}
         # Routing must see every neuron's owner, not just local ones.
         nodes[pid] = NodeState(pid, mapping.procs, ecs,
                                post_tables=tables[pid], outputs=set(net.outputs))

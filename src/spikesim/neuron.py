@@ -4,7 +4,10 @@ A cell integrates incoming spikes for one neuron, forecasts the outgoing
 spikes they imply, cancels forecasts invalidated by later-processed
 arrivals with smaller delays (the delayed firing problem), and certifies
 forecasts that no future arrival can touch. One computation is the cell's
-arrivals of one stamp, integrated in one replay.
+arrivals of one stamp, integrated in one replay. A cell holds its incoming
+synapses by source, as ``engine.build_simulation`` gives them; an input's
+also hold the delay-1 stimulus synapse from ``EXT_NEURON``, so ``d_min`` is
+their least delay.
 
 Membrane rule, per effective arrival tick t (all arrivals landing at t are
 handled as one group, in a fixed order, so results do not depend on the
@@ -25,9 +28,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .events import EXT_NEURON, CPEvent, ProtocolViolation, TopologyError
+from .events import CPEvent, ProtocolViolation, TopologyError
 
 # Arrivals within one tick are summed in this order; shared with the oracle
 # so both simulators perform bit-identical float operations.
@@ -68,27 +71,15 @@ class Synapse:
 
 @dataclass
 class NeuronParams:
+    """The neuron model alone; its synapses live in ``NetworkSpec.synapses``."""
     threshold: float
     tau: float
     reset: float = 0.0
-    synapses: dict[int, Synapse] = field(default_factory=dict)
-    is_input: bool = False
     stim_weight: float | None = None  # defaults to 2 * threshold
 
     def __post_init__(self) -> None:
-        for src, syn in self.synapses.items():
-            if syn.delay < 1:
-                raise TopologyError(f"synapse {src}: delay {syn.delay} < 1")
         if self.stim_weight is None:
             self.stim_weight = 2.0 * self.threshold
-
-    @property
-    def d_min(self) -> int:
-        """Minimum incoming delay; stimuli count as delay-1 connections."""
-        delays = [s.delay for s in self.synapses.values()]
-        if self.is_input:
-            delays.append(1)
-        return min(delays) if delays else 1
 
 
 class IntegrationResult:  # three lists of CPEvent; a dataclass builds them slower
@@ -119,13 +110,14 @@ class ECState:
     time exactly when that group fired (up to ``sim_horizon``).
     """
 
-    def __init__(self, neuron: int, params: NeuronParams, sim_horizon: int) -> None:
+    def __init__(self, neuron: int, params: NeuronParams,
+                 synapses: dict[int, Synapse], sim_horizon: int) -> None:
         self.neuron = neuron
         self.params = params
-        self.d_min = params.d_min  # topology is fixed for the whole run
-        self._arrivals = dict(params.synapses)  # incoming synapse by source
-        if params.is_input:  # stimuli: delay 1, for inputs alone, as d_min counts them
-            self._arrivals[EXT_NEURON] = Synapse(params.stim_weight, 1)
+        self.synapses = synapses  # incoming, by source; an input's holds its stimulus
+        self.d_min = min([s.delay for s in synapses.values()], default=1)
+        if self.d_min < 1:
+            raise TopologyError(f"neuron {neuron}: incoming delay {self.d_min} < 1")
         self.sim_horizon = sim_horizon
         self.v = params.reset
         self.v_time = 0
@@ -152,13 +144,13 @@ class ECState:
         """Integrate the spikes ``sources`` fired at ``stamp``, each checked, in
         one replay from the earliest arriving group; update the forecast table."""
         times, groups, after, horizon = self.times, self.groups, self.after, self.horizon
-        last_stamps, arrivals, start = self._last_stamp_per_source, self._arrivals, len(times)
+        last_stamps, synapses, start = self._last_stamp_per_source, self.synapses, len(times)
         for source in sources:
             if stamp <= last_stamps.get(source, -1):
                 raise ProtocolViolation(f"neuron {self.neuron}: duplicate or reordered event from "
                                         f"{source} (stamp {stamp} after {last_stamps[source]})")
             last_stamps[source] = stamp
-            syn = arrivals.get(source)
+            syn = synapses.get(source)
             if syn is None:
                 raise TopologyError(f"neuron {self.neuron}: no synapse from source {source}")
             eff = stamp + syn.delay

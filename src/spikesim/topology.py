@@ -1,5 +1,10 @@
 """Network description, static neuron-to-processor mapping, routing tables.
 
+``NetworkSpec.synapses`` is the network's one synapse table, each
+(src, dst, weight, delay) once; ``NeuronParams`` holds the neuron model
+alone. ``engine.build_simulation`` gives each cell it builds its incoming
+synapses from this table, and routes outgoing spikes by ``build_post_tables``.
+
 File formats (line oriented, ``#`` comments allowed):
 
 network file
@@ -22,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 
 from .events import TopologyError
-from .neuron import NeuronParams, Synapse
+from .neuron import NeuronParams
 
 
 @dataclass
@@ -91,8 +96,8 @@ def validate(net: NetworkSpec, mapping: MappingSpec) -> ValidationReport:
 
 
 def validate_stimuli(net: NetworkSpec, stimuli: dict[int, list[int]]) -> list[str]:
-    """Stimuli may only target declared inputs: a cell's ``d_min`` counts
-    external arrivals for inputs alone."""
+    """Stimuli may only target declared inputs: only an input's cell has a
+    stimulus synapse."""
     return [f"stimulus at {t} for neuron {nid}, which is not a declared input"
             for t, nids in sorted(stimuli.items()) for nid in nids
             if nid not in net.inputs]
@@ -101,8 +106,9 @@ def validate_stimuli(net: NetworkSpec, stimuli: dict[int, list[int]]) -> list[st
 def build_post_tables(net: NetworkSpec, mapping: MappingSpec):
     """Per-processor routing: owner(N_i) gets N_i -> [(N_j, owner(N_j))].
 
-    Weights and delays live with the postsynaptic cell (they are already in
-    ``NeuronParams.synapses``); the presynaptic side stores routing only.
+    Weights and delays live with the postsynaptic cell, which
+    ``engine.build_simulation`` gives its incoming synapses; the presynaptic
+    side stores routing only.
     """
     tables: dict[int, dict[int, list[tuple[int, int]]]] = {
         p: {} for p in range(1, mapping.procs + 1)
@@ -120,21 +126,6 @@ def build_post_tables(net: NetworkSpec, mapping: MappingSpec):
         for targets in per_neuron.values():
             targets.sort()
     return tables
-
-
-def attach_synapses(net: NetworkSpec) -> None:
-    """Materialize synapse list into each postsynaptic neuron's params."""
-    for params in net.neurons.values():
-        params.synapses.clear()
-    for src, dst, weight, delay in net.synapses:
-        if dst not in net.neurons or src not in net.neurons:
-            raise TopologyError(f"synapse {src}->{dst}: unknown endpoint")
-        params = net.neurons[dst]
-        if src in params.synapses:
-            raise TopologyError(f"duplicate synapse {src}->{dst}")
-        params.synapses[src] = Synapse(weight=weight, delay=delay)
-    for nid in net.inputs:
-        net.neurons[nid].is_input = True
 
 
 # -- parsing ----------------------------------------------------------------
@@ -175,7 +166,13 @@ def load_network(path: str) -> NetworkSpec:
                 raise TopologyError(f"unknown directive {kind!r}")
         except (IndexError, KeyError, ValueError) as exc:
             raise TopologyError(f"{path}:{lineno}: {exc}") from exc
-    attach_synapses(net)
+    pairs: set[tuple[int, int]] = set()
+    for src, dst, _w, _d in net.synapses:  # once every neuron is declared
+        if src not in net.neurons or dst not in net.neurons:
+            raise TopologyError(f"synapse {src}->{dst}: unknown endpoint")
+        if (src, dst) in pairs:
+            raise TopologyError(f"duplicate synapse {src}->{dst}")
+        pairs.add((src, dst))
     return net
 
 
@@ -292,7 +289,6 @@ def generate_random(seed: int, n: int, prob: float, procs: int, horizon: int = 2
     rng.shuffle(ids)
     net.inputs = set(ids[:k])
     net.outputs = set(ids[k:2 * k]) or set(ids[:k])
-    attach_synapses(net)
 
     mapping = MappingSpec(procs=procs)
     for i, nid in enumerate(sorted(net.neurons)):

@@ -13,7 +13,7 @@ from spikesim.events import CMEvent, CPEvent, EXT_NEURON
 from spikesim.neuron import ECState, NeuronParams, Synapse
 from spikesim.node import AuthDecision, NodeState
 from spikesim.oracle import compare_traces, read_trace, sequential_simulate
-from spikesim.topology import (MappingSpec, NetworkSpec, attach_synapses,
+from spikesim.topology import (MappingSpec, NetworkSpec,
                                generate_random, save_mapping, save_network,
                                save_stimuli)
 from spikesim.transport import Message, decode, encode
@@ -97,7 +97,6 @@ def delayed_firing_net():
     net.synapses.append((4, 5, -2.0, 1))  # inhibitory, smaller delay
     net.inputs = {1, 2, 3, 4}
     net.outputs = {5}
-    attach_synapses(net)
     return net, {0: [1, 2, 3], 1: [4]}
 
 
@@ -182,7 +181,6 @@ def test_criterion_6_liveness_through_timeouts():
     loop_net.synapses = [(1, 2, 1.5, 2), (2, 1, 1.5, 2), (1, 3, 0.01, 1)]
     loop_net.inputs = {1}
     loop_net.outputs = {3}
-    attach_synapses(loop_net)
     loop_map = MappingSpec(assignment={1: 1, 2: 1, 3: 2}, procs=2)
     loop = DeterministicEngine(loop_net, loop_map, {0: [1]}, horizon=50).run()
 
@@ -260,8 +258,8 @@ def test_criterion_8_wire_fidelity(tmp_path, free_ports):
 
 def test_criterion_9_authorization_branch_coverage():
     def node():
-        params = NeuronParams(1.0, 10.0, synapses={9: Synapse(2.0, 2)})
-        return NodeState(1, 2, {7: ECState(7, params, 100)},
+        cell = ECState(7, NeuronParams(1.0, 10.0), {9: Synapse(2.0, 2)}, 100)
+        return NodeState(1, 2, {7: cell},
                          post_tables={7: []}, outputs=set())
 
     checks = []

@@ -1,9 +1,13 @@
-"""The benchmark's tracer wraps names of ``src/`` by their spelling. Renaming
-one must fail here, not only in a ``--trace 1`` benchmark run."""
+"""The benchmark calls ``src/`` by name and signature, and its tracer wraps
+names by their spelling. Changing either must fail here, not only in a
+benchmark run."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +34,27 @@ def test_benchmark_tracer_installs_on_this_tree():
     proc = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def cells():
+    spec = importlib.util.spec_from_file_location("benchmark_cells",
+                                                  ROOT / "benchmarks" / "cells.py")
+    cells = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(cells)
+    yield cells
+    del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("mode, procs", [("det", 2), ("threads", 1), ("tcp", 1)])
+def test_benchmark_sets_up_each_mode_on_this_tree(cells, tmp_path, mode, procs):
+    # A tiny net through the benchmark's own input writer and set-up; the
+    # set-up loads, validates and builds as a benchmark cell does.
+    wl = cells.Workload(name=f"{mode}-tiny", mode=mode, n=12, prob=0.15,
+                        procs=procs, horizon=20, seeds=[3], held_out=[])
+    [files] = cells.write_inputs(wl, wl.seeds, tmp_path)
+    built = cells.set_up(wl, files)
+    if mode == "tcp":  # each node process builds its own part
+        assert built.sim is None
+    else:
+        assert sorted(built.sim.nodes) == list(range(1, procs + 1))

@@ -3,6 +3,7 @@ import pytest
 from spikesim import cli
 from spikesim.cli import main
 from spikesim.engine import RunResult
+from spikesim.oracle import read_trace
 
 
 def gen_workload(tmp_path, seed=3, procs=2, n=12, horizon=40):
@@ -59,10 +60,26 @@ def test_invalid_network_is_usage_error(tmp_path, capsys):
     assert "unknown endpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("synapse, why", [
+    ("synapse 0 7 0.25 3", "error: duplicate synapse 0->7"),
+    ("synapse 0 99 0.25 3", "error: synapse 0->99: unknown endpoint"),
+])
+def test_bad_synapse_list_is_usage_error_for_run_and_oracle(tmp_path, capsys,
+                                                            synapse, why):
+    prefix = gen_workload(tmp_path, procs=1)  # seed 3 has a synapse 0->7
+    with open(prefix + ".net", "a") as fh:
+        fh.write(synapse + "\n")
+    capsys.readouterr()
+    inputs = ["--net", prefix + ".net", "--stim", prefix + ".stim", "--horizon", "40"]
+    for argv in (["run", "--map", prefix + ".map", *inputs], ["oracle", *inputs]):
+        assert main(argv) == 2
+        assert why in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stim, why", [
     ("stim 999 0\n", "neuron 999, which is not a declared input"),
-    # Neuron 7 is declared but is not an input: its d_min ignores stimuli,
-    # and det used to fail with a stale arrival.
+    # Neuron 7 is declared but is not an input, so its cell has no stimulus
+    # synapse; det used to fail with a stale arrival.
     ("stim 7 5\nstim 7 30\nstim 7 60\n",
      "neuron 7, which is not a declared input"),
 ])
@@ -116,21 +133,38 @@ def test_tcp_mode_requires_roster(tmp_path, capsys):
     assert "roster" in capsys.readouterr().err
 
 
-def test_tcp_crashed_node_is_a_violation(tmp_path, capsys, monkeypatch):
-    # A node that fails writes no shard; the launcher reports its exit.
+def run_tcp_with_crashed_nodes(tmp_path, monkeypatch):
+    """``spikesim run --mode tcp`` at P=2 whose node processes all failed;
+    the trace goes to ``tmp_path / "tcp.trace"``."""
     def crashed_launcher(*_args, **_kwargs):
         return RunResult(trace=[], outputs=[], stats={"advancements": 9},
                          violations=["node process exited with 1"])
 
     monkeypatch.setattr(cli, "run_tcp_launcher", crashed_launcher)
     prefix = gen_workload(tmp_path, procs=2, horizon=10)
-    assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+    return main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
                  "--stim", prefix + ".stim", "--horizon", "10",
                  "--mode", "tcp", "--roster", str(tmp_path / "roster"),
-                 "--out", str(tmp_path / "tcp.trace")]) == 1
+                 "--out", str(tmp_path / "tcp.trace")])
+
+
+def test_tcp_crashed_node_is_a_violation(tmp_path, capsys, monkeypatch):
+    # A node that fails writes no shard; the launcher reports its exit.
+    assert run_tcp_with_crashed_nodes(tmp_path, monkeypatch) == 1
     err = capsys.readouterr().err
     assert "violation: missing trace shard 1" in err
     assert "violation: missing trace shard 2" in err
+
+
+def test_tcp_shard_of_an_earlier_run_is_not_read(tmp_path, capsys, monkeypatch):
+    # The launcher deletes each shard before its nodes start, so a node that
+    # fails is reported even where an earlier run left its shard behind.
+    (tmp_path / "tcp.trace.shard1").write_text("spike 4 7\n")
+    assert run_tcp_with_crashed_nodes(tmp_path, monkeypatch) == 1
+    err = capsys.readouterr().err
+    assert "violation: missing trace shard 1" in err
+    assert "violation: missing trace shard 2" in err
+    assert read_trace(str(tmp_path / "tcp.trace")) == []
 
 
 def test_tcp_nodes_import_the_launchers_package(tmp_path, capsys, monkeypatch,

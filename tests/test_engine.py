@@ -18,7 +18,7 @@ from spikesim.events import CMEvent, EXT_NEURON, TopologyError
 from spikesim.neuron import NeuronParams
 from spikesim.node import UNBOUNDED
 from spikesim.oracle import compare_traces, sequential_simulate
-from spikesim.topology import (MappingSpec, NetworkSpec, attach_synapses,
+from spikesim.topology import (MappingSpec, NetworkSpec,
                                generate_random, save_mapping, save_network,
                                save_stimuli)
 from spikesim.transport import Report, TcpBackend, TransportError, load_roster
@@ -108,7 +108,7 @@ def test_deterministic_engine_fingerprint_is_pinned(nets, pinned):
 
 
 def test_stimulus_to_a_non_input_is_a_topology_error():
-    # Only inputs have a stimulus synapse, as only their d_min counts one. The
+    # Only an input's cell has a stimulus synapse, which its d_min counts. The
     # CLI rejects such stimuli first; an engine given one directly must not
     # integrate it, where it could land at or below the cell's horizon.
     net, mapping, stimuli = generate_random(seed=0, n=12, prob=0.25, procs=2, horizon=100)
@@ -130,7 +130,6 @@ def test_one_stamp_of_arrivals_is_one_computation(monkeypatch):
     net.synapses.append((4, 5, -2.0, 2))
     net.inputs = {1, 2, 3, 4}
     net.outputs = {5}
-    attach_synapses(net)
     stimuli = {0: [1, 2, 3, 4]}
     computations = []
     real = neuron.ECState.integrate
@@ -223,7 +222,6 @@ def two_neuron_simulation():
     net.synapses = [(1, 2, 0.5, 1)]
     net.inputs = {1}
     net.outputs = {2}
-    attach_synapses(net)
     mapping = MappingSpec(assignment={1: 1, 2: 2}, procs=2)
     return build_simulation(net, mapping, {0: [1]}, horizon=10)
 
@@ -294,7 +292,6 @@ def test_activity_loop_without_outputs_reaches_horizon():
     net.synapses = [(1, 2, 1.5, 2), (2, 1, 1.5, 2), (1, 3, 0.01, 1)]
     net.inputs = {1}
     net.outputs = {3}
-    attach_synapses(net)
     mapping = MappingSpec(assignment={1: 1, 2: 1, 3: 2}, procs=2)
     result = DeterministicEngine(net, mapping, {0: [1]}, horizon=40).run()
     assert result.violations == []

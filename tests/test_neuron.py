@@ -3,13 +3,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spikesim.engine import build_simulation
 from spikesim.events import EXT_NEURON, ProtocolViolation, TopologyError
 from spikesim.neuron import ECState, NeuronParams, Synapse, membrane_step
+from spikesim.topology import MappingSpec, NetworkSpec
 
 
-def lif(threshold=1.0, tau=10.0, reset=0.0, synapses=None, **kw):
-    return NeuronParams(threshold=threshold, tau=tau, reset=reset,
-                        synapses=synapses or {}, **kw)
+def lif(threshold=1.0, tau=10.0, reset=0.0):
+    return NeuronParams(threshold=threshold, tau=tau, reset=reset)
+
+
+STIMULUS = Synapse(2.0, 1)  # an input's stimulus synapse, for lif()'s threshold
 
 
 # -- membrane rule -------------------------------------------------------------
@@ -65,13 +69,18 @@ def test_fire_resets_potential():
 # -- parameters ------------------------------------------------------------------
 
 def test_d_min_is_minimum_incoming_delay():
-    params = lif(synapses={1: Synapse(0.5, 3), 2: Synapse(-0.5, 7)})
-    assert params.d_min == 3
+    assert make_cell({1: Synapse(0.5, 3), 2: Synapse(-0.5, 7)}).d_min == 3
+    assert make_cell({}).d_min == 1  # no arrival ever comes
 
 
 def test_d_min_counts_stimuli_for_input_neurons():
-    params = lif(synapses={1: Synapse(0.5, 3)}, is_input=True)
-    assert params.d_min == 1
+    # Neurons 1 and 2 each take a delay-3 synapse, and only 1 is an input:
+    # its stimulus synapse sets its d_min to 1, while neuron 2's stays 3.
+    net = NetworkSpec(neurons={1: lif(), 2: lif()},
+                      synapses=[(2, 1, 0.5, 3), (1, 2, 0.5, 3)],
+                      inputs={1}, outputs={2})
+    _env, nodes = build_simulation(net, MappingSpec({1: 1, 2: 1}), {}, horizon=10)
+    assert (nodes[1].ecs[1].d_min, nodes[1].ecs[2].d_min) == (1, 3)
 
 
 def test_stim_weight_defaults_to_twice_threshold():
@@ -79,18 +88,18 @@ def test_stim_weight_defaults_to_twice_threshold():
 
 
 def test_delay_below_one_rejected():
-    with pytest.raises(Exception):
-        lif(synapses={1: Synapse(0.5, 0)})
+    with pytest.raises(TopologyError, match="neuron 5: incoming delay 0 < 1"):
+        make_cell({1: Synapse(0.5, 0), 2: Synapse(0.5, 3)})
 
 
 # -- event-driven cell -----------------------------------------------------------
 
-def make_cell(synapses, neuron=5, horizon=100, **kw):
-    return ECState(neuron, lif(synapses=synapses, **kw), sim_horizon=horizon)
+def make_cell(synapses, neuron=5, horizon=100):
+    return ECState(neuron, lif(), synapses, sim_horizon=horizon)
 
 
 def test_stimulus_fires_input_neuron_next_tick():
-    cell = make_cell({}, **{"is_input": True})
+    cell = make_cell({EXT_NEURON: STIMULUS})
     result = cell.integrate(3, [EXT_NEURON])
     assert [(e.source, e.stamp) for e in result.new_forecasts] == [(5, 4)]
     # d_min = 1, so the forecast at stamp+1 is immediately certifiable.
@@ -192,7 +201,7 @@ def test_incremental_equals_batch_simulation(arrivals):
     certified forecast is emitted as soon as it is certified."""
     syn = {0: Synapse(0.7, 2), 1: Synapse(0.8, 4), 2: Synapse(-0.9, 3),
            3: Synapse(0.5, 5)}
-    params = lif(synapses=syn, tau=8.0)
+    params = lif(tau=8.0)
     horizon = 60
 
     # Feed in global stamp order, keeping only the first event per
@@ -207,7 +216,7 @@ def test_incremental_equals_batch_simulation(arrivals):
         ordered.append((src, stamp))
 
     def incremental(emit):
-        cell = ECState(5, params, sim_horizon=horizon)
+        cell = ECState(5, params, syn, sim_horizon=horizon)
         fired = {}
         for src, stamp in ordered:
             result = cell.integrate(stamp, [src])
@@ -249,15 +258,15 @@ def test_replay_cache_equals_replay_from_scratch(arrivals, in_stamp_order, emit)
     bit for bit. Arrivals that break the protocol's order are skipped."""
     syn = {0: Synapse(0.7, 2), 1: Synapse(0.8, 4), 2: Synapse(-0.9, 3),
            3: Synapse(0.5, 5)}
-    params = lif(synapses=syn, tau=8.0, is_input=True)
+    params = lif(tau=8.0)
     horizon = 40
-    cell = ECState(5, params, sim_horizon=horizon)
+    cell = ECState(5, params, {**syn, EXT_NEURON: STIMULUS}, sim_horizon=horizon)
     if in_stamp_order:
         arrivals = sorted(arrivals, key=lambda sw: sw[1])
     groups, last = {}, {}
     for src, stamp in arrivals:
         source = EXT_NEURON if src == 0 and stamp % 2 else src
-        delay, weight = ((1, params.stim_weight) if source == EXT_NEURON
+        delay, weight = ((STIMULUS.delay, STIMULUS.weight) if source == EXT_NEURON
                          else (syn[src].delay, syn[src].weight))
         if stamp <= last.get(source, -1) or stamp + delay <= cell.horizon:
             continue
@@ -299,9 +308,10 @@ def test_one_computation_equals_one_call_per_arrival(batches, emit):
     each source's stamps rise, as the protocol guarantees."""
     syn = {0: Synapse(0.7, 2), 1: Synapse(0.8, 4), 2: Synapse(-0.9, 3),
            3: Synapse(0.5, 5)}
-    params = lif(synapses=syn, tau=8.0, is_input=True)
+    params = lif(tau=8.0)
     horizon = 40
-    whole, split = (ECState(5, params, sim_horizon=horizon) for _ in range(2))
+    whole, split = (ECState(5, params, {**syn, EXT_NEURON: STIMULUS}, sim_horizon=horizon)
+                    for _ in range(2))
 
     def settle(cell, result):
         if emit:
@@ -316,7 +326,7 @@ def test_one_computation_equals_one_call_per_arrival(batches, emit):
             if stamp > last.get(source, -1):
                 last[source] = stamp
                 arriving.append(source)
-                delay, weight = ((1, params.stim_weight) if source == EXT_NEURON
+                delay, weight = ((STIMULUS.delay, STIMULUS.weight) if source == EXT_NEURON
                                  else (syn[src].delay, syn[src].weight))
                 groups.setdefault(stamp + delay, []).append((source, stamp, weight))
         if not arriving:

@@ -12,9 +12,9 @@ from spikesim.transport import Message
 def make_node(node_id=1, procs=2, neurons=(7,), outputs=(), post=None):
     ecs = {}
     for nid in neurons:
-        params = NeuronParams(threshold=1.0, tau=10.0,
-                              synapses={99: Synapse(2.0, 2)}, is_input=True)
-        ecs[nid] = ECState(nid, params, sim_horizon=1000)
+        synapses = {99: Synapse(2.0, 2), EXT_NEURON: Synapse(2.0, 1)}  # an input
+        ecs[nid] = ECState(nid, NeuronParams(threshold=1.0, tau=10.0), synapses,
+                           sim_horizon=1000)
     tables = {nid: list(post.get(nid, [])) if post else [] for nid in neurons}
     return NodeState(node_id, procs, ecs, post_tables=tables,
                      outputs=set(outputs))
@@ -356,7 +356,6 @@ def test_apply_emission_routes_local_remote_and_output():
     node = make_node(node_id=1, procs=2, neurons=(7, 8), outputs=(7,),
                      post={7: [(8, 1), (9, 2)]})
     e = queue_forecast(node, 5, source=7)
-    node.ecs[8].params.synapses[7] = Synapse(0.5, 1)
     node.pt = 3
     assert node.apply_emission(e) is None
     assert e.emitted and node.clock[1] == 5

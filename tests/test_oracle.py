@@ -3,7 +3,7 @@ import pytest
 from spikesim.neuron import NeuronParams
 from spikesim.oracle import (compare_traces, read_trace, sequential_simulate,
                              write_trace)
-from spikesim.topology import NetworkSpec, attach_synapses, generate_random
+from spikesim.topology import NetworkSpec, generate_random
 
 
 def chain_net():
@@ -14,7 +14,6 @@ def chain_net():
     net.synapses = [(1, 2, 1.5, 2), (2, 3, 1.5, 3)]
     net.inputs = {1}
     net.outputs = {3}
-    attach_synapses(net)
     return net
 
 
@@ -27,7 +26,6 @@ def test_chain_propagation_hand_computed():
 def test_subthreshold_input_never_fires():
     net = chain_net()
     net.synapses = [(1, 2, 0.5, 2)]  # below threshold, no accumulation
-    attach_synapses(net)
     trace = sequential_simulate(net, {0: [1]}, horizon=20)
     assert trace == [(1, 1)]
 
@@ -41,7 +39,6 @@ def test_decay_blocks_slow_accumulation_hand_computed():
     net.synapses = [(1, 3, 0.6, 1), (2, 3, 0.6, 1)]
     net.inputs = {1, 2}
     net.outputs = {3}
-    attach_synapses(net)
     close = sequential_simulate(net, {0: [1], 2: [2]}, horizon=20)
     assert (3, 4) in close
     far = sequential_simulate(net, {0: [1], 8: [2]}, horizon=20)
@@ -56,7 +53,6 @@ def test_delayed_inhibition_cancels_fire():
                     (4, 5, -2.0, 2)]
     net.inputs = {1, 2, 3, 4}
     net.outputs = {5}
-    attach_synapses(net)
     trace = sequential_simulate(net, {0: [1, 2, 3, 4]}, horizon=20)
     assert all(neuron != 5 for neuron, _t in trace)
     without = sequential_simulate(net, {0: [1, 2, 3]}, horizon=20)

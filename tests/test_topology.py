@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spikesim.events import TopologyError
-from spikesim.neuron import NeuronParams
-from spikesim.topology import (MappingSpec, NetworkSpec, attach_synapses,
-                               build_post_tables, generate_random,
+from spikesim.engine import build_simulation
+from spikesim.events import EXT_NEURON, TopologyError
+from spikesim.neuron import NeuronParams, Synapse
+from spikesim.topology import (MappingSpec, NetworkSpec, build_post_tables,
+                               generate_random,
                                load_mapping, load_network, load_stimuli,
                                save_mapping, save_network, save_stimuli,
                                validate)
@@ -17,7 +18,6 @@ def small_net():
     net.synapses = [(1, 2, 0.5, 2), (2, 3, -0.25, 1), (1, 3, 0.75, 4)]
     net.inputs = {1}
     net.outputs = {3}
-    attach_synapses(net)
     return net
 
 
@@ -67,7 +67,6 @@ def test_validate_rejects_environment_assignment():
 def test_validate_flags_unreachable_output():
     net = small_net()
     net.synapses = [(1, 2, 0.5, 2)]
-    attach_synapses(net)
     report = validate(net, MappingSpec({1: 1, 2: 1, 3: 1}, procs=1))
     assert any("unreachable" in v for v in report.violations)
 
@@ -88,18 +87,27 @@ def test_post_tables_partition_synapses_exactly():
     assert set(tables[2]) == {2}
 
 
-def test_attach_synapses_materializes_weights_at_target():
+def test_build_simulation_gives_only_inputs_a_stimulus_synapse():
     net = small_net()
-    assert net.neurons[3].synapses[2].weight == -0.25
-    assert net.neurons[3].synapses[1].delay == 4
-    assert net.neurons[1].is_input
+    mapping = MappingSpec({1: 1, 2: 2, 3: 1}, procs=2)
+    _env, nodes = build_simulation(net, mapping, {}, horizon=10)
+    cells = {nid: cell for node in nodes.values() for nid, cell in node.ecs.items()}
+    assert cells[1].synapses == {EXT_NEURON: Synapse(2.0, 1)}  # stim_weight 2 * theta
+    assert cells[2].synapses == {1: Synapse(0.5, 2)}
+    assert cells[3].synapses == {2: Synapse(-0.25, 1), 1: Synapse(0.75, 4)}
+    # A tcp node builds its own cells' tables only; the launcher builds none.
+    _env, nodes = build_simulation(net, mapping, {}, horizon=10, only_node=2)
+    assert list(nodes) == [2] and nodes[2].ecs[2].synapses == {1: Synapse(0.5, 2)}
+    assert build_simulation(net, mapping, {}, horizon=10, only_node=-1)[1] == {}
 
 
-def test_duplicate_synapse_rejected():
-    net = small_net()
-    net.synapses.append((1, 2, 0.1, 3))
-    with pytest.raises(TopologyError):
-        attach_synapses(net)
+def test_duplicate_synapse_rejected(tmp_path):
+    path = tmp_path / "bad.net"
+    save_network(small_net(), str(path))
+    with open(path, "a") as fh:
+        fh.write("synapse 1 2 0.1 3\n")
+    with pytest.raises(TopologyError, match="duplicate synapse 1->2"):
+        load_network(str(path))
 
 
 def test_generator_is_deterministic():
