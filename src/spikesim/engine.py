@@ -191,6 +191,8 @@ class DeterministicEngine:
 TCP_WALL_S = 120.0
 # How long the launcher lets node processes run on after a run cut short.
 STOP_GRACE_S = 1.0
+# How long ThreadedEngine waits for its node threads to stop after the run.
+JOIN_S = 5.0
 # First on each tcp node's PYTHONPATH: nodes import this spikesim, installed or not.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -276,8 +278,12 @@ class ThreadedEngine:
             # cut short never sends it.
             if not self.env.done:
                 self._stop.set()
+            deadline = time.monotonic() + JOIN_S
             for t in threads:
-                t.join(timeout=5.0)
+                t.join(max(0.0, deadline - time.monotonic()))
+        # A thread still running may still write its node's trace.
+        errors += [f"node {node.id}: thread still running {JOIN_S} s after the run"
+                   for node, t in zip(self.nodes.values(), threads) if t.is_alive()]
         with self._errlock:
             self._errors.extend(errors)
         return RunResult(

@@ -5,7 +5,7 @@ Two kinds of events flow through the system:
 * ``CMEvent`` -- an incoming spike, as inbound mail and the wire carry it.
   An ``ArrivalCalendar`` files it by stamp and cell as its bare source id.
 * ``CPEvent`` -- an outgoing spike forecast by a cell, to be emitted once
-  it can no longer be invalidated. Its cell's forecast table is its only
+  emission control authorizes it. Its cell's forecast table is its only
   record; the node queues its ``(stamp, source)`` key.
 
 Time is discrete (integer ticks, resolution 1). Event stamps are strictly
@@ -44,37 +44,16 @@ class CMEvent(NamedTuple):
 class CPEvent:
     """Outgoing spike forecast: ``source`` is expected to fire at ``stamp``.
 
-    ``crt``: its cell has certified the forecast (no future incoming spike
-    can cancel it), so ``cancel()`` refuses it; emission does not read it.
-    ``cancelled`` marks an invalidated forecast, which leaves its cell's
-    table at once; the flag stays to catch a later ``certify()``.
-    ``delayed``: emission control has held it back. All flags are one-way.
+    Its cell decides whether it is final: a forecast at or below the cell's
+    ``horizon + 1`` is certain, and one it cancels leaves the cell's table.
+    ``emitted`` and ``delayed`` (emission control has held it back) are
+    one-way flags.
     """
 
     source: int
     stamp: int
-    crt: bool = False
-    cancelled: bool = False
     emitted: bool = field(default=False, compare=False)
     delayed: bool = field(default=False, compare=False)
-
-    def certify(self) -> None:
-        if self.cancelled:
-            raise ProtocolViolation(
-                f"certify() on cancelled forecast [{self.source}, {self.stamp}]"
-            )
-        self.crt = True
-
-    def cancel(self) -> None:
-        if self.crt:
-            raise ProtocolViolation(
-                f"cancel() on certified forecast [{self.source}, {self.stamp}]"
-            )
-        if self.emitted:
-            raise ProtocolViolation(
-                f"cancel() on emitted forecast [{self.source}, {self.stamp}]"
-            )
-        self.cancelled = True
 
 
 class ArrivalCalendar:

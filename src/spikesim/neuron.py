@@ -1,13 +1,13 @@
 """Event-driven cell: leaky integrate-and-fire with forecasting.
 
 A cell integrates incoming spikes for one neuron, forecasts the outgoing
-spikes they imply, cancels forecasts invalidated by later-processed
-arrivals with smaller delays (the delayed firing problem), and certifies
-forecasts that no future arrival can touch. One computation is the cell's
-arrivals of one stamp, integrated in one replay. A cell holds its incoming
-synapses by source, as ``engine.build_simulation`` gives them; an input's
-also hold the delay-1 stimulus synapse from ``EXT_NEURON``, so ``d_min`` is
-their least delay.
+spikes they imply, and cancels forecasts invalidated by later-processed
+arrivals with smaller delays (the delayed firing problem). A forecast that
+no future arrival can touch is certain; that is a rule on its stamp, not a
+state it carries. One computation is the cell's arrivals of one stamp,
+integrated in one replay. A cell holds its incoming synapses by source, as
+``engine.build_simulation`` gives them; an input's also hold the delay-1
+stimulus synapse from ``EXT_NEURON``, so ``d_min`` is their least delay.
 
 Membrane rule, per effective arrival tick t (all arrivals landing at t are
 handled as one group, in a fixed order, so results do not depend on the
@@ -20,8 +20,8 @@ order events were processed in):
 
 Inhibition landing exactly at t applies after the threshold check, so a
 fire decision at t can never be revoked by a same-tick arrival. This is
-what makes the certification bound (stamp <= processed stamp + d_min)
-safe when two presynaptic neurons fire on the same tick.
+what makes a forecast at ``horizon + 1`` certain when two presynaptic
+neurons fire on the same tick: later arrivals land at or above it.
 """
 
 from __future__ import annotations
@@ -32,32 +32,23 @@ from dataclasses import dataclass
 
 from .events import CPEvent, ProtocolViolation, TopologyError
 
-# Arrivals within one tick are summed in this order; shared with the oracle
-# so both simulators perform bit-identical float operations.
-def _group_order(entry):
-    source, stamp, _w = entry
-    return (source, stamp)
-
-
-def membrane_step(v: float, t_prev: int, t: int, entries, params,
-                  presorted: bool = False) -> tuple[float, bool]:
+def membrane_step(v: float, t_prev: int, t: int, entries, params) -> tuple[float, bool]:
     """Advance the membrane from t_prev to t and apply one arrival group.
 
-    ``entries`` is an iterable of (source, stamp, weight). Returns the
+    ``entries`` is a sequence of (source, stamp, weight) sorted by (source,
+    stamp): the cell and the oracle keep their groups in that order, so both
+    sum in it and perform bit-identical float operations. Returns the
     potential after the group and whether the neuron fires at t.
-    ``presorted`` skips the (source, stamp) sort for callers that already
-    keep groups in that order; the summation order must stay identical.
     """
     if t > t_prev:
         v *= math.exp(-(t - t_prev) / params.tau)
-    ordered = entries if presorted else sorted(entries, key=_group_order)
-    for _s, _st, w in ordered:
+    for _s, _st, w in entries:
         if w > 0:
             v += w
     fired = v >= params.threshold
     if fired:
         v = params.reset
-    for _s, _st, w in ordered:
+    for _s, _st, w in entries:
         if w <= 0:
             v += w
     return v, fired
@@ -82,21 +73,23 @@ class NeuronParams:
             self.stim_weight = 2.0 * self.threshold
 
 
-class IntegrationResult:  # three lists of CPEvent; a dataclass builds them slower
-    __slots__ = ("new_forecasts", "cancellations", "certifications")
+class IntegrationResult:  # two lists of CPEvent; a dataclass builds them slower
+    __slots__ = ("new_forecasts", "cancellations")
 
     def __init__(self) -> None:
-        self.new_forecasts, self.cancellations, self.certifications = [], [], []
+        self.new_forecasts, self.cancellations = [], []
 
 
 class ECState:
     """One neuron's cell state.
 
     ``horizon`` is the certainty horizon: every arrival with effective time
-    <= horizon has been folded into ``v`` and is final, and so is every
-    forecast stamped at or below it. ``v_time`` is the tick of the last
-    folded arrival group (kept separate from ``horizon`` so decay is always
-    computed group-to-group, exactly like the oracle).
+    <= horizon has been folded into ``v`` and is final. A forecast stamped
+    at or below ``horizon + 1`` is certain: later arrivals land above the
+    horizon, and one landing at its stamp cannot revoke a fire. ``v_time``
+    is the tick of the last folded arrival group (kept separate from
+    ``horizon`` so decay is always computed group-to-group, exactly like
+    the oracle).
 
     Pending arrival groups, all above the horizon between integrations,
     are parallel lists in time order: effective ``times``, their ``groups``
@@ -132,11 +125,13 @@ class ECState:
 
     # -- bookkeeping driven by the owning node ------------------------------
 
-    def on_emitted(self, stamp: int) -> None:
-        """Mark the forecast at ``stamp`` emitted; a final one leaves the table."""
+    def on_emitted(self, stamp: int) -> bool:
+        """Mark the forecast at ``stamp`` emitted; a final one leaves the table.
+        Returns whether the forecast was certain."""
         self.queued[stamp].emitted = True
         if stamp <= self.horizon:
             del self.queued[stamp]
+        return stamp <= self.horizon + 1
 
     # -- integration ---------------------------------------------------------
 
@@ -167,37 +162,29 @@ class ECState:
             if i < start:
                 start = i
         self.horizon = max(horizon, stamp + self.d_min - 1)
-        result = self._diff(start, stamp + self.d_min)
+        result = self._diff(start)
         k = bisect_right(times, self.horizon)
-        if k:  # fold: the groups up to the horizon are final
+        if k:  # fold: the groups up to the horizon are final, and so are their fires
+            queued, sim_horizon = self.queued, self.sim_horizon
+            for j in range(k):
+                t = times[j]
+                if after[j][1] and t <= sim_horizon and queued[t].emitted:
+                    del queued[t]
             self.v, self.v_time = after[k - 1][0], times[k - 1]
             del times[:k], groups[:k], after[:k]
         return result
 
-    def _diff(self, start: int, cert_bound: int) -> IntegrationResult:
+    def _diff(self, start: int) -> IntegrationResult:
         """Replay from group ``start`` and reconcile the table, in stamp order.
-        Earlier groups keep their fires: they are certified, or dropped once
-        emitted and final. The arrivals' groups lie above the horizon."""
+        The arrivals' groups lie above the horizon; earlier groups keep
+        their fires."""
         result = IntegrationResult()
-        certs = result.certifications
         queued, times, groups, after = self.queued, self.times, self.groups, self.after
         horizon, sim_horizon, params = self.horizon, self.sim_horizon, self.params
-        for j in range(start):
-            t = times[j]
-            if t > horizon and t > cert_bound:
-                break
-            if after[j][1] and t <= sim_horizon:
-                ev = queued[t]
-                if ev.emitted:
-                    if t <= horizon:
-                        del queued[t]  # final: no arrival can revoke it now
-                elif t <= cert_bound and not ev.crt:
-                    certs.append(ev)
-
         v, t_prev = (after[start - 1][0], times[start - 1]) if start else (self.v, self.v_time)
         for j in range(start, len(times)):
             t, was = times[j], after[j][1]
-            v, fired = membrane_step(v, t_prev, t, groups[j], params, True)  # presorted
+            v, fired = membrane_step(v, t_prev, t, groups[j], params)
             after[j], t_prev = (v, fired), t
             if t > sim_horizon or not (fired or was):
                 continue
@@ -208,19 +195,16 @@ class ECState:
                         f"neuron {self.neuron}: emitted spike at {t} "
                         f"invalidated by a later arrival"
                     )
+                if t <= horizon + 1:  # certain: no arrival may revoke it
+                    raise ProtocolViolation(
+                        f"neuron {self.neuron}: certain forecast at {t} "
+                        f"invalidated (horizon {horizon})"
+                    )
                 result.cancellations.append(ev)
-                continue
-            if was:
-                ev = queued[t]
-            else:
-                ev = queued[t] = CPEvent(source=self.neuron, stamp=t)
+            elif not was:
+                queued[t] = ev = CPEvent(source=self.neuron, stamp=t)
                 result.new_forecasts.append(ev)
-            if t <= cert_bound and not ev.emitted and not ev.crt:
-                certs.append(ev)
-        # Only now, so an invalidated emission raises before anything moves.
+        # Only now, so an invalid cancellation raises before the table moves.
         for ev in result.cancellations:
-            ev.cancel()
             del queued[ev.stamp]
-        for ev in certs:
-            ev.certify()
         return result

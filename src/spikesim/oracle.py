@@ -56,8 +56,7 @@ def sequential_simulate(net: NetworkSpec, stimuli: dict[int, list[int]],
             group.append((source, stamp, weight))
         params = net.neurons[target]
         # Heap pops arrive in (source, stamp) order, so the group is sorted.
-        v, fired = membrane_step(potential[target], last_time[target], eff, group,
-                                 params, presorted=True)
+        v, fired = membrane_step(potential[target], last_time[target], eff, group, params)
         potential[target] = v
         last_time[target] = eff
         if fired:

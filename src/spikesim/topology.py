@@ -53,15 +53,28 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(net: NetworkSpec, mapping: MappingSpec) -> ValidationReport:
-    report = ValidationReport()
+def _synapse_targets(net: NetworkSpec) -> tuple[dict[int, set[int]], list[str]]:
+    """Each declared neuron's targets, and the synapse list's faults in list
+    order: an unknown endpoint, a (src, dst) pair already listed, a delay
+    below 1."""
+    neurons, problems = net.neurons, []
+    targets: dict[int, set[int]] = {nid: set() for nid in neurons}
     for src, dst, _w, delay in net.synapses:
+        seen = targets.get(src)
+        if seen is None or dst not in neurons:
+            problems.append(f"synapse {src}->{dst}: unknown endpoint")
+        elif dst in seen:
+            problems.append(f"duplicate synapse {src}->{dst}")
+        else:
+            seen.add(dst)
         if delay < 1:
-            report.violations.append(f"synapse {src}->{dst}: delay {delay} < 1")
-        if src not in net.neurons:
-            report.violations.append(f"synapse {src}->{dst}: unknown source")
-        if dst not in net.neurons:
-            report.violations.append(f"synapse {src}->{dst}: unknown target")
+            problems.append(f"synapse {src}->{dst}: delay {delay} < 1")
+    return targets, problems
+
+
+def validate(net: NetworkSpec, mapping: MappingSpec) -> ValidationReport:
+    targets, problems = _synapse_targets(net)
+    report = ValidationReport(problems)
     for nid in net.inputs | net.outputs:
         if nid not in net.neurons:
             report.violations.append(f"io neuron {nid} not declared")
@@ -80,12 +93,9 @@ def validate(net: NetworkSpec, mapping: MappingSpec) -> ValidationReport:
     # Outputs that no synapse and no stimulus can ever reach.
     reachable = set(net.inputs)
     frontier = list(net.inputs)
-    adj: dict[int, list[int]] = {}
-    for src, dst, _w, _d in net.synapses:
-        adj.setdefault(src, []).append(dst)
     while frontier:
         cur = frontier.pop()
-        for nxt in adj.get(cur, ()):
+        for nxt in targets.get(cur, ()):
             if nxt not in reachable:
                 reachable.add(nxt)
                 frontier.append(nxt)
@@ -166,13 +176,9 @@ def load_network(path: str) -> NetworkSpec:
                 raise TopologyError(f"unknown directive {kind!r}")
         except (IndexError, KeyError, ValueError) as exc:
             raise TopologyError(f"{path}:{lineno}: {exc}") from exc
-    pairs: set[tuple[int, int]] = set()
-    for src, dst, _w, _d in net.synapses:  # once every neuron is declared
-        if src not in net.neurons or dst not in net.neurons:
-            raise TopologyError(f"synapse {src}->{dst}: unknown endpoint")
-        if (src, dst) in pairs:
-            raise TopologyError(f"duplicate synapse {src}->{dst}")
-        pairs.add((src, dst))
+    _targets, problems = _synapse_targets(net)  # once every neuron is declared
+    if problems:
+        raise TopologyError(problems[0])
     return net
 
 

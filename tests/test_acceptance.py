@@ -130,7 +130,7 @@ def test_criterion_4_condition_suite():
 
 
 def test_criterion_5_safety_no_invalid_cancellations():
-    # Cancelling an emitted or certified event raises inside the run and
+    # Cancelling an emitted or certain forecast raises inside the run and
     # surfaces in RunResult.violations, so "zero violations" covers both
     # safety properties across deterministic and free-running modes.
     data = sweep()
@@ -147,7 +147,7 @@ def test_criterion_5_safety_no_invalid_cancellations():
             runs += 1
             free_violations.extend(run.violations)
     ok = not det_violations and not free_violations
-    report(5, ok, f"0 emitted/certified-then-cancelled events; "
+    report(5, ok, f"0 emitted/certain-then-cancelled forecasts; "
                   f"{runs} free-running runs, "
                   f"{len(free_violations)} violations")
 
@@ -264,31 +264,29 @@ def test_criterion_9_authorization_branch_coverage():
 
     checks = []
 
-    def emission(st, et, pt, nbth, clock, crt, expect, pending=False):
+    def emission(st, et, pt, nbth, clock, expect, pending=False):
         n = node()
-        e = n.ecs[7].queued[st] = CPEvent(source=7, stamp=st, crt=crt)
+        e = n.ecs[7].queued[st] = CPEvent(source=7, stamp=st)
         n.queue_forecast(e)
         if pending:  # an incoming spike at pt waits behind the started one
             n.cm_queue.push(CMEvent(target=7, source=9, stamp=pt))
         n.pt, n.nbth, n.clock = pt, nbth, clock
         n.clock[n.id] = et  # the own entry is the emission time
-        decision = n.emission_authorized(e)
-        e.crt = not crt  # certification does not enter the decision
-        checks.append(decision is expect and n.emission_authorized(e) is expect)
+        checks.append(n.emission_authorized(e) is expect)
 
-    emission(5, 5, 1, 1, [9, 5, 1], False, True)   # at the emission time
-    emission(9, 3, 2, 1, [9, 3, 1], True, False)   # certified, out of order
-    emission(9, 3, 8, 0, [9, 3, 9], True, True,
-             pending=True)                         # order safe past stamp 8
-    emission(6, 4, 8, 1, [9, 4, 1], False, True,
-             pending=True)                         # behind processing
-    emission(7, 4, 6, 0, [9, 4, 7], False, True)   # quiescent, order safe
-    emission(7, 4, 6, 0, [9, 4, 8], False, True)   # remote ahead
-    emission(7, 4, 6, 1, [9, 4, 7], False, False)  # threads active
-    emission(7, 4, 3, 0, [9, 4, 7], False, False,
-             pending=True)                         # incoming pending
-    emission(7, 4, 6, 0, [9, 4, 5], False, False)  # remote behind
-    emission(7, 4, 6, 0, [9, 4, 3], False, False)  # remote idle below
+    emission(5, 5, 1, 1, [9, 5, 1], True)    # at the emission time
+    emission(9, 3, 2, 1, [9, 3, 1], False)   # out of order
+    emission(9, 3, 8, 0, [9, 3, 9], True,
+             pending=True)                   # order safe past stamp 8
+    emission(6, 4, 8, 1, [9, 4, 1], True,
+             pending=True)                   # behind processing
+    emission(7, 4, 6, 0, [9, 4, 7], True)    # quiescent, order safe
+    emission(7, 4, 6, 0, [9, 4, 8], True)    # remote ahead
+    emission(7, 4, 6, 1, [9, 4, 7], False)   # threads active
+    emission(7, 4, 3, 0, [9, 4, 7], False,
+             pending=True)                   # incoming pending
+    emission(7, 4, 6, 0, [9, 4, 5], False)   # remote behind
+    emission(7, 4, 6, 0, [9, 4, 3], False)   # remote idle below
 
     def computation(st, pt, nbth, clock, active=False, forecast=None,
                     et=None, expect=AuthDecision.DELAYED):

@@ -63,6 +63,7 @@ def test_invalid_network_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("synapse, why", [
     ("synapse 0 7 0.25 3", "error: duplicate synapse 0->7"),
     ("synapse 0 99 0.25 3", "error: synapse 0->99: unknown endpoint"),
+    ("synapse 5 5 0.25 0", "error: synapse 5->5: delay 0 < 1"),
 ])
 def test_bad_synapse_list_is_usage_error_for_run_and_oracle(tmp_path, capsys,
                                                             synapse, why):

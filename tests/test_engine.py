@@ -215,6 +215,31 @@ def test_threaded_engine_batches_at_minpak_4(seed):
     assert compare_traces(result.trace, expected).empty
 
 
+def test_threaded_engine_reports_a_node_thread_that_does_not_stop(monkeypatch):
+    # Node 2's loop blocks and never reads the stop flag: the run is cut at
+    # its wall budget, and the thread still running after the join wait is a
+    # violation, not a silent return.
+    monkeypatch.setattr(engine, "JOIN_S", 0.2)
+    release = threading.Event()
+
+    class StuckNode(ThreadedEngine):
+        def _node_loop(self, node):
+            if node.id == 2:
+                release.wait(30.0)
+            else:
+                super()._node_loop(node)
+
+    net, mapping, stimuli = generate_random(seed=2, n=16, prob=0.12, procs=2,
+                                            horizon=50)
+    try:
+        result = StuckNode(net, mapping, stimuli, horizon=50, timeout_ms=5,
+                           max_wall_s=0.5).run()
+    finally:
+        release.set()
+    assert result.violations == ["wall-clock budget exceeded",
+                                 "node 2: thread still running 0.2 s after the run"]
+
+
 def two_neuron_simulation():
     # Neuron 1 on processor 1 fires once, at 1, into neuron 2 on processor 2.
     net = NetworkSpec()

@@ -55,7 +55,7 @@ def test_timeout_raises_magnitudes_to_T_minus_one():
 
 
 def test_timeout_raises_no_entry_above_a_pending_forecast():
-    # Seed 3 at n=64, P=4 (hole B): node 3 (et 32) holds a certified
+    # Seed 3 at n=64, P=4 (hole B): node 3 (et 32) holds a certain
     # forecast at 37 when the environment times out from T = 38. Raising
     # its entry to T-1 = 38 let node 2 compute stamp 38 before node 3 could
     # emit at 37.

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from spikesim.events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON,
-                             ProtocolViolation)
+from spikesim.events import ArrivalCalendar, CMEvent, EXT_NEURON, ProtocolViolation
 
 
 def test_calendar_orders_by_stamp_and_files_by_target():
@@ -48,28 +47,6 @@ def test_stamp_zero_allowed_only_for_external_stimuli():
     cal = ArrivalCalendar()
     cal.push(CMEvent(target=1, source=EXT_NEURON, stamp=0))
     assert cal.pop_stamp() == (0, {1: [EXT_NEURON]})
-
-
-def test_cancel_is_one_way_and_blocks_certify():
-    e = CPEvent(source=1, stamp=2)
-    e.cancel()
-    assert e.cancelled
-    with pytest.raises(ProtocolViolation):
-        e.certify()
-
-
-def test_certified_event_cannot_be_cancelled():
-    e = CPEvent(source=1, stamp=2)
-    e.certify()
-    with pytest.raises(ProtocolViolation):
-        e.cancel()
-
-
-def test_emitted_event_cannot_be_cancelled():
-    e = CPEvent(source=1, stamp=2)
-    e.emitted = True
-    with pytest.raises(ProtocolViolation):
-        e.cancel()
 
 
 events = st.tuples(st.integers(1, 50), st.integers(0, 9), st.integers(0, 9))

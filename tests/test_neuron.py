@@ -54,10 +54,16 @@ def test_same_tick_inhibition_cannot_revoke_fire():
 
 
 def test_same_tick_order_is_by_source_then_stamp():
-    params = lif(threshold=1.0, tau=10.0)
-    a = [(2, 3, -5.0), (1, 3, 1.2)]
-    b = [(1, 3, 1.2), (2, 3, -5.0)]
-    assert membrane_step(0.0, 0, 4, a, params) == membrane_step(0.0, 0, 4, b, params)
+    # The membrane rule sums a group in the order given; a cell keeps each
+    # tick's group sorted by (source, stamp) whatever order its sources
+    # arrive in, within one computation or across several.
+    syn = {1: Synapse(1.2, 1), 2: Synapse(-5.0, 2), 3: Synapse(0.25, 1)}
+    cell = make_cell(syn)
+    cell.integrate(2, [2])  # lands at 4
+    cell.integrate(3, [3, 1])  # both land at 4
+    group = [(1, 3, 1.2), (2, 2, -5.0), (3, 3, 0.25)]
+    assert cell.times == [4] and cell.groups == [group]
+    assert cell.after == [membrane_step(0.0, 0, 4, group, cell.params)]
 
 
 def test_fire_resets_potential():
@@ -102,8 +108,9 @@ def test_stimulus_fires_input_neuron_next_tick():
     cell = make_cell({EXT_NEURON: STIMULUS})
     result = cell.integrate(3, [EXT_NEURON])
     assert [(e.source, e.stamp) for e in result.new_forecasts] == [(5, 4)]
-    # d_min = 1, so the forecast at stamp+1 is immediately certifiable.
-    assert result.certifications and result.certifications[0].stamp == 4
+    # d_min = 1, so the forecast at stamp+1 is certain at once.
+    assert cell.horizon + 1 == 4
+    assert cell.on_emitted(4) is True
 
 
 def test_forecast_from_excitatory_sum():
@@ -128,8 +135,7 @@ def test_delayed_firing_cancellation():
     forecast = result.new_forecasts[0]
     result = cell.integrate(1, [4])
     assert result.cancellations == [forecast]
-    assert forecast.cancelled
-    assert cell.queued == {}
+    assert cell.queued == {}  # 6 lay above horizon + 1 = 2
 
 
 def test_certification_bound_is_stamp_plus_d_min():
@@ -137,9 +143,9 @@ def test_certification_bound_is_stamp_plus_d_min():
     cell = make_cell(syn)
     result = cell.integrate(10, [1])  # fires at 12
     assert [e.stamp for e in result.new_forecasts] == [12]
-    # d_min = 2, bound = 10 + 2 = 12: the cell certifies the forecast at once.
-    assert result.certifications == result.new_forecasts
-    assert result.new_forecasts[0].crt
+    # d_min = 2, horizon = 10 + 2 - 1: the forecast at 12 is certain at once.
+    assert cell.horizon + 1 == 12
+    assert cell.on_emitted(12) is True
 
 
 def test_forecast_beyond_bound_not_certified():
@@ -147,7 +153,8 @@ def test_forecast_beyond_bound_not_certified():
     cell = make_cell(syn)
     result = cell.integrate(10, [2])  # fires at 18 > 10 + 2
     assert [e.stamp for e in result.new_forecasts] == [18]
-    assert not result.certifications and not result.new_forecasts[0].crt
+    assert cell.on_emitted(18) is False  # not certain, and kept above the horizon
+    assert cell.queued[18].emitted
 
 
 def test_stale_arrival_rejected():
@@ -183,6 +190,24 @@ def test_emitted_spike_invalidated_is_fatal():
         cell.integrate(11, [2])  # inhibition lands at 13 < 14
 
 
+def test_certain_forecast_invalidated_is_fatal():
+    # No arrival can revoke a fire at or below horizon + 1, so a replay that
+    # does means a corrupt cell. Hand-built: the folded potential is pushed
+    # far down under a forecast at 14 while the horizon stands at 13.
+    syn = {1: Synapse(2.0, 4), 2: Synapse(0.1, 2)}
+    cell = make_cell(syn)
+    forecast = cell.integrate(10, [1]).new_forecasts[0]  # fires at 14
+    cell.v, cell.v_time, cell.horizon = -10.0, 13, 13
+    with pytest.raises(ProtocolViolation, match="certain forecast at 14 invalidated"):
+        cell.integrate(12, [2])  # lands at 14 = horizon + 1; no fire on replay
+    assert cell.queued == {14: forecast} and not forecast.emitted
+    # The same replay above horizon + 1 is an ordinary cancellation.
+    cell = make_cell(syn)
+    forecast = cell.integrate(10, [1]).new_forecasts[0]
+    cell.v, cell.v_time = -10.0, 11
+    assert cell.integrate(11, [2]).cancellations == [forecast]  # 13 < 14
+
+
 def test_forecasts_beyond_simulation_horizon_discarded():
     syn = {1: Synapse(2.0, 4)}
     cell = make_cell(syn, horizon=12)
@@ -192,13 +217,21 @@ def test_forecasts_beyond_simulation_horizon_discarded():
 
 # -- re-simulation equivalence ------------------------------------------------------
 
+def emit_certain(cell):
+    """Emit every unemitted forecast the cell holds at or below horizon + 1,
+    the earliest a forecast is sure to stand."""
+    for stamp in sorted(s for s, e in cell.queued.items()
+                        if not e.emitted and s <= cell.horizon + 1):
+        assert cell.on_emitted(stamp) is True
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 30)),
                 min_size=1, max_size=12, unique_by=lambda sw: sw))
 def test_incremental_equals_batch_simulation(arrivals):
     """Integrating arrivals one by one must end with exactly the spikes a
     single batch replay of all arrivals produces, whether or not every
-    certified forecast is emitted as soon as it is certified."""
+    forecast is emitted as soon as it is certain."""
     syn = {0: Synapse(0.7, 2), 1: Synapse(0.8, 4), 2: Synapse(-0.9, 3),
            3: Synapse(0.5, 5)}
     params = lif(tau=8.0)
@@ -226,9 +259,7 @@ def test_incremental_equals_batch_simulation(arrivals):
             for e in result.cancellations:
                 fired.pop(e.stamp, None)
             if emit:
-                for e in result.certifications:
-                    e.emitted = True
-                    cell.on_emitted(e.stamp)
+                emit_certain(cell)
         return sorted(fired)
 
     # Batch replay of the same arrivals grouped by effective time.
@@ -239,7 +270,7 @@ def test_incremental_equals_batch_simulation(arrivals):
     v, t_prev = params.reset, 0
     batch = []
     for t in sorted(groups):
-        v, went = membrane_step(v, t_prev, t, groups[t], params)
+        v, went = membrane_step(v, t_prev, t, sorted(groups[t]), params)
         t_prev = t
         if went and t <= horizon:
             batch.append(t)
@@ -271,16 +302,15 @@ def test_replay_cache_equals_replay_from_scratch(arrivals, in_stamp_order, emit)
         if stamp <= last.get(source, -1) or stamp + delay <= cell.horizon:
             continue
         last[source] = stamp
-        result = cell.integrate(stamp, [source])
+        cell.integrate(stamp, [source])
         groups.setdefault(stamp + delay, []).append((source, stamp, weight))
         if emit:
-            for e in result.certifications:
-                cell.on_emitted(e.stamp)
+            emit_certain(cell)
 
         v, t_prev, fires = params.reset, 0, []
         folded = (v, t_prev)
         for t in sorted(groups):
-            v, fired = membrane_step(v, t_prev, t, groups[t], params)
+            v, fired = membrane_step(v, t_prev, t, sorted(groups[t]), params)
             t_prev = t
             if fired:
                 fires.append(t)
@@ -294,7 +324,7 @@ def test_replay_cache_equals_replay_from_scratch(arrivals, in_stamp_order, emit)
 def _cell_state(cell):
     return (cell.v.hex(), cell.v_time, cell.horizon, cell.times, cell.groups,
             [(v.hex(), fired) for v, fired in cell.after],
-            sorted((s, e.emitted, e.crt) for s, e in cell.queued.items()))
+            sorted((s, e.emitted) for s, e in cell.queued.items()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -313,10 +343,9 @@ def test_one_computation_equals_one_call_per_arrival(batches, emit):
     whole, split = (ECState(5, params, {**syn, EXT_NEURON: STIMULUS}, sim_horizon=horizon)
                     for _ in range(2))
 
-    def settle(cell, result):
+    def settle(cell):
         if emit:
-            for e in result.certifications:
-                cell.on_emitted(e.stamp)
+            emit_certain(cell)
 
     groups, last = {}, {}
     for stamp, sources in sorted(batches, key=lambda b: b[0]):
@@ -331,15 +360,17 @@ def test_one_computation_equals_one_call_per_arrival(batches, emit):
                 groups.setdefault(stamp + delay, []).append((source, stamp, weight))
         if not arriving:
             continue
-        settle(whole, whole.integrate(stamp, arriving))
+        whole.integrate(stamp, arriving)
+        settle(whole)
         for source in arriving:
-            settle(split, split.integrate(stamp, [source]))
+            split.integrate(stamp, [source])
+            settle(split)
         assert _cell_state(whole) == _cell_state(split)
 
         v, t_prev, fires = params.reset, 0, []
         folded = (v, t_prev)
         for t in sorted(groups):
-            v, fired = membrane_step(v, t_prev, t, groups[t], params)
+            v, fired = membrane_step(v, t_prev, t, sorted(groups[t]), params)
             t_prev = t
             if fired:
                 fires.append(t)

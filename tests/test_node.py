@@ -20,8 +20,13 @@ def make_node(node_id=1, procs=2, neurons=(7,), outputs=(), post=None):
                      outputs=set(outputs))
 
 
-def queue_forecast(node, stamp, source=7, crt=False):
-    e = node.ecs[source].queued[stamp] = CPEvent(source=source, stamp=stamp, crt=crt)
+def queue_forecast(node, stamp, source=7, certain=False):
+    """File a forecast in its cell's table and queue its key; a certain one
+    lies at its cell's horizon + 1."""
+    cell = node.ecs[source]
+    e = cell.queued[stamp] = CPEvent(source=source, stamp=stamp)
+    if certain:
+        cell.horizon = stamp - 1
     node.queue_forecast(e)
     return e
 
@@ -36,16 +41,13 @@ def queue_incoming(node, stamp, target=7, source=99):
 #
 # One rule: a forecast goes out at the node's emission time, behind a started
 # computation (st <= pt with an arrival pending), or once the stamp order is
-# safe. A cell's certification does not enter it.
+# safe. Whether the forecast is certain does not enter it.
 
 
 def decides(node, e):
-    """The gate's decision, checked to be the same with ``crt`` flipped."""
+    """The gate's decision, a plain bool."""
     decision = node.emission_authorized(e)
     assert type(decision) is bool
-    e.crt = not e.crt
-    assert node.emission_authorized(e) is decision
-    e.crt = not e.crt
     return decision
 
 
@@ -58,7 +60,7 @@ def test_emission_authorized_when_stamp_equals_emission_time():
 
 def test_emission_authorized_when_certified():
     node = make_node()
-    e = queue_forecast(node, 9, crt=True)
+    e = queue_forecast(node, 9, certain=True)
     queue_incoming(node, 8)  # can forecast 9 at the earliest
     node.pt, node.nbth = 8, 0
     node.clock = [9, 3, 9]
@@ -66,10 +68,10 @@ def test_emission_authorized_when_certified():
 
 
 def test_certified_emission_delayed_out_of_order():
-    # Certified content is final, but a running computation may still
+    # A certain forecast is final, but a running computation may still
     # forecast a smaller stamp.
     node = make_node()
-    e = queue_forecast(node, 9, crt=True)
+    e = queue_forecast(node, 9, certain=True)
     node.pt, node.nbth = 2, 1
     node.clock = [9, 3, 9]
     assert decides(node, e) is False
@@ -149,8 +151,8 @@ def test_each_disjunct_alone_decides(at_et, behind, order_safe):
 
 def test_uncertified_order_safe_forecast_goes_out_past_a_pending_spike():
     # The spike pending at 8 can forecast 9 at the earliest, so 9 is in stamp
-    # order though the cell has not certified it; no certification precedes
-    # the emission.
+    # order though it lies above its cell's horizon + 1: it goes out before
+    # it is certain, and is not counted as certain.
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 9)
     queue_incoming(node, 8)
@@ -158,7 +160,7 @@ def test_uncertified_order_safe_forecast_goes_out_past_a_pending_spike():
     node.clock = [9, 3, 9]
     assert node.emission_authorized(e) is True
     assert node.cmc_step() == (True, [])
-    assert node.trace == [(7, 9)] and e.emitted and not e.crt
+    assert node.trace == [(7, 9)] and e.emitted
     assert node.stats.certifications == 0
 
 
@@ -318,9 +320,8 @@ def test_receive_queues_events_and_leaves_pt_alone():
 
 def test_cp_top_skips_cancelled_tombstones():
     node = make_node()
-    dead = queue_forecast(node, 3)
+    queue_forecast(node, 3)
     live = queue_forecast(node, 4)
-    dead.cancel()
     del node.ecs[7].queued[3]  # a cancelled forecast leaves its cell's table
     assert node.cp_top() is live
     assert node.cp_queue == [(4, 7)]  # its key dropped on sight
@@ -331,8 +332,7 @@ def test_reforecast_at_a_cancelled_stamp_is_emitted_once():
     # leaves two equal keys; the second reads emitted and is dropped.
     node = make_node(node_id=1, procs=2)
     dead = queue_forecast(node, 5)
-    dead.cancel()
-    del node.ecs[7].queued[5]
+    del node.ecs[7].queued[5]  # cancelled
     live = queue_forecast(node, 5)
     assert node.cp_queue == [(5, 7), (5, 7)]
     assert node.cp_top() is live
@@ -413,5 +413,5 @@ def test_stats_count_transitions():
     _progress, _msgs = node.cmc_step()
     assert node.stats.computed == 1
     assert node.stats.emitted == 1
-    assert node.stats.certifications == 1  # by the cell: 3 <= 2 + d_min
+    assert node.stats.certifications == 1  # at emission: 3 <= the cell's horizon 2, + 1
     assert node.trace == [(7, 3)]

@@ -55,8 +55,21 @@ def test_validate_rejects_unknown_endpoints_and_unmapped():
     net = small_net()
     net.synapses.append((9, 2, 0.5, 1))
     report = validate(net, MappingSpec({1: 1, 2: 1}, procs=1))
-    assert any("unknown source" in v for v in report.violations)
+    assert "synapse 9->2: unknown endpoint" in report.violations
     assert any("unmapped" in v for v in report.violations)
+
+
+def test_validate_reports_every_synapse_problem():
+    # A hand-built spec bypasses load_network: validate alone must catch a
+    # repeated pair, which would otherwise route one spike twice.
+    net = small_net()
+    net.synapses += [(1, 2, 0.6, 1), (2, 9, 0.5, 0), (1, 2, 0.1, 3)]
+    report = validate(net, MappingSpec({1: 1, 2: 1, 3: 1}, procs=1))
+    assert report.violations == [
+        "duplicate synapse 1->2",
+        "synapse 2->9: unknown endpoint", "synapse 2->9: delay 0 < 1",
+        "duplicate synapse 1->2",
+    ]
 
 
 def test_validate_rejects_environment_assignment():
@@ -107,6 +120,15 @@ def test_duplicate_synapse_rejected(tmp_path):
     with open(path, "a") as fh:
         fh.write("synapse 1 2 0.1 3\n")
     with pytest.raises(TopologyError, match="duplicate synapse 1->2"):
+        load_network(str(path))
+
+
+def test_load_network_raises_on_the_first_synapse_problem(tmp_path):
+    path = tmp_path / "bad.net"
+    save_network(small_net(), str(path))
+    with open(path, "a") as fh:
+        fh.write("synapse 3 1 0.5 0\nsynapse 1 2 0.1 3\n")
+    with pytest.raises(TopologyError, match=r"^synapse 3->1: delay 0 < 1$"):
         load_network(str(path))
 
 
