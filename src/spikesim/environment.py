@@ -52,7 +52,6 @@ class EnvState:
         self.horizon = horizon
         self.timeout_ms = timeout_ms
         self.output_log: list[tuple[int, int]] = []
-        self._output_seen: set[tuple[int, int]] = set()
         self.stats = EnvStats()
         # Broadcasts sent to, and output messages received from, each node.
         self.sent = [0] * (procs + 1)
@@ -148,10 +147,7 @@ class EnvState:
         for ev in msg.events:
             if ev.target != EXT_NEURON:
                 raise ValueError(f"non-output event routed to environment: {ev}")
-            key = (ev.source, ev.stamp)
-            if key not in self._output_seen:
-                self._output_seen.add(key)
-                self.output_log.append(key)
+            self.output_log.append((ev.source, ev.stamp))
             self.stats.outputs_received += 1
         merge_clock_into(self.clock, msg.clock, own=0)
         return any(msg.clock[m] == self.T for m in range(1, self.procs + 1))

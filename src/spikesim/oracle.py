@@ -11,6 +11,7 @@ simulators perform identical floating-point operations.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .events import EXT_NEURON
@@ -91,10 +92,11 @@ class TraceDiff:
 
 
 def compare_traces(a: SpikeTrace, b: SpikeTrace) -> TraceDiff:
-    sa, sb = set(a), set(b)
+    """Compare as multisets, so a spike emitted twice is a difference."""
+    ca, cb = Counter(a), Counter(b)
     diff = TraceDiff(
-        missing_in_b=sorted(sa - sb, key=trace_order),
-        missing_in_a=sorted(sb - sa, key=trace_order),
+        missing_in_b=sorted((ca - cb).elements(), key=trace_order),
+        missing_in_a=sorted((cb - ca).elements(), key=trace_order),
     )
     divergent = diff.missing_in_a + diff.missing_in_b
     if divergent:

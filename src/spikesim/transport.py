@@ -12,16 +12,20 @@ Wire layout (little-endian, bit-exact):
 
 The external-environment neuron id encodes as 0xFFFFFFFF. A ``Report``
 has magic "DR" and the same header with n = P + 1 in place of nclock,
-then floor i32, sent u32 * n, received u32 * n. Each TCP frame is one encoded message preceded by a u32 length prefix;
-frames carry their sender, so a connection sends nothing but frames.
+then floor i32, sent u32 * n, received u32 * n.
+
+Each TCP frame is one encoded message preceded by a u32 length prefix;
+frames carry their sender, so a connection sends nothing but frames. The
+in-process backend hands messages between threads through queues; the TCP
+backend starts no thread and reads its sockets inside ``poll``.
 """
 
 from __future__ import annotations
 
 import queue
+import selectors
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -141,20 +145,6 @@ def load_roster(path: str) -> dict[int, tuple[str, int]]:
 
 # -- delivery backends -----------------------------------------------------------
 
-def _drain(box: queue.SimpleQueue, wait: float) -> list[Message]:
-    """Wait up to ``wait`` seconds for a first message, then take every
-    message already queued behind it."""
-    try:
-        out = [box.get(block=wait > 0, timeout=wait)]
-    except queue.Empty:
-        return []
-    while True:
-        try:
-            out.append(box.get_nowait())
-        except queue.Empty:
-            return out
-
-
 class InProcBackend:
     """Thread-safe mailbox delivery for free-running in-process runs.
 
@@ -170,7 +160,18 @@ class InProcBackend:
         self.inboxes[dest].put(msg)
 
     def poll(self, pid: int, wait: float = 0) -> list[Message]:
-        return _drain(self.inboxes[pid], wait)
+        """Wait up to ``wait`` seconds for a first message, then take every
+        message already queued behind it."""
+        box = self.inboxes[pid]
+        try:
+            out = [box.get(block=wait > 0, timeout=wait)]
+        except queue.Empty:
+            return []
+        while True:
+            try:
+                out.append(box.get_nowait())
+            except queue.Empty:
+                return out
 
 
 # -- TCP backend ----------------------------------------------------------------
@@ -187,43 +188,54 @@ CONNECT_RETRY_S = 0.002  # between tries
 class TcpBackend:
     """One connection per ordered processor pair, established at startup.
 
-    Each endpoint listens on its roster address; for every peer it opens
-    one outgoing connection (used only for its own sends) and accepts one
-    incoming connection per peer. Connections carry nothing but frames, and
-    frames carry their sender. One reader thread per incoming connection
-    reads frames through a buffered reader into the inbox that ``poll``
-    drains. Building it fails at once when ``give_up()`` holds.
+    Each endpoint listens on its roster address, opens one outgoing
+    connection per peer (used only for its own sends), then accepts one
+    incoming connection per peer from the listen backlog. Every endpoint
+    listens before it connects, so no endpoint waits on another's accept.
+    Building it fails at once when ``give_up()`` holds.
+
+    Connections carry nothing but frames, and frames carry their sender.
+    No thread reads them: ``poll`` waits on the incoming connections,
+    reads what is readable into a buffer per connection and decodes each
+    complete frame. Sends block, so two processes that each sent much
+    without polling could fill each other's receive buffers and both block
+    in ``sendall``. Each advancement of T needs the peers' mail, though, so
+    a connection's unread backlog stays near one tick of traffic: at most
+    10,155 bytes on the n=512, p=0.02 nets at P=2 (3,035 at P=4), against
+    the 131,072-byte initial TCP receive buffer of the Linux host measured.
     """
 
     def __init__(self, pid: int, roster: dict[int, tuple[str, int]],
                  give_up: Callable[[], bool] = lambda: False) -> None:
         self.pid = pid
         self.roster = roster
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._out: dict[int, socket.socket] = {}
-        self._stop = threading.Event()
-
-        host, port = roster[pid]
+        self._in: dict[socket.socket, bytearray] = {}  # unread bytes of each
+        self._env: socket.socket | None = None  # the one the environment sends on
+        self._selector = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(len(roster))
-        peers = [p for p in roster if p != pid]
-        self._accepter = threading.Thread(
-            target=self._accept_loop, args=(len(peers),), daemon=True
-        )
-        self._accepter.start()
         try:
-            for peer in sorted(peers):
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind(roster[pid])
+            self._listener.listen(len(roster))
+            self._listener.settimeout(CONNECT_RETRY_S)
+            peers = sorted(p for p in roster if p != pid)
+            for peer in peers:
                 self._out[peer] = self._connect(peer, give_up)
             end = time.monotonic() + CONNECT_TIMEOUT_S
-            while self._accepter.is_alive():
-                if give_up() or time.monotonic() >= end:
-                    raise TransportError(f"processor {pid}: peers failed to connect")
-                self._accepter.join(timeout=CONNECT_RETRY_S)
-        except TransportError:
-            self.close()  # frees the port and ends the accept loop
+            while len(self._in) < len(peers):
+                try:
+                    conn, _addr = self._listener.accept()
+                except TimeoutError:
+                    if give_up() or time.monotonic() >= end:
+                        raise TransportError(f"processor {pid}: peers failed to connect")
+                    continue
+                self._in[conn] = bytearray()
+                self._selector.register(conn, selectors.EVENT_READ)
+        except BaseException:
+            self.close()  # frees the port
             raise
+        self._listener.close()
 
     def _connect(self, peer: int, give_up: Callable[[], bool]) -> socket.socket:
         host, port = self.roster[peer]
@@ -238,47 +250,6 @@ class TcpBackend:
                     raise TransportError(f"cannot reach processor {peer} at {host}:{port}")
                 time.sleep(CONNECT_RETRY_S)
 
-    def _accept_loop(self, expected: int) -> None:
-        try:
-            for _ in range(expected):
-                conn, _addr = self._listener.accept()
-                threading.Thread(
-                    target=self._read_loop, args=(conn,), daemon=True
-                ).start()
-        except OSError:
-            pass  # the listener closed before every peer connected
-
-    def _read_loop(self, conn: socket.socket) -> None:
-        # Peers close their sockets when they terminate; an EOF or a short
-        # read ends the loop. A malformed frame ends it too, and ``poll``
-        # raises it, so the run fails instead of waiting for lost frames.
-        # The environment closes only after every node has exited, so a node
-        # still reading has lost its run, and ``poll`` raises that too. The
-        # peer is known from its first frame; an environment that closes
-        # before it failed to build its backend (its launcher kills the nodes
-        # after STOP_GRACE_S) or was killed (they fail at TCP_WALL_S).
-        peer = None
-        try:
-            with conn, conn.makefile("rb") as reader:
-                while not self._stop.is_set():
-                    header = reader.read(_FRAME.size)
-                    if len(header) < _FRAME.size:
-                        break
-                    (length,) = _FRAME.unpack(header)
-                    payload = reader.read(length)
-                    if len(payload) < length:
-                        break
-                    msg = decode(payload)
-                    peer = msg.sender
-                    self._inbox.put(msg)
-        except CodecError as exc:
-            self._inbox.put(TransportError(f"processor {self.pid}: bad frame: {exc}"))
-        except OSError:
-            pass
-        if peer == 0 and not self._stop.is_set():
-            self._inbox.put(TransportError(
-                f"processor {self.pid}: environment closed the connection"))
-
     def send(self, dest: int, msg: Message) -> None:
         msg.validate()
         payload = encode(msg)
@@ -288,22 +259,53 @@ class TcpBackend:
             raise TransportError(f"send to {dest} failed: {exc}") from exc
 
     def poll(self, pid: int, wait: float = 0) -> list[Message]:
-        out = _drain(self._inbox, wait)
-        for item in out:
-            if isinstance(item, TransportError):
-                raise item
-        return out
+        """Read every readable connection until at least one message is
+        decoded or ``wait`` seconds have passed."""
+        out: list[Message] = []
+        end = time.monotonic() + wait
+        while True:
+            for key, _events in self._selector.select(end - time.monotonic()):
+                self._read(key.fileobj, out)
+            if out or time.monotonic() >= end:
+                return out
+
+    def _read(self, conn: socket.socket, out: list[Message]) -> None:
+        # Peers close their sockets when they terminate. The environment
+        # closes only after every node has exited, so a node still reading
+        # has lost its run. The sender is known from the first frame; an
+        # environment that closes before it failed to build its backend (its
+        # launcher kills the nodes after STOP_GRACE_S) or was killed (they
+        # fail at TCP_WALL_S).
+        try:
+            chunk = conn.recv(1 << 16)
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self._selector.unregister(conn)
+            del self._in[conn]
+            conn.close()
+            if conn is self._env:
+                raise TransportError(f"processor {self.pid}: environment closed the connection")
+            return
+        buf = self._in[conn]
+        buf += chunk
+        start = 0
+        while len(buf) - start >= _FRAME.size:
+            (length,) = _FRAME.unpack_from(buf, start)
+            end = start + _FRAME.size + length
+            if end > len(buf):
+                break
+            try:
+                msg = decode(buf[start + _FRAME.size:end])
+            except CodecError as exc:
+                raise TransportError(f"processor {self.pid}: bad frame: {exc}") from exc
+            if msg.sender == 0:
+                self._env = conn
+            out.append(msg)
+            start = end
+        del buf[:start]
 
     def close(self) -> None:
-        self._stop.set()
-        for sock in self._out.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        try:
-            # Shutting the listener down wakes an accept() blocked on it.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
+        for sock in chain(self._out.values(), self._in, [self._listener]):
+            sock.close()
+        self._selector.close()

@@ -168,6 +168,21 @@ def test_tcp_shard_of_an_earlier_run_is_not_read(tmp_path, capsys, monkeypatch):
     assert read_trace(str(tmp_path / "tcp.trace")) == []
 
 
+def test_tcp_run_at_four_processors_equals_det(tmp_path, free_ports):
+    # Each of the five processes accepts four connections.
+    prefix = gen_workload(tmp_path, seed=5, procs=4, n=24, horizon=60)
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(5))))
+    inputs = ["--net", prefix + ".net", "--map", prefix + ".map",
+              "--stim", prefix + ".stim", "--horizon", "60"]
+    for mode in ("det", "tcp"):
+        assert main(["run", *inputs, "--mode", mode, "--roster", str(roster),
+                     "--out", str(tmp_path / f"{mode}.trace")]) == 0
+    det = read_trace(str(tmp_path / "det.trace"))
+    assert det and read_trace(str(tmp_path / "tcp.trace")) == det
+
+
 def test_tcp_nodes_import_the_launchers_package(tmp_path, capsys, monkeypatch,
                                                 free_ports):
     # Without PYTHONPATH and outside the checkout, `python -m spikesim` finds

@@ -151,9 +151,9 @@ def test_output_logging_and_advancement_trigger():
     msg = Message(sender=1, clock=[4, 4, 2], events=[spike])
     assert env.on_output(msg) is True  # et_1 reached T
     assert env.output_log == [(7, 3)]
-    # duplicate copies are logged once
+    # a second copy is logged again, so a double emission shows
     env.on_output(Message(sender=1, clock=[4, 4, 2], events=[spike]))
-    assert env.output_log == [(7, 3)]
+    assert env.output_log == [(7, 3), (7, 3)]
 
 
 def test_output_below_T_does_not_trigger_advancement():

@@ -97,6 +97,15 @@ def test_compare_traces_reports_first_divergence():
     assert compare_traces(a, list(a)).empty
 
 
+def test_compare_traces_counts_a_repeated_spike():
+    diff = compare_traces([(1, 2), (1, 2), (3, 4)], [(1, 2), (3, 4)])
+    assert not diff.empty
+    assert diff.missing_in_b == [(1, 2)] and diff.missing_in_a == []
+    assert diff.first_divergence == (1, 2)
+    assert "only in a: spike 1 2" in diff.render()
+    assert compare_traces([(1, 2)], [(1, 2), (1, 2)]).missing_in_a == [(1, 2)]
+
+
 def test_trace_file_round_trip(tmp_path):
     path = tmp_path / "t"
     write_trace([(5, 2), (1, 2), (9, 1)], str(path))

@@ -236,6 +236,41 @@ def test_tcp_backend_reassembles_a_split_frame(free_ports):
             b.close()
 
 
+def test_tcp_backend_polls_frames_sent_before_it_reads_in_order(free_ports):
+    # Two whole frames and the head of a third wait in the socket before
+    # the peer polls; the tail of the third follows later.
+    backends = _tcp_pair(free_ports)
+    try:
+        sent = [Message(sender=0, clock=[i, -1], events=[CMEvent(4, EXT_NEURON, i)])
+                for i in range(3)]
+        stream = b"".join(struct.pack("<I", len(p)) + p for p in map(encode, sent))
+        cut = len(stream) - 7
+        got = []
+        for piece, count in ((stream[:cut], 2), (stream[cut:], 3)):
+            backends[0]._out[1].sendall(piece)
+            deadline = time.monotonic() + 5.0
+            while len(got) < count and time.monotonic() < deadline:
+                got += backends[1].poll(1, wait=0.1)
+            assert got == sent[:count]
+    finally:
+        for b in backends.values():
+            b.close()
+
+
+def test_tcp_backend_starts_no_thread(free_ports):
+    before = threading.active_count()
+    backends = _tcp_pair(free_ports)
+    try:
+        assert threading.active_count() == before
+        backends[0].send(1, Message(sender=0, clock=[1, -1]))
+        assert backends[1].poll(1, wait=5) == [Message(sender=0, clock=[1, -1])]
+        assert threading.active_count() == before
+    finally:
+        for b in backends.values():
+            b.close()
+    assert threading.active_count() == before
+
+
 def test_tcp_backend_reports_a_malformed_frame(free_ports):
     # A frame with bad magic, then a good message on the same connection:
     # poll must raise instead of waiting for a frame that never arrives.
