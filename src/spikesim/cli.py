@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
         if args.node is not None:
             node = run_tcp_node(net, mapping, stimuli, args.horizon,
                                 node_id=args.node, roster_path=args.roster,
-                                minpak=args.minpak)
+                                minpak=args.minpak, timeout_ms=args.timeout_ms)
             write_trace(node.trace, f"{prefix}.shard{args.node}")
             return 0
         node_argv = []
@@ -131,8 +131,8 @@ def _cmd_run(args) -> int:
                 sys.executable, "-m", "spikesim", "run",
                 "--net", args.net, "--map", args.mapping, "--stim", args.stim,
                 "--mode", "tcp", "--horizon", str(args.horizon),
-                "--minpak", str(args.minpak), "--roster", args.roster,
-                "--node", str(pid), "--out", prefix,
+                "--minpak", str(args.minpak), "--timeout-ms", str(args.timeout_ms),
+                "--roster", args.roster, "--node", str(pid), "--out", prefix,
             ])
         result = run_tcp_launcher(net, mapping, stimuli, args.horizon,
                                   roster_path=args.roster, node_argv=node_argv,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .environment import EnvState
-from .events import EXT_NEURON
+from .events import EXT_NEURON, ProtocolViolation
 from .neuron import ECState, Synapse
 from .node import NodeState
 from .oracle import trace_order
@@ -166,7 +166,11 @@ class DeterministicEngine:
                 busy = False
                 for pid, node in nodes.items():  # in pid order
                     inbound, mail[pid] = mail[pid], []
-                    moved, messages = node.step(inbound, self.minpak)
+                    try:
+                        moved, messages = node.step(inbound, self.minpak)
+                    except ProtocolViolation as exc:
+                        violations.append(f"node {pid}: {exc!r}")
+                        return self._result()
                     for dest, msg in messages:
                         mail[dest].append(msg)
                     busy = busy or moved
@@ -177,20 +181,22 @@ class DeterministicEngine:
             if not broadcast:
                 violations.append(f"no advancement at quiescence (T = {env.T})")
                 break
-        return RunResult(
-            trace=merge_traces(nodes),
-            outputs=env.sorted_outputs(),
-            stats=aggregate_stats(env, nodes),
-            violations=list(violations),
-        )
+        return self._result()
+
+    def _result(self) -> RunResult:
+        return RunResult(trace=merge_traces(self.nodes), outputs=self.env.sorted_outputs(),
+                         stats=aggregate_stats(self.env, self.nodes),
+                         violations=list(self.monitor.violations))
 
 
 # -- free-running modes: one environment loop and one node loop ----------------
 
 # Wall-clock budget of a tcp run, for the launcher and for each node process.
 TCP_WALL_S = 120.0
-# How long the launcher lets node processes run on after a run cut short.
+# How long the launcher lets node processes run on after a run cut short,
+# and waits for them to exit after a finished run.
 STOP_GRACE_S = 1.0
+EXIT_WAIT_S = 15.0
 # How long ThreadedEngine waits for its node threads to stop after the run.
 JOIN_S = 5.0
 # First on each tcp node's PYTHONPATH: nodes import this spikesim, installed or not.
@@ -296,13 +302,14 @@ class ThreadedEngine:
 
 def run_tcp_node(net: NetworkSpec, mapping: MappingSpec,
                  stimuli: dict[int, list[int]], horizon: int,
-                 node_id: int, roster_path: str, minpak: int = 1) -> NodeState:
+                 node_id: int, roster_path: str, minpak: int = 1,
+                 timeout_ms: int = 20) -> NodeState:
     """Run one compute processor against live TCP peers until T passes
     ``horizon + EnvState.slack``; returns the node for trace extraction.
     Raises ``TransportError`` if the run is not over within ``TCP_WALL_S``."""
     roster = load_roster(roster_path)
     env, nodes = build_simulation(net, mapping, stimuli, horizon,
-                                  only_node=node_id)
+                                  timeout_ms=timeout_ms, only_node=node_id)
     node = nodes[node_id]
     backend = TcpBackend(node_id, roster)
     deadline = time.monotonic() + TCP_WALL_S
@@ -350,7 +357,7 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
         # After a finished run every node sees the final advancement (channels
         # are FIFO) and stops by itself, flushing to this backend until then;
         # after a run cut short, none does.
-        deadline = time.monotonic() + (15.0 if env.done else STOP_GRACE_S)
+        deadline = time.monotonic() + (EXIT_WAIT_S if env.done else STOP_GRACE_S)
         for pid, p in enumerate(procs, start=1):
             # A blocking wait wakes at the exit; Popen.wait(timeout) would
             # poll with sleeps of up to 50 ms.

@@ -53,9 +53,7 @@ class EnvState:
         self.timeout_ms = timeout_ms
         self.output_log: list[tuple[int, int]] = []
         self.stats = EnvStats()
-        # Broadcasts sent to, and output messages received from, each node.
-        self.sent = [0] * (procs + 1)
-        self.received = [0] * (procs + 1)
+        self.received = [0] * (procs + 1)  # output messages from each node
         self.reports: dict[int, Report] = {}  # the latest from each node
 
     # -- derived state -------------------------------------------------------
@@ -98,8 +96,6 @@ class EnvState:
             if owner is None:
                 raise KeyError(f"stimulus for unmapped neuron {nid}")
             per_proc[owner].append(CMEvent(target=nid, source=EXT_NEURON, stamp=self.T - 1))
-        for p in per_proc:
-            self.sent[p] += 1
         return [
             Message(sender=0, clock=list(self.clock), events=per_proc[p])
             for p in range(1, self.procs + 1)
@@ -128,12 +124,14 @@ class EnvState:
         processor is busy and no message is in flight, else None. An idle
         processor changes only when mail arrives, so a busy one or a message
         in flight leaves some channel (env to i, i to env, i to j) whose
-        counts differ; totals alone could balance across channels."""
+        counts differ; totals alone could balance across channels. Each
+        advancement sends one message to every processor, so the channel
+        from the environment to i balances once i has received T."""
         reps = self.reports
         if len(reps) < self.procs:
             return None
         for i, r in reps.items():
-            if r.received[0] != self.sent[i] or r.sent[0] != self.received[i]:
+            if r.received[0] != self.T or r.sent[0] != self.received[i]:
                 return None
             if any(r.sent[j] != reps[j].received[i] for j in reps):
                 return None

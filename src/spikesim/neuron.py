@@ -93,14 +93,15 @@ class ECState:
 
     Pending arrival groups, all above the horizon between integrations,
     are parallel lists in time order: effective ``times``, their ``groups``
-    of (source, stamp, weight) and the (v, fired) ``after`` each group as
+    of (source, stamp, weight) and the potential ``after`` each group as
     the last replay left it. Arrivals land above the horizon, so a replay
     starts at the earliest arrival's group, from the cached state.
 
     ``queued`` is the cell's one forecast table, by stamp. It holds every
     unemitted forecast, live or final, and every emitted forecast still
-    above the horizon. Above the horizon it holds a forecast at a pending
-    time exactly when that group fired (up to ``sim_horizon``).
+    above the horizon. It is where a pending group's fire is kept: above
+    the horizon it holds a forecast at a pending time exactly when that
+    group fired (up to ``sim_horizon``).
     """
 
     def __init__(self, neuron: int, params: NeuronParams,
@@ -117,10 +118,8 @@ class ECState:
         self.horizon = 0
         self.times: list[int] = []
         self.groups: list[list[tuple[int, int, float]]] = []
-        self.after: list[tuple[float, bool]] = []
+        self.after: list[float] = []
         self.queued: dict[int, CPEvent] = {}
-        self.priority = False
-        self.active = False
         self._last_stamp_per_source: dict[int, int] = {}
 
     # -- bookkeeping driven by the owning node ------------------------------
@@ -158,19 +157,19 @@ class ECState:
             else:
                 times.insert(i, eff)
                 groups.insert(i, [(source, stamp, syn.weight)])
-                after.insert(i, (0.0, False))
+                after.insert(i, 0.0)
             if i < start:
                 start = i
         self.horizon = max(horizon, stamp + self.d_min - 1)
         result = self._diff(start)
         k = bisect_right(times, self.horizon)
         if k:  # fold: the groups up to the horizon are final, and so are their fires
-            queued, sim_horizon = self.queued, self.sim_horizon
-            for j in range(k):
-                t = times[j]
-                if after[j][1] and t <= sim_horizon and queued[t].emitted:
+            queued = self.queued
+            for t in times[:k]:
+                ev = queued.get(t)
+                if ev is not None and ev.emitted:
                     del queued[t]
-            self.v, self.v_time = after[k - 1][0], times[k - 1]
+            self.v, self.v_time = after[k - 1], times[k - 1]
             del times[:k], groups[:k], after[:k]
         return result
 
@@ -181,15 +180,19 @@ class ECState:
         result = IntegrationResult()
         queued, times, groups, after = self.queued, self.times, self.groups, self.after
         horizon, sim_horizon, params = self.horizon, self.sim_horizon, self.params
-        v, t_prev = (after[start - 1][0], times[start - 1]) if start else (self.v, self.v_time)
+        v, t_prev = (after[start - 1], times[start - 1]) if start else (self.v, self.v_time)
         for j in range(start, len(times)):
-            t, was = times[j], after[j][1]
+            t = times[j]
             v, fired = membrane_step(v, t_prev, t, groups[j], params)
-            after[j], t_prev = (v, fired), t
-            if t > sim_horizon or not (fired or was):
+            after[j], t_prev = v, t
+            if t > sim_horizon:
                 continue
-            if not fired:
-                ev = queued[t]
+            ev = queued.get(t)  # the group's fire as the last replay left it
+            if ev is None:
+                if fired:
+                    queued[t] = ev = CPEvent(source=self.neuron, stamp=t)
+                    result.new_forecasts.append(ev)
+            elif not fired:
                 if ev.emitted:  # every replay must reproduce an emitted fire
                     raise ProtocolViolation(
                         f"neuron {self.neuron}: emitted spike at {t} "
@@ -201,9 +204,6 @@ class ECState:
                         f"invalidated (horizon {horizon})"
                     )
                 result.cancellations.append(ev)
-            elif not was:
-                queued[t] = ev = CPEvent(source=self.neuron, stamp=t)
-                result.new_forecasts.append(ev)
         # Only now, so an invalid cancellation raises before the table moves.
         for ev in result.cancellations:
             del queued[ev.stamp]

@@ -69,7 +69,7 @@ class NodeState:
         # Forecast keys; a cell that cancels a stamp and forecasts it again adds a duplicate.
         self.cp_queue: list[tuple[int, int]] = []
         self.pt = 0  # processing time register: the last started stamp
-        self.nbth = 0
+        self.running: set[int] = set()  # cells with a computation in flight
         self.clock = [0] * (procs + 1)  # clock[id]: the last emitted stamp
         self.ecs = ecs
         self.post_tables = post_tables
@@ -135,9 +135,9 @@ class NodeState:
                 or self.emission_order_safe(st))
 
     # While computations are synchronous (``cpc_step`` starts, integrates and
-    # collects each one back to back), this gate never refuses: no cell is
-    # active and nbth == 0 when it runs, and an arrival at st comes only after
-    # every clock entry has reached st.
+    # collects each one back to back), this gate never refuses: ``running``
+    # is empty when it runs, and an arrival at st comes only after every
+    # clock entry has reached st.
     # - A local spike was filed by our own emission at st. That set our entry
     #   to st, and the emission rule found every other entry at st or above
     #   (each disjunct does, by induction on stamps).
@@ -150,16 +150,14 @@ class NodeState:
     # calls. The branches stay for computations that overlap.
 
     def computation_authorized(self, e: CMEvent) -> AuthDecision:
-        ec = self.ecs.get(e.target)
-        if ec is None:
+        if e.target not in self.ecs:
             raise TopologyError(f"node {self.id}: no cell for neuron {e.target}")
         st = e.stamp
-        if ec.active:
-            ec.priority = True
+        if e.target in self.running:
             return AuthDecision.PRIORITY_DEFERRED
         if st == self.pt:
             return AuthDecision.AUTHORIZED
-        if self.nbth == 0 and self.others_reached(st):
+        if not self.running and self.others_reached(st):
             # Our own clock has reached st, or (the paper's local deadlock)
             # no forecast of ours lies below it.
             top = self.cp_top()
@@ -200,20 +198,17 @@ class NodeState:
         ec = self.ecs.get(target)
         if ec is None:
             raise TopologyError(f"node {self.id}: no cell for neuron {target}")
-        self.nbth += 1
+        self.running.add(target)
         self.pt = stamp
-        ec.active = True
         return ec
 
     def collect_result(self, ec: ECState, result: IntegrationResult) -> None:
-        if not ec.active:
+        if ec.neuron not in self.running:
             raise ProtocolViolation("collect_result for an idle cell")
         for ev in result.new_forecasts:
             self.queue_forecast(ev)
         self.stats.cancellations += len(result.cancellations)
-        self.nbth -= 1
-        ec.active = False
-        ec.priority = False
+        self.running.discard(ec.neuron)
 
     # -- emission order --------------------------------------------------------
     #
@@ -226,7 +221,7 @@ class NodeState:
     # off the forecast's neuron at or before its stamp: the spike is final.
 
     def emission_order_safe(self, st: int) -> bool:
-        if self.nbth != 0:
+        if self.running:
             return False
         stamps_in = self.cm_queue.stamps
         if stamps_in and st > stamps_in[0] + 1:

@@ -258,37 +258,38 @@ def test_criterion_8_wire_fidelity(tmp_path, free_ports):
 
 def test_criterion_9_authorization_branch_coverage():
     def node():
-        cell = ECState(7, NeuronParams(1.0, 10.0), {9: Synapse(2.0, 2)}, 100)
-        return NodeState(1, 2, {7: cell},
-                         post_tables={7: []}, outputs=set())
+        cells = {nid: ECState(nid, NeuronParams(1.0, 10.0), {9: Synapse(2.0, 2)}, 100)
+                 for nid in (7, 8, 9)}
+        return NodeState(1, 2, cells, post_tables={nid: [] for nid in cells},
+                         outputs=set())
 
     checks = []
 
-    def emission(st, et, pt, nbth, clock, expect, pending=False):
+    def emission(st, et, pt, running, clock, expect, pending=False):
         n = node()
         e = n.ecs[7].queued[st] = CPEvent(source=7, stamp=st)
         n.queue_forecast(e)
         if pending:  # an incoming spike at pt waits behind the started one
             n.cm_queue.push(CMEvent(target=7, source=9, stamp=pt))
-        n.pt, n.nbth, n.clock = pt, nbth, clock
+        n.pt, n.running, n.clock = pt, running, clock
         n.clock[n.id] = et  # the own entry is the emission time
         checks.append(n.emission_authorized(e) is expect)
 
-    emission(5, 5, 1, 1, [9, 5, 1], True)    # at the emission time
-    emission(9, 3, 2, 1, [9, 3, 1], False)   # out of order
-    emission(9, 3, 8, 0, [9, 3, 9], True,
-             pending=True)                   # order safe past stamp 8
-    emission(6, 4, 8, 1, [9, 4, 1], True,
-             pending=True)                   # behind processing
-    emission(7, 4, 6, 0, [9, 4, 7], True)    # quiescent, order safe
-    emission(7, 4, 6, 0, [9, 4, 8], True)    # remote ahead
-    emission(7, 4, 6, 1, [9, 4, 7], False)   # threads active
-    emission(7, 4, 3, 0, [9, 4, 7], False,
-             pending=True)                   # incoming pending
-    emission(7, 4, 6, 0, [9, 4, 5], False)   # remote behind
-    emission(7, 4, 6, 0, [9, 4, 3], False)   # remote idle below
+    emission(5, 5, 1, {8}, [9, 5, 1], True)    # at the emission time
+    emission(9, 3, 2, {8}, [9, 3, 1], False)   # out of order
+    emission(9, 3, 8, set(), [9, 3, 9], True,
+             pending=True)                     # order safe past stamp 8
+    emission(6, 4, 8, {8}, [9, 4, 1], True,
+             pending=True)                     # behind processing
+    emission(7, 4, 6, set(), [9, 4, 7], True)  # quiescent, order safe
+    emission(7, 4, 6, set(), [9, 4, 8], True)  # remote ahead
+    emission(7, 4, 6, {8}, [9, 4, 7], False)   # computations running
+    emission(7, 4, 3, set(), [9, 4, 7], False,
+             pending=True)                     # incoming pending
+    emission(7, 4, 6, set(), [9, 4, 5], False)  # remote behind
+    emission(7, 4, 6, set(), [9, 4, 3], False)  # remote idle below
 
-    def computation(st, pt, nbth, clock, active=False, forecast=None,
+    def computation(st, pt, running, clock, forecast=None,
                     et=None, expect=AuthDecision.DELAYED):
         n = node()
         e = CMEvent(target=7, source=9, stamp=st)
@@ -296,24 +297,23 @@ def test_criterion_9_authorization_branch_coverage():
         if forecast is not None:
             f = n.ecs[7].queued[forecast] = CPEvent(source=7, stamp=forecast)
             n.queue_forecast(f)
-        n.pt, n.nbth, n.clock = pt, nbth, clock
+        n.pt, n.running, n.clock = pt, running, clock
         if et is not None:
             n.clock[n.id] = et
-        n.ecs[7].active = active
         checks.append(n.computation_authorized(e) is expect)
 
-    computation(5, 3, 1, [6, 4, 9], active=True,
-                expect=AuthDecision.PRIORITY_DEFERRED)
-    computation(5, 5, 1, [6, 4, 9], expect=AuthDecision.AUTHORIZED)
-    computation(5, 3, 0, [6, 4, 9], expect=AuthDecision.AUTHORIZED)
-    computation(5, 3, 0, [6, 3, 5], forecast=6, et=3,
+    computation(5, 3, {7}, [6, 4, 9],
+                expect=AuthDecision.PRIORITY_DEFERRED)  # its cell is running
+    computation(5, 5, {8}, [6, 4, 9], expect=AuthDecision.AUTHORIZED)
+    computation(5, 3, set(), [6, 4, 9], expect=AuthDecision.AUTHORIZED)
+    computation(5, 3, set(), [6, 3, 5], forecast=6, et=3,
                 expect=AuthDecision.AUTHORIZED)        # local deadlock
-    computation(5, 3, 0, [6, 3, 2], forecast=6, et=3,
+    computation(5, 3, set(), [6, 3, 2], forecast=6, et=3,
                 expect=AuthDecision.DELAYED)           # remote idle below
-    computation(5, 3, 0, [6, 3, 5], forecast=4, et=3,
+    computation(5, 3, set(), [6, 3, 5], forecast=4, et=3,
                 expect=AuthDecision.DELAYED)           # earlier forecast first
-    computation(5, 3, 0, [6, 4, 2], expect=AuthDecision.DELAYED)
-    computation(5, 3, 2, [6, 4, 9], expect=AuthDecision.DELAYED)
+    computation(5, 3, set(), [6, 4, 2], expect=AuthDecision.DELAYED)
+    computation(5, 3, {8, 9}, [6, 4, 9], expect=AuthDecision.DELAYED)
 
     ok = all(checks)
     report(9, ok, f"{sum(checks)}/{len(checks)} hand-built branch states "

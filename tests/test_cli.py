@@ -1,8 +1,14 @@
+import json
+import sys
+from types import SimpleNamespace
+
 import pytest
 
 from spikesim import cli
 from spikesim.cli import main
 from spikesim.engine import RunResult
+from spikesim.events import ProtocolViolation
+from spikesim.neuron import ECState
 from spikesim.oracle import read_trace
 
 
@@ -28,7 +34,6 @@ def test_run_oracle_compare_pipeline(tmp_path, capsys):
     assert main(["compare", run_trace, oracle_trace]) == 0
     out = capsys.readouterr().out
     assert "traces identical" in out
-    import json
     with open(stats) as fh:
         recorded = json.load(fh)
     assert recorded["advancements"] > 40
@@ -120,6 +125,29 @@ def test_timeout_below_1_ms_is_usage_error(tmp_path, capsys, timeout_ms):
     assert "timeout_ms must be at least 1" in capsys.readouterr().err
 
 
+def test_det_reports_a_protocol_violation(tmp_path, capsys, monkeypatch):
+    # As in threads mode, a node's ProtocolViolation is a reported violation
+    # with exit code 1 and the run's partial result, not a traceback.
+    integrate, calls = ECState.integrate, []
+
+    def failing(cell, stamp, sources):
+        calls.append(stamp)
+        if len(calls) == 5:
+            raise ProtocolViolation("injected")
+        return integrate(cell, stamp, sources)
+
+    monkeypatch.setattr(ECState, "integrate", failing)
+    prefix = gen_workload(tmp_path)
+    stats = tmp_path / "stats.json"
+    assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                 "--stim", prefix + ".stim", "--horizon", "40",
+                 "--stats", str(stats)]) == 1
+    assert len(calls) == 5
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["violation: node 2: ProtocolViolation('injected')"]
+    assert json.loads(stats.read_text())["computed"] > 0
+
+
 def test_suite_subcommand(capsys):
     assert main(["suite", "--seeds", "2", "--procs", "1,2", "--n", "12",
                  "--horizon", "50"]) == 0
@@ -166,6 +194,32 @@ def test_tcp_shard_of_an_earlier_run_is_not_read(tmp_path, capsys, monkeypatch):
     assert "violation: missing trace shard 1" in err
     assert "violation: missing trace shard 2" in err
     assert read_trace(str(tmp_path / "tcp.trace")) == []
+
+
+def test_tcp_nodes_wait_as_long_as_the_launcher(tmp_path, monkeypatch):
+    # The launcher hands --timeout-ms to each node process it spawns.
+    launched, nodes = {}, {}
+
+    def launcher(*_args, node_argv, timeout_ms, **_kw):
+        launched.update(argv=node_argv, timeout_ms=timeout_ms)
+        return RunResult(trace=[], outputs=[], stats={}, violations=[])
+
+    def node(*_args, node_id, timeout_ms, **_kw):
+        nodes[node_id] = timeout_ms
+        return SimpleNamespace(trace=[])
+
+    monkeypatch.setattr(cli, "run_tcp_launcher", launcher)
+    monkeypatch.setattr(cli, "run_tcp_node", node)
+    prefix = gen_workload(tmp_path, procs=2, horizon=10)
+    assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                 "--stim", prefix + ".stim", "--horizon", "10", "--mode", "tcp",
+                 "--roster", str(tmp_path / "roster"), "--timeout-ms", "7",
+                 "--out", str(tmp_path / "tcp.trace")]) == 1  # no shards
+    assert launched["timeout_ms"] == 7 and len(launched["argv"]) == 2
+    for argv in launched["argv"]:
+        assert argv[:3] == [sys.executable, "-m", "spikesim"]
+        assert main(argv[3:]) == 0
+    assert nodes == {1: 7, 2: 7}
 
 
 def test_tcp_run_at_four_processors_equals_det(tmp_path, free_ports):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -438,3 +439,55 @@ def test_tcp_launcher_reports_a_backend_it_cannot_build(tmp_path, monkeypatch,
     assert "violation: node process exited with 3 (processor 1)" in err
     assert "violation: cannot reach processor 1" in err
     assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+
+
+def test_tcp_launcher_kills_a_node_that_does_not_exit(tmp_path, monkeypatch,
+                                                      free_ports):
+    # The node finishes its run, then blocks writing its trace shard. Once
+    # EXIT_WAIT_S has passed, the launcher kills it and reports the exit.
+    net, mapping, stimuli = generate_random(seed=2, n=24, prob=0.12, procs=1,
+                                            horizon=20)
+    prefix = str(tmp_path / "w")
+    save_network(net, prefix + ".net")
+    save_mapping(mapping, prefix + ".map")
+    save_stimuli(stimuli, prefix + ".stim")
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(2))))
+    pid_file = tmp_path / "node.pid"
+    blocked = ("import os, pathlib, sys, time\n"
+               "from spikesim import cli\n"
+               f"pathlib.Path({str(pid_file)!r}).write_text(str(os.getpid()))\n"
+               "cli.write_trace = lambda *args: time.sleep(60)\n"
+               "sys.exit(cli.main(sys.argv[1:]))\n")
+    argv = [sys.executable, "-c", blocked, "run", "--net", prefix + ".net",
+            "--map", prefix + ".map", "--stim", prefix + ".stim", "--mode", "tcp",
+            "--horizon", "20", "--roster", str(roster), "--node", "1", "--out", prefix]
+    monkeypatch.setattr(engine, "EXIT_WAIT_S", 1.0)
+    start = time.monotonic()
+    result = engine.run_tcp_launcher(net, mapping, stimuli, 20,
+                                     roster_path=str(roster), node_argv=[argv])
+    assert time.monotonic() - start < 10.0  # the node blocks for 60 s
+    assert result.violations == [
+        "node process exited with -9 after the run stopped (processor 1)"]
+    assert result.stats["advancements"] > 20  # the run itself finished
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_run_tcp_node_builds_with_its_timeout(tmp_path, monkeypatch):
+    net, mapping, stimuli = generate_random(seed=2, n=12, prob=0.12, procs=1,
+                                            horizon=20)
+    roster = tmp_path / "roster"
+    roster.write_text("0 127.0.0.1:1\n1 127.0.0.1:2\n")
+    built = {}
+
+    def build(*_args, timeout_ms, **_kw):
+        built["timeout_ms"] = timeout_ms
+        raise TransportError("stop before connecting")
+
+    monkeypatch.setattr(engine, "build_simulation", build)
+    with pytest.raises(TransportError, match="stop before connecting"):
+        run_tcp_node(net, mapping, stimuli, 20, node_id=1,
+                     roster_path=str(roster), timeout_ms=7)
+    assert built == {"timeout_ms": 7}

@@ -69,8 +69,8 @@ def test_timeout_raises_no_entry_above_a_pending_forecast():
 
 def test_quiescence_needs_every_channel_to_balance():
     env = make_env(procs=3, owners={1: 1})
-    env.advance_T()
-    assert env.sent == [0, 1, 1, 1]
+    env.advance_T()  # one broadcast to each node: the count is T
+    assert env.T == 1
     report(env, 1, [0, 0, 0, 0], [1, 0, 0, 0])
     report(env, 2, [0, 1, 0, 0], [1, 0, 0, 0], floor=12)
     assert env.quiescence_floor() is None   # node 3 has not reported
@@ -82,6 +82,9 @@ def test_quiescence_needs_every_channel_to_balance():
     assert env.quiescence_floor() == 9
     env.on_timeout(floor=9)   # the broadcast is not yet received
     assert env.quiescence_floor() is None
+    for node, r in list(env.reports.items()):  # now each has received T = 2
+        report(env, node, r.sent, [2, *r.received[1:]], floor=r.floor)
+    assert env.quiescence_floor() == 9
 
 
 def test_quiescence_waits_for_outputs_in_flight():

@@ -63,7 +63,8 @@ def test_same_tick_order_is_by_source_then_stamp():
     cell.integrate(3, [3, 1])  # both land at 4
     group = [(1, 3, 1.2), (2, 2, -5.0), (3, 3, 0.25)]
     assert cell.times == [4] and cell.groups == [group]
-    assert cell.after == [membrane_step(0.0, 0, 4, group, cell.params)]
+    v, fired = membrane_step(0.0, 0, 4, group, cell.params)
+    assert cell.after == [v] and (4 in cell.queued) == fired
 
 
 def test_fire_resets_potential():
@@ -155,6 +156,8 @@ def test_forecast_beyond_bound_not_certified():
     assert [e.stamp for e in result.new_forecasts] == [18]
     assert cell.on_emitted(18) is False  # not certain, and kept above the horizon
     assert cell.queued[18].emitted
+    cell.integrate(20, [1])  # the fold that makes the fire final drops it
+    assert cell.horizon == 21 and 18 not in cell.queued
 
 
 def test_stale_arrival_rejected():
@@ -323,7 +326,7 @@ def test_replay_cache_equals_replay_from_scratch(arrivals, in_stamp_order, emit)
 
 def _cell_state(cell):
     return (cell.v.hex(), cell.v_time, cell.horizon, cell.times, cell.groups,
-            [(v.hex(), fired) for v, fired in cell.after],
+            [v.hex() for v in cell.after],
             sorted((s, e.emitted) for s, e in cell.queued.items()))
 
 

@@ -62,7 +62,7 @@ def test_emission_authorized_when_certified():
     node = make_node()
     e = queue_forecast(node, 9, certain=True)
     queue_incoming(node, 8)  # can forecast 9 at the earliest
-    node.pt, node.nbth = 8, 0
+    node.pt = 8
     node.clock = [9, 3, 9]
     assert decides(node, e) is True
 
@@ -72,7 +72,7 @@ def test_certified_emission_delayed_out_of_order():
     # forecast a smaller stamp.
     node = make_node()
     e = queue_forecast(node, 9, certain=True)
-    node.pt, node.nbth = 2, 1
+    node.pt, node.running = 2, {7}
     node.clock = [9, 3, 9]
     assert decides(node, e) is False
 
@@ -90,7 +90,6 @@ def test_emission_authorized_in_quiescence():
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
     node.pt = 6           # incoming queue empty
-    node.nbth = 0
     node.clock = [9, 4, 7]  # the remote clock reached 7
     assert decides(node, e) is True
 
@@ -100,7 +99,7 @@ def test_emission_delayed_when_remote_empty_below_stamp():
     # and make that processor send at 3 or later, below the stamp.
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
-    node.pt, node.nbth = 6, 0
+    node.pt = 6
     node.clock = [9, 4, 3]
     assert decides(node, e) is False
 
@@ -108,7 +107,7 @@ def test_emission_delayed_when_remote_empty_below_stamp():
 def test_emission_quiescent_branch_accepts_remote_ahead():
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 7)
-    node.pt, node.nbth = 6, 0
+    node.pt = 6
     node.clock = [9, 4, 8]  # remote already emitted past 7
     assert decides(node, e) is True
 
@@ -116,7 +115,7 @@ def test_emission_quiescent_branch_accepts_remote_ahead():
 def test_emission_delayed_when_threads_active():
     node = make_node()
     e = queue_forecast(node, 7)
-    node.pt, node.nbth = 6, 1
+    node.pt, node.running = 6, {7}
     node.clock = [9, 4, 7]
     assert decides(node, e) is False
 
@@ -125,7 +124,7 @@ def test_emission_delayed_when_incoming_pending():
     node = make_node()
     e = queue_forecast(node, 7)
     queue_incoming(node, 3)  # may still forecast below the stamp
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [9, 4, 7]
     assert decides(node, e) is False
 
@@ -140,7 +139,7 @@ def test_each_disjunct_alone_decides(at_et, behind, order_safe):
     node.clock = [9, 7 if at_et else 4, 7 if order_safe else 5]
     if behind:
         queue_incoming(node, 8)  # a computation at 8 has started
-        node.pt, node.nbth = 8, 1
+        node.pt, node.running = 8, {7}
     else:
         node.pt = 6
     assert (e.stamp == node.clock[node.id]) is at_et
@@ -156,7 +155,7 @@ def test_uncertified_order_safe_forecast_goes_out_past_a_pending_spike():
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 9)
     queue_incoming(node, 8)
-    node.pt, node.nbth = 5, 0
+    node.pt = 5
     node.clock = [9, 3, 9]
     assert node.emission_authorized(e) is True
     assert node.cmc_step() == (True, [])
@@ -167,7 +166,6 @@ def test_uncertified_order_safe_forecast_goes_out_past_a_pending_spike():
 def test_emission_waits_for_the_environment_clock():
     node = make_node(node_id=1, procs=2)
     e = queue_forecast(node, 5)
-    node.nbth = 0
     node.clock = [4, 0, 9]  # environment time behind the stamp
     assert decides(node, e) is False
     node.clock = [5, 0, 9]
@@ -180,23 +178,55 @@ def test_emission_waits_for_the_environment_clock():
 def test_computation_deferred_while_cell_active():
     node = make_node()
     e = queue_incoming(node, 5)
-    node.ecs[7].active = True
+    node.running = {7}
     assert node.computation_authorized(e) is AuthDecision.PRIORITY_DEFERRED
-    assert node.ecs[7].priority
+
+
+def test_deferred_arrival_is_computed_first_once_its_cell_is_idle():
+    # Why no cell stores a priority flag: a deferred arrival stays at the
+    # head of the calendar, so its cell computes next once it leaves running.
+    node = make_node(neurons=(7, 8))
+    e = queue_incoming(node, 5, target=7)
+    queue_incoming(node, 6, target=8)
+    node.pt, node.running = 5, {7}
+    node.clock = [9, 9, 9]
+    assert node.cpc_step() is False
+    assert node.stats.delayed_computations == 1
+    assert node.cm_queue.peek() == e
+    started, start = [], node.start_computation
+
+    def spy(target, stamp):
+        started.append((target, stamp))
+        return start(target, stamp)
+
+    node.start_computation = spy
+    node.running.clear()
+    assert node.cpc_step() is True
+    assert started == [(7, 5), (8, 6)]
+
+
+def test_a_cell_is_running_from_start_to_collect():
+    node = make_node(neurons=(7, 8))
+    ec = node.start_computation(7, 3)
+    assert node.running == {7} and node.pt == 3
+    node.collect_result(ec, ec.integrate(3, [99]))
+    assert node.running == set()
+    with pytest.raises(ProtocolViolation, match="collect_result for an idle cell"):
+        node.collect_result(ec, ec.integrate(4, [99]))
 
 
 def test_computation_authorized_at_processing_time():
-    node = make_node()
+    node = make_node(neurons=(7, 8))
     e = queue_incoming(node, 5)
     node.pt = 5
-    node.nbth = 1
+    node.running = {8}  # another cell's computation at stamp 5
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
 
 def test_computation_authorized_when_all_clocks_ahead_or_empty():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [6, 4, 9]  # others ahead; own entry is not read
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
@@ -207,7 +237,7 @@ def test_computation_blocked_by_own_pending_emission():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 4)
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [6, 4, 9]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
@@ -219,7 +249,7 @@ def test_computation_authorized_on_local_deadlock():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 6)
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [6, 3, 5]
     assert node.others_reached(5)
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
@@ -229,7 +259,7 @@ def test_computation_deadlock_delayed_when_remote_empty_below_stamp():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 6)
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [6, 3, 2]  # idle at 2 may still send at 2
     assert not node.others_reached(5)
     assert node.computation_authorized(e) is AuthDecision.DELAYED
@@ -239,7 +269,7 @@ def test_computation_deadlock_blocked_by_earlier_forecast():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
     queue_forecast(node, 4)  # must be emitted first
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [6, 3, 5]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
@@ -247,7 +277,7 @@ def test_computation_deadlock_blocked_by_earlier_forecast():
 def test_computation_deadlock_with_empty_forecast_queue():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [6, 3, 5]
     assert node.computation_authorized(e) is AuthDecision.AUTHORIZED
 
@@ -255,7 +285,7 @@ def test_computation_deadlock_with_empty_forecast_queue():
 def test_computation_delayed_with_empty_forecast_queue_and_remote_below():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [6, 3, 2]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
@@ -267,13 +297,13 @@ def test_remote_entry_below_stamp_is_no_promise():
     clock = [57, 60, 0, 55, 56]
     node = make_node(node_id=2, procs=4)
     e = queue_incoming(node, 56)
-    node.pt, node.nbth = 50, 0
+    node.pt = 50
     node.clock = list(clock)
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
     node = make_node(node_id=2, procs=4)
     f = queue_forecast(node, 56)
-    node.pt, node.nbth = 50, 0
+    node.pt = 50
     node.clock = list(clock)
     node.clock[2] = 50  # node 2's own entry: its emission time
     assert decides(node, f) is False
@@ -284,15 +314,15 @@ def test_remote_entry_below_stamp_is_no_promise():
 def test_computation_delayed_when_remote_behind():
     node = make_node(node_id=1, procs=2)
     e = queue_incoming(node, 5)
-    node.pt, node.nbth = 3, 0
+    node.pt = 3
     node.clock = [6, 4, 2]  # remote behind the stamp
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
 def test_computation_delayed_while_threads_running():
-    node = make_node(node_id=1, procs=2)
+    node = make_node(node_id=1, procs=2, neurons=(7, 8, 9))
     e = queue_incoming(node, 5)
-    node.pt, node.nbth = 3, 2
+    node.pt, node.running = 3, {8, 9}
     node.clock = [6, 4, 9]
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
