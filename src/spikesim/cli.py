@@ -29,7 +29,7 @@ from .suite import run_property_suite
 from .topology import (generate_random, load_mapping, load_network,
                        load_stimuli, save_mapping, save_network, save_stimuli,
                        validate, validate_stimuli)
-from .transport import CodecError, TransportError
+from .transport import CodecError, TransportError, load_roster
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,6 +116,14 @@ def _cmd_run(args) -> int:
         if not args.roster:
             print("tcp mode requires --roster", file=sys.stderr)
             return 2
+        procs, roster = mapping.procs, load_roster(args.roster)
+        problems = [f"roster has no line for processor {pid}"
+                    for pid in range(procs + 1) if pid not in roster]
+        problems += [f"roster names processor {pid}, outside 0..{procs}"
+                     for pid in sorted(roster) if not 0 <= pid <= procs]
+        if args.node is not None and not 1 <= args.node <= procs:
+            problems.append(f"--node {args.node} is not a compute processor 1..{procs}")
+        _require_valid(problems)
         prefix = args.out or "trace"
         if args.node is not None:
             node = run_tcp_node(net, mapping, stimuli, args.horizon,

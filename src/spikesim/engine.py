@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .environment import EnvState
-from .events import EXT_NEURON, ProtocolViolation
+from .events import EXT_NEURON, ProtocolViolation, TopologyError
 from .neuron import ECState, Synapse
 from .node import NodeState
 from .oracle import trace_order
-from .topology import MappingSpec, NetworkSpec, build_post_tables
+from .topology import MappingSpec, NetworkSpec
 from .transport import (InProcBackend, Message, TcpBackend, TransportError,
                         load_roster)
 
@@ -48,31 +48,39 @@ class RunResult:
 def build_simulation(net: NetworkSpec, mapping: MappingSpec,
                      stimuli: dict[int, list[int]], horizon: int,
                      timeout_ms: int = 20, only_node: int | None = None):
-    """Instantiate the environment and the compute processors; each cell gets
-    its incoming synapses from ``net.synapses``, plus the stimulus synapse
-    of an input.
+    """Instantiate the environment and the compute processors. One pass over
+    ``net.synapses`` gives each cell its incoming synapses, and each
+    processor its ``fanout`` (every source's local targets) and ``owners``
+    (the other processors each local neuron reaches).
 
     ``only_node`` restricts construction to one processor (multi-process
     mode, where each OS process owns a single node).
     """
-    tables = build_post_tables(net, mapping)
     owner_of = dict(mapping.assignment)
+    if unmapped := net.neurons.keys() - owner_of.keys():
+        raise TopologyError(f"neuron {min(unmapped)} unmapped")
     env = EnvState(procs=mapping.procs, stimuli=stimuli, owner_of=owner_of,
                    horizon=horizon, timeout_ms=timeout_ms)
     built = [pid for pid in range(1, mapping.procs + 1) if only_node in (None, pid)]
-    incoming: dict[int, dict[int, Synapse]] = {nid: {} for pid in built for nid in tables[pid]}
+    incoming: dict[int, dict[int, Synapse]] = {nid: {} for nid in net.neurons
+                                               if owner_of[nid] in built}
+    fanout: dict[int, dict[int, list[int]]] = {pid: {} for pid in built}
+    owners: dict[int, dict[int, set[int]]] = {pid: {} for pid in built}
     for src, dst, weight, delay in net.synapses:
+        src_owner, dst_owner = owner_of[src], owner_of[dst]
         if dst in incoming:
             incoming[dst][src] = Synapse(weight, delay)
+            fanout[dst_owner].setdefault(src, []).append(dst)
+        if src_owner != dst_owner and src_owner in owners:
+            owners[src_owner].setdefault(src, set()).add(dst_owner)
     for nid in net.inputs & incoming.keys():  # a stimulus lands one tick after its time
         incoming[nid][EXT_NEURON] = Synapse(net.neurons[nid].stim_weight, 1)
     nodes: dict[int, NodeState] = {}
     for pid in built:
         ecs = {nid: ECState(nid, net.neurons[nid], incoming[nid], horizon)
-               for nid in tables[pid]}
-        # Routing must see every neuron's owner, not just local ones.
-        nodes[pid] = NodeState(pid, mapping.procs, ecs,
-                               post_tables=tables[pid], outputs=set(net.outputs))
+               for nid in incoming if owner_of[nid] == pid}
+        nodes[pid] = NodeState(pid, mapping.procs, ecs, fanout=fanout[pid],
+                               owners=owners[pid], outputs=set(net.outputs))
     return env, nodes
 
 

@@ -4,9 +4,10 @@ The environment injects external stimuli towards input neurons, collects
 the spikes of output neurons, and advances the actual time T. Every
 advancement is broadcast to all compute processors as a message carrying
 the environment's clock array and, when scheduled, the stimuli emitted at
-T-1 (so input neurons fire at T). Processors with nothing scheduled still
-receive the bare clock; the environment is the only sender allowed to
-emit clock-only messages.
+T-1 (so input neurons fire at T), each a ``Spike(input, T-1)`` that its
+owner files under the source ``EXT_NEURON``. Processors with nothing
+scheduled still receive the bare clock; the environment is the only
+sender allowed to emit clock-only messages.
 
 T advances when an output shows a processor's clock has reached it, or
 once the idle processors' reports prove the run quiescent (the paper's
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import CMEvent, EXT_NEURON
+from .events import Spike
 from .oracle import trace_order
 from .transport import Message, Report, merge_clock_into
 
@@ -90,12 +91,12 @@ class EnvState:
         self.T += 1
         self.clock[0] = self.T
         self.stats.advancements += 1
-        per_proc: dict[int, list[CMEvent]] = {p: [] for p in range(1, self.procs + 1)}
+        per_proc: dict[int, list[Spike]] = {p: [] for p in range(1, self.procs + 1)}
         for nid in self.stimuli.get(self.T - 1, ()):  # noqa: delivered exactly once
             owner = self.owner_of.get(nid)
             if owner is None:
                 raise KeyError(f"stimulus for unmapped neuron {nid}")
-            per_proc[owner].append(CMEvent(target=nid, source=EXT_NEURON, stamp=self.T - 1))
+            per_proc[owner].append(Spike(nid, self.T - 1))
         return [
             Message(sender=0, clock=list(self.clock), events=per_proc[p])
             for p in range(1, self.procs + 1)
@@ -142,10 +143,10 @@ class EnvState:
         if msg.sender < 1:
             raise ValueError("on_output expects a compute processor message")
         self.received[msg.sender] += 1
-        for ev in msg.events:
-            if ev.target != EXT_NEURON:
-                raise ValueError(f"non-output event routed to environment: {ev}")
-            self.output_log.append((ev.source, ev.stamp))
+        for spike in msg.events:
+            if self.owner_of.get(spike.neuron) != msg.sender:
+                raise ValueError(f"{spike} from processor {msg.sender}, which does not own it")
+            self.output_log.append(spike)
             self.stats.outputs_received += 1
         merge_clock_into(self.clock, msg.clock, own=0)
         return any(msg.clock[m] == self.T for m in range(1, self.procs + 1))

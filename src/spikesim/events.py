@@ -1,9 +1,10 @@
 """Event records and the arrival calendar of a compute processor.
 
-Two kinds of events flow through the system:
+Three records describe a spike:
 
-* ``CMEvent`` -- an incoming spike, as inbound mail and the wire carry it.
-  An ``ArrivalCalendar`` files it by stamp and cell as its bare source id.
+* ``Spike`` -- ``neuron`` fired at ``stamp``, as mail carries it.
+* ``CMEvent`` -- an incoming spike towards one cell. An ``ArrivalCalendar``
+  files it by stamp and cell as its bare source id; ``peek`` rebuilds one.
 * ``CPEvent`` -- an outgoing spike forecast by a cell, to be emitted once
   emission control authorizes it. Its cell's forecast table is its only
   record; the node queues its ``(stamp, source)`` key.
@@ -19,8 +20,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-# Reserved neuron id for the external environment ("Ext"). Encodes as
-# 0xFFFFFFFF on the wire, so the same value is used in memory.
+# Reserved source id of the environment's stimuli ("Ext"). It never goes on
+# the wire: a stimulus names its input neuron, filed under this source.
 EXT_NEURON = 0xFFFFFFFF
 
 
@@ -30,6 +31,13 @@ class ProtocolViolation(RuntimeError):
 
 class TopologyError(ValueError):
     """Network description or routing table is inconsistent."""
+
+
+class Spike(NamedTuple):
+    """``neuron`` fired at ``stamp``; a stimulus names the input it drives."""
+
+    neuron: int
+    stamp: int
 
 
 class CMEvent(NamedTuple):
@@ -67,19 +75,17 @@ class ArrivalCalendar:
     def __bool__(self) -> bool:
         return bool(self.stamps)
 
-    def bucket(self, stamp: int) -> dict[int, list[int]]:
-        """The sources arriving at ``stamp`` by target; the caller files at least one."""
+    def file(self, source: int, stamp: int, targets) -> None:
+        """File a spike of ``source`` at ``stamp`` for each of ``targets`` (one or more)."""
+        # Environment stimuli are emitted at T-1 and the run starts at T=1.
+        if stamp <= 0 and not (stamp == 0 and source == EXT_NEURON):
+            raise ProtocolViolation(f"non-positive event stamp {stamp} from {source}")
         by_cell = self._buckets.get(stamp)
         if by_cell is None:
             by_cell = self._buckets[stamp] = {}
             heapq.heappush(self.stamps, stamp)
-        return by_cell
-
-    def push(self, event: CMEvent) -> None:
-        # Environment stimuli are emitted at T-1 and the run starts at T=1.
-        if event.stamp <= 0 and not (event.stamp == 0 and event.source == EXT_NEURON):
-            raise ProtocolViolation(f"non-positive event stamp: {event}")
-        self.bucket(event.stamp).setdefault(event.target, []).append(event.source)
+        for target in targets:
+            by_cell.setdefault(target, []).append(source)
 
     def peek(self) -> CMEvent | None:
         """An arrival of the least stamp as a ``CMEvent``, or None if empty."""

@@ -3,9 +3,10 @@
 Each compute processor owns an arrival calendar of incoming spikes, a heap
 of ``(stamp, source)`` keys into its cells' forecast tables, a processing
 time register, and a local clock array with its latest knowledge of every
-processor's emission time; its own entry is its emission time register. A
-spike to a local cell is filed as its bare source id; only mail carries
-``CMEvent`` records.
+processor's emission time; its own entry is its emission time register.
+A spike, emitted here or received as a ``Spike``, is filed as its bare
+source id for each local target in ``fanout``; it is staged once for each
+processor in ``owners``. Only the arrival gate sees ``CMEvent`` records.
 
 The processing time and the clock entries are plain stamps that never
 decrease. The gates read queue emptiness from the queues themselves.
@@ -25,7 +26,7 @@ import heapq
 from dataclasses import dataclass
 
 from .events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON,
-                     ProtocolViolation, TopologyError)
+                     ProtocolViolation, Spike, TopologyError)
 from .neuron import ECState, IntegrationResult
 from .transport import Message, Report, merge_clock_into
 
@@ -59,7 +60,8 @@ class NodeState:
 
     def __init__(self, node_id: int, procs: int,
                  ecs: dict[int, ECState],
-                 post_tables: dict[int, list[tuple[int, int]]],
+                 fanout: dict[int, list[int]],
+                 owners: dict[int, set[int]],
                  outputs: set[int]) -> None:
         if node_id < 1:
             raise ValueError("compute processor ids start at 1")
@@ -72,9 +74,10 @@ class NodeState:
         self.running: set[int] = set()  # cells with a computation in flight
         self.clock = [0] * (procs + 1)  # clock[id]: the last emitted stamp
         self.ecs = ecs
-        self.post_tables = post_tables
+        self.fanout = fanout  # source -> its local targets (at least one)
+        self.owners = owners  # local neuron -> other processors it reaches
         self.outputs = outputs
-        self.outboxes: dict[int, list[CMEvent]] = {}
+        self.outboxes: dict[int, list[Spike]] = {}
         # Spike messages (anything but a report) per destination / source.
         self.sent = [0] * (procs + 1)
         self.received = [0] * (procs + 1)
@@ -107,11 +110,20 @@ class NodeState:
     def merge_clock(self, remote: list[int]) -> None:
         merge_clock_into(self.clock, remote, own=self.id)
 
+    def file_spike(self, source: int, stamp: int) -> bool:
+        """File a spike of ``source`` for each local target; False if none."""
+        if targets := self.fanout.get(source):
+            self.cm_queue.file(source, stamp, targets)
+        return bool(targets)
+
     def receive(self, msg) -> None:
         self.received[msg.sender] += 1
         self.merge_clock(msg.clock)
-        for ev in msg.events:
-            self.cm_queue.push(ev)
+        for neuron, stamp in msg.events:
+            if msg.sender == 0:  # a stimulus drives the input it names
+                self.cm_queue.file(EXT_NEURON, stamp, (neuron,))
+            elif not self.file_spike(neuron, stamp):
+                raise TopologyError(f"node {self.id}: no local target of neuron {neuron}")
 
     def floor(self) -> int:
         """The least stamp this processor may still emit without new mail:
@@ -168,7 +180,7 @@ class NodeState:
     # -- protocol transitions ----------------------------------------------------
 
     def apply_emission(self, e: CPEvent) -> None:
-        """Emit the top outgoing event: file local targets, stage the rest."""
+        """Emit the top forecast: file it locally, stage it once per processor it reaches."""
         top = self.cp_top()
         if top is not e:
             raise ProtocolViolation("apply_emission on a non-top event")
@@ -179,19 +191,12 @@ class NodeState:
         self.trace.append((source, stamp))
         self.stats.emitted += 1
 
-        targets = self.post_tables.get(source)
-        if targets is None:
-            raise TopologyError(f"node {self.id}: no post table for {source}")
-        own, outboxes, bucket = self.id, self.outboxes, None
-        for tgt, owner in targets:
-            if owner == own:  # a spike is its source id until the target integrates it
-                if bucket is None:
-                    bucket = self.cm_queue.bucket(stamp)
-                bucket.setdefault(tgt, []).append(source)
-            else:
-                outboxes.setdefault(owner, []).append(CMEvent(tgt, source, stamp))
+        self.file_spike(source, stamp)
+        spike, outboxes = Spike(source, stamp), self.outboxes
+        for owner in self.owners.get(source, ()):
+            outboxes.setdefault(owner, []).append(spike)
         if source in self.outputs:
-            outboxes.setdefault(0, []).append(CMEvent(EXT_NEURON, source, stamp))
+            outboxes.setdefault(0, []).append(spike)
 
     def start_computation(self, target: int, stamp: int) -> ECState:
         """Start one cell's arrivals of one stamp, taken from the calendar."""

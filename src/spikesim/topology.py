@@ -1,9 +1,10 @@
-"""Network description, static neuron-to-processor mapping, routing tables.
+"""Network description, static neuron-to-processor mapping, file formats.
 
 ``NetworkSpec.synapses`` is the network's one synapse table, each
 (src, dst, weight, delay) once; ``NeuronParams`` holds the neuron model
-alone. ``engine.build_simulation`` gives each cell it builds its incoming
-synapses from this table, and routes outgoing spikes by ``build_post_tables``.
+alone. ``engine.build_simulation`` reads this table once: it gives each
+cell it builds its incoming synapses, and each processor the routing of
+the spikes that reach its cells.
 
 File formats (line oriented, ``#`` comments allowed):
 
@@ -111,31 +112,6 @@ def validate_stimuli(net: NetworkSpec, stimuli: dict[int, list[int]]) -> list[st
     return [f"stimulus at {t} for neuron {nid}, which is not a declared input"
             for t, nids in sorted(stimuli.items()) for nid in nids
             if nid not in net.inputs]
-
-
-def build_post_tables(net: NetworkSpec, mapping: MappingSpec):
-    """Per-processor routing: owner(N_i) gets N_i -> [(N_j, owner(N_j))].
-
-    Weights and delays live with the postsynaptic cell, which
-    ``engine.build_simulation`` gives its incoming synapses; the presynaptic
-    side stores routing only.
-    """
-    tables: dict[int, dict[int, list[tuple[int, int]]]] = {
-        p: {} for p in range(1, mapping.procs + 1)
-    }
-    for nid in net.neurons:
-        owner = mapping.assignment.get(nid)
-        if owner is None:
-            raise TopologyError(f"neuron {nid} unmapped")
-        tables[owner].setdefault(nid, [])
-    for src, dst, _w, _d in net.synapses:
-        src_owner = mapping.assignment[src]
-        dst_owner = mapping.assignment[dst]
-        tables[src_owner][src].append((dst, dst_owner))
-    for per_neuron in tables.values():
-        for targets in per_neuron.values():
-            targets.sort()
-    return tables
 
 
 # -- parsing ----------------------------------------------------------------

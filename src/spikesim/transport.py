@@ -3,16 +3,18 @@
 Wire layout (little-endian, bit-exact):
 
     magic   2 bytes  0x44 0x4E ("DN")
-    version 1 byte   1
+    version 1 byte   2
     sender  u16
     nclock  u16      P + 1
     clocks  i32 * nclock
     nevents u32
-    events  (target u32, source u32, stamp i32) * nevents
+    events  (neuron u32, stamp i32) * nevents
 
-The external-environment neuron id encodes as 0xFFFFFFFF. A ``Report``
-has magic "DR" and the same header with n = P + 1 in place of nclock,
-then floor i32, sent u32 * n, received u32 * n.
+Each event is a ``Spike``. In a node's message it names a neuron of that
+node that fired, and the receiver files it for each of its cells that
+neuron reaches; in the environment's, it names the input a stimulus
+drives. A ``Report`` has magic "DR" and the same header with n = P + 1
+in place of nclock, then floor i32, sent u32 * n, received u32 * n.
 
 Each TCP frame is one encoded message preceded by a u32 length prefix;
 frames carry their sender, so a connection sends nothing but frames. The
@@ -31,14 +33,14 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from .events import CMEvent
+from .events import Spike
 
 MAGIC = b"DN"
 REPORT_MAGIC = b"DR"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<2sBHH")
 _NEVENTS = struct.Struct("<I")
-_EVENT = struct.Struct("<IIi")
+_EVENT = struct.Struct("<Ii")
 _FRAME = struct.Struct("<I")
 
 
@@ -59,7 +61,7 @@ class Report(NamedTuple):
 class Message:
     sender: int
     clock: list[int]
-    events: list[CMEvent] = field(default_factory=list)
+    events: list[Spike] = field(default_factory=list)
     report: Report | None = None   # a report carries no clock and no events
 
     def validate(self) -> None:
@@ -90,7 +92,7 @@ def encode(msg: Message) -> bytes:
             _HEADER.pack(MAGIC, VERSION, msg.sender, len(msg.clock)),
             struct.pack(f"<{len(msg.clock)}i", *msg.clock),
             _NEVENTS.pack(len(msg.events)),
-            struct.pack("<" + "IIi" * len(msg.events), *chain.from_iterable(msg.events)),
+            struct.pack("<" + "Ii" * len(msg.events), *chain.from_iterable(msg.events)),
         ))
     except struct.error as exc:
         raise CodecError(f"value out of range: {exc}") from exc
@@ -120,7 +122,7 @@ def decode(data: bytes) -> Message:
     off += _NEVENTS.size
     if len(data) - off != nevents * _EVENT.size:
         raise CodecError(f"{len(data) - off} bytes left for {nevents} events")
-    events = list(map(CMEvent._make, _EVENT.iter_unpack(memoryview(data)[off:])))
+    events = list(map(Spike._make, _EVENT.iter_unpack(memoryview(data)[off:])))
     return Message(sender=sender, clock=clock, events=events)
 
 
@@ -200,9 +202,9 @@ class TcpBackend:
     complete frame. Sends block, so two processes that each sent much
     without polling could fill each other's receive buffers and both block
     in ``sendall``. Each advancement of T needs the peers' mail, though, so
-    a connection's unread backlog stays near one tick of traffic: at most
-    10,155 bytes on the n=512, p=0.02 nets at P=2 (3,035 at P=4), against
-    the 131,072-byte initial TCP receive buffer of the Linux host measured.
+    a connection's unread backlog stays near one tick of traffic: in det,
+    at most 1,355 bytes on the n=512, p=0.02 net at P=2 (723 at P=4),
+    against the 131,072-byte initial TCP receive buffer of a Linux host.
     """
 
     def __init__(self, pid: int, roster: dict[int, tuple[str, int]],

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from spikesim.engine import DeterministicEngine, ThreadedEngine
-from spikesim.events import CMEvent, CPEvent, EXT_NEURON
+from spikesim.events import CMEvent, CPEvent, Spike
 from spikesim.neuron import ECState, NeuronParams, Synapse
 from spikesim.node import AuthDecision, NodeState
 from spikesim.oracle import compare_traces, read_trace, sequential_simulate
@@ -222,14 +222,13 @@ def test_criterion_8_wire_fidelity(tmp_path, free_ports):
             sender=rng.randrange(1 << 16),
             clock=[rng.randrange(-(1 << 31), 1 << 31)
                    for _ in range(rng.randrange(9))],
-            events=[CMEvent(rng.randrange(1 << 32), rng.randrange(1 << 32),
-                            rng.randrange(-(1 << 31), 1 << 31))
+            events=[Spike(rng.randrange(1 << 32), rng.randrange(-(1 << 31), 1 << 31))
                     for _ in range(rng.randrange(6))],
         )
         back = decode(encode(msg))
         assert back.sender == msg.sender and back.clock == msg.clock
-        assert [(e.target, e.source, e.stamp) for e in back.events] == \
-            [(e.target, e.source, e.stamp) for e in msg.events]
+        assert [(e.neuron, e.stamp) for e in back.events] == \
+            [(e.neuron, e.stamp) for e in msg.events]
         checked += 1
 
     # 2-process tcp run of a criterion-1 style network.
@@ -260,8 +259,7 @@ def test_criterion_9_authorization_branch_coverage():
     def node():
         cells = {nid: ECState(nid, NeuronParams(1.0, 10.0), {9: Synapse(2.0, 2)}, 100)
                  for nid in (7, 8, 9)}
-        return NodeState(1, 2, cells, post_tables={nid: [] for nid in cells},
-                         outputs=set())
+        return NodeState(1, 2, cells, fanout={9: [7, 8, 9]}, owners={}, outputs=set())
 
     checks = []
 
@@ -270,7 +268,7 @@ def test_criterion_9_authorization_branch_coverage():
         e = n.ecs[7].queued[st] = CPEvent(source=7, stamp=st)
         n.queue_forecast(e)
         if pending:  # an incoming spike at pt waits behind the started one
-            n.cm_queue.push(CMEvent(target=7, source=9, stamp=pt))
+            n.cm_queue.file(9, pt, [7])
         n.pt, n.running, n.clock = pt, running, clock
         n.clock[n.id] = et  # the own entry is the emission time
         checks.append(n.emission_authorized(e) is expect)
@@ -293,7 +291,7 @@ def test_criterion_9_authorization_branch_coverage():
                     et=None, expect=AuthDecision.DELAYED):
         n = node()
         e = CMEvent(target=7, source=9, stamp=st)
-        n.cm_queue.push(e)
+        n.cm_queue.file(e.source, e.stamp, [e.target])
         if forecast is not None:
             f = n.ecs[7].queued[forecast] = CPEvent(source=7, stamp=forecast)
             n.queue_forecast(f)

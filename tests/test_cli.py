@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from spikesim import cli
+from spikesim import cli, engine
 from spikesim.cli import main
 from spikesim.engine import RunResult
 from spikesim.events import ProtocolViolation
@@ -162,6 +162,34 @@ def test_tcp_mode_requires_roster(tmp_path, capsys):
     assert "roster" in capsys.readouterr().err
 
 
+def write_roster(path, pids):
+    """A roster naming ``pids``; its ports are never bound."""
+    path.write_text("".join(f"{pid} 127.0.0.1:{40000 + pid}\n" for pid in pids))
+
+
+@pytest.mark.parametrize("pids, node, why", [
+    ((0, 1, 2), ["--node", "9"], "--node 9 is not a compute processor 1..2"),
+    ((0, 1, 2), ["--node", "0"], "--node 0 is not a compute processor 1..2"),
+    ((0, 1), [], "roster has no line for processor 2"),
+    ((0, 1, 2, 3), [], "roster names processor 3, outside 0..2"),
+], ids=["node-9", "node-0", "roster-without-2", "roster-with-3"])
+def test_tcp_usage_error_exits_2_before_anything_starts(tmp_path, capsys, monkeypatch,
+                                                        pids, node, why):
+    def refuse(*args, **_kwargs):
+        raise AssertionError(f"started {args}")
+
+    monkeypatch.setattr(engine.subprocess, "Popen", refuse)
+    monkeypatch.setattr(engine, "TcpBackend", refuse)
+    prefix = gen_workload(tmp_path, procs=2, horizon=10)
+    write_roster(tmp_path / "roster", pids)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+              "--stim", prefix + ".stim", "--horizon", "10", "--mode", "tcp",
+              "--roster", str(tmp_path / "roster"), *node])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines() == [f"invalid input: {why}"]
+
+
 def run_tcp_with_crashed_nodes(tmp_path, monkeypatch):
     """``spikesim run --mode tcp`` at P=2 whose node processes all failed;
     the trace goes to ``tmp_path / "tcp.trace"``."""
@@ -171,6 +199,7 @@ def run_tcp_with_crashed_nodes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_tcp_launcher", crashed_launcher)
     prefix = gen_workload(tmp_path, procs=2, horizon=10)
+    write_roster(tmp_path / "roster", (0, 1, 2))
     return main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
                  "--stim", prefix + ".stim", "--horizon", "10",
                  "--mode", "tcp", "--roster", str(tmp_path / "roster"),
@@ -211,6 +240,7 @@ def test_tcp_nodes_wait_as_long_as_the_launcher(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_tcp_launcher", launcher)
     monkeypatch.setattr(cli, "run_tcp_node", node)
     prefix = gen_workload(tmp_path, procs=2, horizon=10)
+    write_roster(tmp_path / "roster", (0, 1, 2))
     assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
                  "--stim", prefix + ".stim", "--horizon", "10", "--mode", "tcp",
                  "--roster", str(tmp_path / "roster"), "--timeout-ms", "7",

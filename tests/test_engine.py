@@ -15,9 +15,9 @@ from spikesim import cli, engine, neuron
 from spikesim.engine import (DeterministicEngine, ThreadedEngine,
                              build_simulation, run_tcp_node)
 from spikesim.environment import EnvState
-from spikesim.events import CMEvent, EXT_NEURON, TopologyError
+from spikesim.events import CPEvent, EXT_NEURON, Spike, TopologyError
 from spikesim.neuron import NeuronParams
-from spikesim.node import UNBOUNDED
+from spikesim.node import UNBOUNDED, NodeState
 from spikesim.oracle import compare_traces, sequential_simulate
 from spikesim.topology import (MappingSpec, NetworkSpec,
                                generate_random, save_mapping, save_network,
@@ -106,6 +106,58 @@ def test_deterministic_engine_fingerprint_is_pinned(nets, pinned):
         runs.append([r.trace, r.outputs, r.stats, r.violations])
     digest = hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest()
     assert digest == pinned
+
+
+@pytest.mark.parametrize("procs, messages, events", [(2, 563, 4017), (4, 2160, 10112)])
+def test_node_traffic_is_pinned(monkeypatch, procs, messages, events):
+    # Node messages, and the spikes they carry, on the README-sized net. An
+    # emitted spike crosses once to each other processor that owns a target
+    # of its neuron, and once to the environment if the neuron is an output,
+    # so the events are that sum over the trace; one record per crossing
+    # synapse was 12,356 events at P = 2 and 18,786 at P = 4. Batching alone
+    # sets the message count: with minpak 1 a flush sends one message to
+    # each destination with a staged spike.
+    net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=procs,
+                                            horizon=200)
+    owner = mapping.assignment
+    reach = {nid: set() for nid in net.neurons}
+    for src, dst, _w, _d in net.synapses:
+        if owner[dst] != owner[src]:
+            reach[src].add(owner[dst])
+    sent = {"messages": 0, "events": 0}
+    flush_ready = NodeState.flush_ready
+
+    def counted(self, *args, **kwargs):
+        out = flush_ready(self, *args, **kwargs)
+        sent["messages"] += len(out)
+        sent["events"] += sum(len(msg.events) for _dest, msg in out)
+        return out
+    monkeypatch.setattr(NodeState, "flush_ready", counted)
+    result = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
+    assert result.violations == []
+    assert sent["events"] == sum(len(reach[nid]) + (nid in net.outputs)
+                                 for nid, _stamp in result.trace)
+    assert sent == {"messages": messages, "events": events}
+    assert result.stats["messages_sent"] == messages
+
+
+def test_a_spike_crosses_once_to_each_processor_it_reaches():
+    # Neuron 1 reaches 2 and 3 on processor 2, 4 on processor 3, and 5 on
+    # its own processor.
+    net = NetworkSpec()
+    net.neurons = {nid: NeuronParams(1.0, 10.0) for nid in range(1, 6)}
+    net.synapses = [(1, dst, 0.5, 2) for dst in (2, 3, 4, 5)]
+    net.inputs, net.outputs = {1}, {1}
+    mapping = MappingSpec(assignment={1: 1, 2: 2, 3: 2, 4: 3, 5: 1}, procs=3)
+    _env, nodes = build_simulation(net, mapping, {}, horizon=10)
+    sender = nodes[1]
+    assert sender.owners == {1: {2, 3}} and sender.fanout == {1: [5]}
+    assert nodes[2].fanout == {1: [2, 3]} and nodes[3].fanout == {1: [4]}
+    forecast = sender.ecs[1].queued[4] = CPEvent(source=1, stamp=4)
+    sender.queue_forecast(forecast)
+    sender.apply_emission(forecast)
+    assert sender.outboxes == {2: [Spike(1, 4)], 3: [Spike(1, 4)], 0: [Spike(1, 4)]}
+    assert sender.cm_queue.pop_stamp() == (4, {5: [1]})
 
 
 def test_stimulus_to_a_non_input_is_a_topology_error():
@@ -263,7 +315,7 @@ def test_node_flushes_a_partial_batch_before_it_waits():
     moved, messages = nodes[1].step([], minpak=4)
     assert not moved
     assert [(dest, msg.events) for dest, msg in messages] == [
-        (2, [CMEvent(2, 1, 1)]), (0, [])]
+        (2, [Spike(1, 1)]), (0, [])]
     assert messages[1][1].report.sent == [0, 0, 1]
 
 

@@ -1,13 +1,13 @@
 import pytest
 
 from spikesim.environment import EnvState
-from spikesim.events import CMEvent, EXT_NEURON
+from spikesim.events import Spike
 from spikesim.node import UNBOUNDED
 from spikesim.transport import Message, Report
 
 
 def make_env(procs=2, stimuli=None, horizon=20, owners=None):
-    owners = owners or {1: 1, 2: 2}
+    owners = owners or {1: 1, 2: 2, 7: 1}
     return EnvState(procs=procs, stimuli=stimuli or {}, owner_of=owners,
                     horizon=horizon)
 
@@ -29,12 +29,11 @@ def test_advance_broadcasts_clock_to_every_processor():
 def test_stimuli_delivered_at_T_minus_one_to_owner():
     env = make_env(stimuli={0: [1], 1: [2]})
     first = env.advance_T()  # T=1, delivers stimuli stamped 0
-    assert [(e.target, e.source, e.stamp) for e in first[0].events] == [
-        (1, EXT_NEURON, 0)]
+    assert first[0].events == [Spike(neuron=1, stamp=0)]  # the input it drives
     assert first[1].events == []
     second = env.advance_T()  # T=2, delivers stimuli stamped 1
     assert second[0].events == []
-    assert [(e.target, e.stamp) for e in second[1].events] == [(2, 1)]
+    assert second[1].events == [Spike(2, 1)]
 
 
 def test_stimulus_for_unmapped_neuron_raises():
@@ -93,8 +92,7 @@ def test_quiescence_waits_for_outputs_in_flight():
     report(env, 1, [1, 0, 0], [1, 0, 0])
     report(env, 2, [0, 0, 0], [1, 0, 0])
     assert env.quiescence_floor() is None
-    env.on_output(Message(sender=1, clock=[1, 1, 0],
-                          events=[CMEvent(EXT_NEURON, 1, 1)]))
+    env.on_output(Message(sender=1, clock=[1, 1, 0], events=[Spike(1, 1)]))
     assert env.quiescence_floor() == UNBOUNDED
 
 
@@ -127,8 +125,7 @@ def test_step_returns_nothing_while_a_channel_is_unbalanced():
 def test_step_advances_on_an_output_before_quiescence():
     env = make_env()
     env.step([])
-    output = Message(sender=1, clock=[1, 1, 0],
-                     events=[CMEvent(EXT_NEURON, 1, 1)])
+    output = Message(sender=1, clock=[1, 1, 0], events=[Spike(1, 1)])
     # The same mail also proves quiescence; the output decides first.
     broadcast = env.step([report_msg(1, [1, 0, 0], [1, 0, 0], floor=5),
                           report_msg(2, [0, 0, 0], [1, 0, 0]), output])
@@ -150,7 +147,7 @@ def test_output_logging_and_advancement_trigger():
     env = make_env()
     env.T = 4
     env.clock = [4, 2, 2]
-    spike = CMEvent(target=EXT_NEURON, source=7, stamp=3)
+    spike = Spike(neuron=7, stamp=3)
     msg = Message(sender=1, clock=[4, 4, 2], events=[spike])
     assert env.on_output(msg) is True  # et_1 reached T
     assert env.output_log == [(7, 3)]
@@ -169,12 +166,14 @@ def test_output_below_T_does_not_trigger_advancement():
 
 
 def test_non_output_event_rejected():
+    # Only the owner of a neuron can emit its spikes.
     env = make_env()
     env.T = 2
-    msg = Message(sender=1, clock=[2, 2, 0],
-                  events=[CMEvent(target=5, source=7, stamp=1)])
-    with pytest.raises(ValueError):
-        env.on_output(msg)
+    for neuron in (2, 8):  # owned by processor 2; owned by none
+        msg = Message(sender=1, clock=[2, 2, 0], events=[Spike(neuron, 1)])
+        with pytest.raises(ValueError, match="from processor 1, which does not own it"):
+            env.on_output(msg)
+    assert env.output_log == []
 
 
 def test_environment_messages_rejected_by_on_output():
@@ -193,9 +192,8 @@ def test_done_after_horizon_plus_slack():
 
 
 def test_sorted_outputs_by_time_then_neuron():
-    env = make_env()
+    env = make_env(owners={2: 1, 5: 1, 9: 1})
     env.T = 5
     for neuron, stamp in ((9, 3), (2, 3), (5, 1)):
-        env.on_output(Message(sender=1, clock=[5, 1, 1],
-                              events=[CMEvent(EXT_NEURON, neuron, stamp)]))
+        env.on_output(Message(sender=1, clock=[5, 1, 1], events=[Spike(neuron, stamp)]))
     assert env.sorted_outputs() == [(5, 1), (2, 3), (9, 3)]

@@ -6,10 +6,10 @@ from spikesim.events import ArrivalCalendar, CMEvent, EXT_NEURON, ProtocolViolat
 
 def test_calendar_orders_by_stamp_and_files_by_target():
     cal = ArrivalCalendar()
-    cal.push(CMEvent(target=5, source=9, stamp=3))
-    cal.push(CMEvent(target=5, source=2, stamp=3))
-    cal.push(CMEvent(target=1, source=9, stamp=2))
-    cal.push(CMEvent(target=4, source=2, stamp=3))
+    cal.file(9, 3, [5])
+    cal.file(2, 3, [5])
+    cal.file(9, 2, [1])
+    cal.file(2, 3, [4])
     assert cal.peek() == CMEvent(target=1, source=9, stamp=2)
     assert cal.pop_stamp() == (2, {1: [9]})
     assert cal.pop_stamp() == (3, {5: [9, 2], 4: [2]})
@@ -19,13 +19,21 @@ def test_calendar_orders_by_stamp_and_files_by_target():
 def test_identical_events_break_ties_by_arrival_order():
     cal = ArrivalCalendar()
     for source in (3, 2, 3):
-        cal.push(CMEvent(target=1, source=source, stamp=5))
+        cal.file(source, 5, [1])
     assert cal.pop_stamp() == (5, {1: [3, 2, 3]})  # filed in arrival order
+
+
+def test_one_filing_reaches_every_target():
+    cal = ArrivalCalendar()
+    cal.file(9, 3, [4, 5])
+    cal.file(2, 3, [5])
+    assert cal.stamps == [3]
+    assert cal.pop_stamp() == (3, {4: [9], 5: [9, 2]})
 
 
 def test_peek_does_not_remove():
     cal = ArrivalCalendar()
-    cal.push(CMEvent(target=1, source=2, stamp=4))
+    cal.file(2, 4, [1])
     assert cal.peek() == cal.peek() == CMEvent(1, 2, 4)
     assert cal.pop_stamp() == (4, {1: [2]})
 
@@ -37,15 +45,15 @@ def test_empty_queue_peek_is_none():
 def test_non_positive_stamp_rejected():
     cal = ArrivalCalendar()
     with pytest.raises(ProtocolViolation):
-        cal.push(CMEvent(target=1, source=2, stamp=0))
+        cal.file(2, 0, [1])
     with pytest.raises(ProtocolViolation):
-        cal.push(CMEvent(target=1, source=EXT_NEURON, stamp=-1))
+        cal.file(EXT_NEURON, -1, [1])
     assert not cal
 
 
 def test_stamp_zero_allowed_only_for_external_stimuli():
     cal = ArrivalCalendar()
-    cal.push(CMEvent(target=1, source=EXT_NEURON, stamp=0))
+    cal.file(EXT_NEURON, 0, [1])
     assert cal.pop_stamp() == (0, {1: [EXT_NEURON]})
 
 
@@ -69,7 +77,7 @@ def test_calendar_pop_order_follows_stamps(ops):
                     == sorted((e.target, e.source) for e in taken))
         else:
             e = CMEvent(target=target, source=source, stamp=stamp)
-            cal.push(e)
+            cal.file(source, stamp, [target])
             pending.append(e)
     assert bool(cal) == bool(pending)
 
@@ -78,14 +86,14 @@ def test_calendar_pop_order_follows_stamps(ops):
 def test_pop_stamp_files_every_target_its_events(items):
     cal, expected = ArrivalCalendar(), {}
     for stamp, source, target in items:
-        cal.push(CMEvent(target=target, source=source, stamp=stamp))
+        cal.file(source, stamp, [target])
         expected.setdefault(stamp, {}).setdefault(target, []).append(source)
     assert sorted(cal.stamps) == sorted(expected)  # one heap entry per stamp
     popped = []
     while cal:
         least = cal.peek()
         stamp, by_cell = cal.pop_stamp()
-        assert by_cell == expected[stamp]  # each target's sources, in push order
+        assert by_cell == expected[stamp]  # each target's sources, in filing order
         assert least.stamp == stamp and least.source in by_cell[least.target]
         popped.append(stamp)
     assert popped == sorted(expected)  # strictly increasing, none missing

@@ -3,21 +3,22 @@
 import pytest
 
 from spikesim.events import (CMEvent, CPEvent, EXT_NEURON, ProtocolViolation,
-                             TopologyError)
+                             Spike, TopologyError)
 from spikesim.neuron import ECState, NeuronParams, Synapse
 from spikesim.node import AuthDecision, NodeState
 from spikesim.transport import Message
 
 
-def make_node(node_id=1, procs=2, neurons=(7,), outputs=(), post=None):
+def make_node(node_id=1, procs=2, neurons=(7,), outputs=(), fanout=None, owners=None):
+    """Each cell is an input that remote neuron 99 reaches; ``fanout`` and
+    ``owners`` default to just that."""
     ecs = {}
     for nid in neurons:
         synapses = {99: Synapse(2.0, 2), EXT_NEURON: Synapse(2.0, 1)}  # an input
         ecs[nid] = ECState(nid, NeuronParams(threshold=1.0, tau=10.0), synapses,
                            sim_horizon=1000)
-    tables = {nid: list(post.get(nid, [])) if post else [] for nid in neurons}
-    return NodeState(node_id, procs, ecs, post_tables=tables,
-                     outputs=set(outputs))
+    return NodeState(node_id, procs, ecs, fanout=fanout or {99: list(neurons)},
+                     owners=owners or {}, outputs=set(outputs))
 
 
 def queue_forecast(node, stamp, source=7, certain=False):
@@ -32,9 +33,8 @@ def queue_forecast(node, stamp, source=7, certain=False):
 
 
 def queue_incoming(node, stamp, target=7, source=99):
-    e = CMEvent(target=target, source=source, stamp=stamp)
-    node.cm_queue.push(e)
-    return e
+    node.cm_queue.file(source, stamp, [target])
+    return CMEvent(target=target, source=source, stamp=stamp)
 
 
 # -- emission authorization ------------------------------------------------------
@@ -342,10 +342,9 @@ def test_receive_queues_events_and_leaves_pt_alone():
     node.pt = 4
     node.receive(Message(sender=0, clock=[5, 0, 0], events=[]))
     assert node.pt == 4 and not node.cm_queue  # clock-only message
-    node.receive(Message(sender=0, clock=[5, 0, 0],
-                         events=[CMEvent(7, EXT_NEURON, 5)]))
+    node.receive(Message(sender=0, clock=[5, 0, 0], events=[Spike(7, 5)]))
     assert node.pt == 4  # moves only when a computation starts
-    assert node.cm_queue.peek() == CMEvent(7, EXT_NEURON, 5)
+    assert node.cm_queue.peek() == CMEvent(7, EXT_NEURON, 5)  # a stimulus of input 7
 
 
 def test_cp_top_skips_cancelled_tombstones():
@@ -384,7 +383,7 @@ def test_queue_forecast_rejects_non_positive_stamps():
 
 def test_apply_emission_routes_local_remote_and_output():
     node = make_node(node_id=1, procs=2, neurons=(7, 8), outputs=(7,),
-                     post={7: [(8, 1), (9, 2)]})
+                     fanout={7: [8]}, owners={7: {2}})
     e = queue_forecast(node, 5, source=7)
     node.pt = 3
     assert node.apply_emission(e) is None
@@ -393,9 +392,8 @@ def test_apply_emission_routes_local_remote_and_output():
     # local target lands in our own incoming queue
     assert node.cm_queue.peek().target == 8
     assert node.pt == 3
-    # remote target staged for processor 2, output copy staged for Pr_0
-    assert node.outboxes == {2: [CMEvent(9, 7, 5)],
-                             0: [CMEvent(EXT_NEURON, 7, 5)]}
+    # the spike staged once for processor 2, once for Pr_0 as an output
+    assert node.outboxes == {2: [Spike(7, 5)], 0: [Spike(7, 5)]}
     # an emission without local targets files no empty stamp
     assert node.cm_queue.pop_stamp() == (5, {8: [7]})  # the source id alone
     node.apply_emission(queue_forecast(node, 6, source=8))
@@ -403,16 +401,17 @@ def test_apply_emission_routes_local_remote_and_output():
 
 
 def test_arrival_for_a_neuron_the_node_does_not_own_rejected():
-    # A misrouted spike is filed under its target. The node finds no cell for
-    # it at the gate when it is the top arrival, and when its computation
-    # starts when it shares an authorized stamp with an owned cell's.
+    # A misrouted stimulus is filed under the input it names. The node finds
+    # no cell for it at the gate when it is the top arrival, and when its
+    # computation starts when it shares an authorized stamp with an owned
+    # cell's.
     node = make_node(neurons=(7,))
-    node.receive(Message(sender=0, clock=[5, 0, 0], events=[CMEvent(3, EXT_NEURON, 2)]))
+    node.receive(Message(sender=0, clock=[5, 0, 0], events=[Spike(3, 2)]))
     with pytest.raises(TopologyError, match="no cell for neuron 3"):
         node.cpc_step()
     node = make_node(neurons=(7,))
     node.receive(Message(sender=0, clock=[5, 0, 0],
-                         events=[CMEvent(7, EXT_NEURON, 2), CMEvent(9, EXT_NEURON, 2)]))
+                         events=[Spike(7, 2), Spike(9, 2)]))
     node.pt = 2  # the top arrival, for neuron 7, is authorized by st == pt
     with pytest.raises(TopologyError, match="no cell for neuron 9"):
         node.cpc_step()
@@ -435,7 +434,7 @@ def test_emission_sets_et_to_its_stamp():
 
 
 def test_stats_count_transitions():
-    node = make_node(node_id=1, procs=1, post={7: []})
+    node = make_node(node_id=1, procs=1)
     queue_incoming(node, 2, source=EXT_NEURON)
     node.pt = 2
     assert node.cpc_step()
@@ -445,3 +444,23 @@ def test_stats_count_transitions():
     assert node.stats.emitted == 1
     assert node.stats.certifications == 1  # at emission: 3 <= the cell's horizon 2, + 1
     assert node.trace == [(7, 3)]
+
+
+def test_a_received_spike_is_filed_for_every_local_target():
+    node = make_node(neurons=(7, 8), fanout={99: [7, 8]})
+    node.receive(Message(sender=2, clock=[5, 0, 4], events=[Spike(99, 4)]))
+    assert node.received == [0, 0, 1]
+    assert node.cm_queue.pop_stamp() == (4, {7: [99], 8: [99]})
+
+
+def test_a_received_spike_without_a_local_target_or_stamped_0_rejected():
+    # The stimulus source is in no fanout either, so a node cannot send the
+    # stamp-0 spike that only a stimulus may carry.
+    for source in (98, EXT_NEURON):
+        with pytest.raises(TopologyError, match=f"no local target of neuron {source}"):
+            make_node().receive(Message(sender=2, clock=[5, 0, 4], events=[Spike(source, 0)]))
+    for stamp in (0, -2):
+        node = make_node()
+        with pytest.raises(ProtocolViolation, match=f"non-positive event stamp {stamp}"):
+            node.receive(Message(sender=2, clock=[5, 0, 4], events=[Spike(99, stamp)]))
+        assert not node.cm_queue

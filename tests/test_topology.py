@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from spikesim.engine import build_simulation
 from spikesim.events import EXT_NEURON, TopologyError
 from spikesim.neuron import NeuronParams, Synapse
-from spikesim.topology import (MappingSpec, NetworkSpec, build_post_tables,
-                               generate_random,
+from spikesim.topology import (MappingSpec, NetworkSpec, generate_random,
                                load_mapping, load_network, load_stimuli,
                                save_mapping, save_network, save_stimuli,
                                validate)
@@ -84,20 +83,36 @@ def test_validate_flags_unreachable_output():
     assert any("unreachable" in v for v in report.violations)
 
 
-def test_post_tables_partition_synapses_exactly():
+@pytest.mark.parametrize("net, mapping", [
+    (small_net(), MappingSpec({1: 1, 2: 2, 3: 1}, procs=2)),
+    generate_random(seed=5, n=24, prob=0.2, procs=3)[:2],
+], ids=["small", "random"])
+def test_routing_tables_partition_synapses_exactly(net, mapping):
+    # Each synapse is one fanout entry, on its target's processor. Each
+    # (source, other processor) pair that a synapse crosses is one owners
+    # entry, on its source's processor.
+    _env, nodes = build_simulation(net, mapping, {}, horizon=10)
+    owner = mapping.assignment
+    fanned = [(src, dst) for pid, node in nodes.items()
+              for src, targets in node.fanout.items() for dst in targets
+              if owner[dst] == pid]
+    assert sorted(fanned) == sorted((s, d) for s, d, _w, _dl in net.synapses)
+    assert sum(len(targets) for node in nodes.values()
+               for targets in node.fanout.values()) == len(net.synapses)
+    reached = [(src, other) for pid, node in nodes.items()
+               for src, others in node.owners.items() for other in others
+               if owner[src] == pid]
+    assert sorted(reached) == sorted({(s, owner[d]) for s, d, _w, _dl in net.synapses
+                                      if owner[s] != owner[d]})
+    assert all(entry for node in nodes.values()
+               for entry in (*node.fanout.values(), *node.owners.values()))
+
+
+def test_build_simulation_rejects_an_unmapped_neuron():
     net = small_net()
-    mapping = MappingSpec({1: 1, 2: 2, 3: 1}, procs=2)
-    tables = build_post_tables(net, mapping)
-    flat = [(src, dst) for per in tables.values()
-            for src, targets in per.items() for dst, _owner in targets]
-    assert sorted(flat) == sorted((s, d) for s, d, _w, _dl in net.synapses)
-    for per in tables.values():
-        for src, targets in per.items():
-            for dst, owner in targets:
-                assert owner == mapping.assignment[dst]
-    # Every neuron owned, even if it has no outgoing synapses.
-    assert set(tables[1]) == {1, 3}
-    assert set(tables[2]) == {2}
+    net.neurons[4] = NeuronParams(threshold=1.0, tau=10.0)  # no synapse either
+    with pytest.raises(TopologyError, match="neuron 4 unmapped"):
+        build_simulation(net, MappingSpec({1: 1, 2: 2, 3: 1}, procs=2), {}, horizon=10)
 
 
 def test_build_simulation_gives_only_inputs_a_stimulus_synapse():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikesim import transport
-from spikesim.events import CMEvent, EXT_NEURON
+from spikesim.events import Spike
 from spikesim.transport import (CodecError, InProcBackend, Message, Report,
                                 TcpBackend, TransportError, decode, encode,
                                 load_roster)
@@ -18,16 +18,18 @@ def test_clock_only_message_golden_bytes():
     msg = Message(sender=0, clock=[3, -2, 5], events=[])
     data = encode(msg)
     assert len(data) == 23
-    assert data.hex() == "444e010000030003000000feffffff0500000000000000"
+    assert data.hex() == "444e020000030003000000feffffff0500000000000000"
     back = decode(data)
     assert (back.sender, back.clock, back.events) == (0, [3, -2, 5], [])
 
 
 def test_event_message_golden_bytes():
-    msg = Message(sender=2, clock=[4, 4, -4],
-                  events=[CMEvent(target=7, source=EXT_NEURON, stamp=3)])
-    assert encode(msg).hex() == ("444e01020003000400000004000000fcffffff"
-                                 "0100000007000000ffffffff03000000")
+    # Processor 2 ships neuron 7's spike at 3: 8 bytes after the count.
+    msg = Message(sender=2, clock=[4, 4, -4], events=[Spike(neuron=7, stamp=3)])
+    data = encode(msg)
+    assert data.hex() == ("444e02020003000400000004000000fcffffff"
+                          "010000000700000003000000")
+    assert decode(data) == msg
 
 
 def test_report_golden_bytes():
@@ -35,7 +37,7 @@ def test_report_golden_bytes():
     # 1 to processor 1, and 5 received from the environment: 35 bytes.
     msg = Message(sender=2, clock=[], report=Report(37, [3, 1, 0], [5, 0, 0]))
     data = encode(msg)
-    assert data.hex() == ("445201020003002500000003000000010000000000000005"
+    assert data.hex() == ("445202020003002500000003000000010000000000000005"
                           "0000000000000000000000")
     assert decode(data) == msg
 
@@ -50,22 +52,13 @@ def test_truncated_or_padded_report_rejected():
         decode(data + b"\x00")
 
 
-def test_external_neuron_id_round_trips():
-    msg = Message(sender=1, clock=[1, 1],
-                  events=[CMEvent(target=EXT_NEURON, source=3, stamp=9)])
-    back = decode(encode(msg))
-    assert back.events[0].target == EXT_NEURON
-
-
 def test_truncated_data_rejected():
-    data = encode(Message(sender=1, clock=[1, 2],
-                          events=[CMEvent(1, 2, 3)]))
+    data = encode(Message(sender=1, clock=[1, 2], events=[Spike(1, 3)]))
     for cut in (1, 6, 10, len(data) - 1):
         with pytest.raises(CodecError):
             decode(data[:cut])
     # Two events announced, the second one byte short.
-    two = encode(Message(sender=1, clock=[1, 2],
-                         events=[CMEvent(1, 2, 3), CMEvent(4, 5, 6)]))
+    two = encode(Message(sender=1, clock=[1, 2], events=[Spike(1, 3), Spike(4, 6)]))
     with pytest.raises(CodecError):
         decode(two[:-1])
 
@@ -75,7 +68,7 @@ def test_trailing_bytes_rejected():
     with pytest.raises(CodecError):
         decode(data + b"\x00")
     # An event section one byte longer than its count says.
-    data = encode(Message(sender=1, clock=[1, 2], events=[CMEvent(1, 2, 3)]))
+    data = encode(Message(sender=1, clock=[1, 2], events=[Spike(1, 3)]))
     with pytest.raises(CodecError):
         decode(data + b"\x00")
 
@@ -95,13 +88,9 @@ def test_out_of_range_values_rejected():
         encode(Message(sender=1 << 16, clock=[], events=[]))
     with pytest.raises(CodecError):
         encode(Message(sender=0, clock=[1 << 40], events=[]))
-    with pytest.raises(CodecError):
-        encode(Message(sender=0, clock=[1],
-                       events=[CMEvent(1, 2, 1 << 40)]))
-    with pytest.raises(CodecError):
-        encode(Message(sender=0, clock=[1], events=[CMEvent(-1, 2, 3)]))
-    with pytest.raises(CodecError):
-        encode(Message(sender=0, clock=[1], events=[CMEvent(1, 1 << 32, 3)]))
+    for neuron, stamp in ((1, 1 << 40), (1, -(1 << 31) - 1), (-1, 3), (1 << 32, 3)):
+        with pytest.raises(CodecError):
+            encode(Message(sender=0, clock=[1], events=[Spike(neuron, stamp)]))
 
 
 def test_clock_only_allowed_for_environment_only():
@@ -116,7 +105,7 @@ def test_only_a_node_may_report_and_a_report_carries_nothing_else():
     for bad in (Message(sender=0, clock=[], report=report),
                 Message(sender=1, clock=[1, 1], report=report),
                 Message(sender=1, clock=[], report=Report(0, [1, 0], [2])),
-                Message(sender=1, clock=[], events=[CMEvent(1, 2, 3)],
+                Message(sender=1, clock=[], events=[Spike(1, 3)],
                         report=report)):
         with pytest.raises(CodecError):
             bad.validate()
@@ -127,17 +116,18 @@ def test_only_a_node_may_report_and_a_report_carries_nothing_else():
     sender=st.integers(0, 65535),
     clock=st.lists(st.integers(-(2**31), 2**31 - 1), max_size=9),
     events=st.lists(
-        st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-                  st.integers(-(2**31), 2**31 - 1)),
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(-(2**31), 2**31 - 1)),
         max_size=12),
 )
 def test_codec_round_trip(sender, clock, events):
     msg = Message(sender=sender, clock=clock,
-                  events=[CMEvent(t, s, ts) for t, s, ts in events])
-    back = decode(encode(msg))
+                  events=[Spike(neuron, stamp) for neuron, stamp in events])
+    data = encode(msg)
+    assert len(data) == transport._HEADER.size + 4 * len(clock) + 4 + 8 * len(events)
+    back = decode(data)
     assert back.sender == sender
     assert back.clock == clock
-    assert [(e.target, e.source, e.stamp) for e in back.events] == events
+    assert [(e.neuron, e.stamp) for e in back.events] == events
 
 
 def test_roster_parsing(tmp_path):
@@ -202,7 +192,7 @@ def test_tcp_backend_exchanges_framed_messages(free_ports):
     backends = _tcp_pair(free_ports)
     try:
         sent = Message(sender=0, clock=[2, -1],
-                       events=[CMEvent(4, EXT_NEURON, 1)])
+                       events=[Spike(4, 1)])
         backends[0].send(1, sent)
         got = []
         deadline = time.monotonic() + 10.0
@@ -213,7 +203,7 @@ def test_tcp_backend_exchanges_framed_messages(free_ports):
             time.sleep(0.005)
         assert len(got) == 1
         assert got[0].clock == [2, -1]
-        assert got[0].events[0].target == 4
+        assert got[0].events == [Spike(4, 1)]
     finally:
         for b in backends.values():
             b.close()
@@ -223,7 +213,7 @@ def test_tcp_backend_reassembles_a_split_frame(free_ports):
     backends = _tcp_pair(free_ports)
     try:
         sent = Message(sender=0, clock=[3, -2],
-                       events=[CMEvent(4, EXT_NEURON, 2), CMEvent(5, 9, 3)])
+                       events=[Spike(4, 2), Spike(5, 3)])
         payload = encode(sent)
         frame = struct.pack("<I", len(payload)) + payload
         # Cut inside the length prefix and inside the payload.
@@ -241,7 +231,7 @@ def test_tcp_backend_polls_frames_sent_before_it_reads_in_order(free_ports):
     # the peer polls; the tail of the third follows later.
     backends = _tcp_pair(free_ports)
     try:
-        sent = [Message(sender=0, clock=[i, -1], events=[CMEvent(4, EXT_NEURON, i)])
+        sent = [Message(sender=0, clock=[i, -1], events=[Spike(4, i)])
                 for i in range(3)]
         stream = b"".join(struct.pack("<I", len(p)) + p for p in map(encode, sent))
         cut = len(stream) - 7
