@@ -9,12 +9,13 @@ quiescence). No wall-clock timer advances T.
   step round-robin until none moves and no mail is left, then the
   environment steps. Reproducible bit-for-bit; this is the mode certified
   against the sequential oracle.
-* ``ThreadedEngine`` -- one free-running thread per processor.
+* ``ThreadedEngine`` -- one free-running thread per compute processor; the
+  environment steps in the thread that mails it, under one lock.
 * ``run_tcp_node`` / ``run_tcp_launcher`` -- one OS process per processor
   over TCP; the launcher doubles as the environment.
 
-The free-running modes loop in ``run_environment`` and ``run_node``: poll a
-backend's inbox (in-process mailboxes or TCP sockets), step, ship. A loop
+Free-running nodes, and the tcp launcher's environment, poll an inbox
+(in-process mailboxes or TCP sockets), step and ship (``run_node``). A loop
 whose step moved nothing blocks on its inbox until mail wakes it.
 """
 
@@ -185,7 +186,11 @@ class DeterministicEngine:
                 busy = busy or any(mail[pid] for pid in nodes)
             self.monitor.check()
             inbound, mail[0] = mail[0], []
-            broadcast = env.step(inbound)
+            try:
+                broadcast = env.step(inbound)
+            except ProtocolViolation as exc:
+                violations.append(f"environment: {exc!r}")
+                break
             if not broadcast:
                 violations.append(f"no advancement at quiescence (T = {env.T})")
                 break
@@ -197,7 +202,7 @@ class DeterministicEngine:
                          violations=list(self.monitor.violations))
 
 
-# -- free-running modes: one environment loop and one node loop ----------------
+# -- free-running modes: one node loop -----------------------------------------
 
 # Wall-clock budget of a tcp run, for the launcher and for each node process.
 TCP_WALL_S = 120.0
@@ -221,23 +226,6 @@ def ship(backend, pairs) -> None:
             pass
 
 
-def run_environment(env: EnvState, backend, max_wall_s: float,
-                    stop: Callable[[], bool]) -> list[str]:
-    """Step the environment until ``env.done``, ``stop()`` or ``max_wall_s``;
-    returns the loop's violations. It waits on its inbox at most
-    ``env.timeout_ms`` at a time, so it checks ``stop()`` and the budget."""
-    wait_s = env.timeout_ms / 1000.0
-    deadline = time.monotonic() + max_wall_s
-    inbound: list[Message] = []
-    while True:
-        ship(backend, env.step(inbound))
-        if env.done or stop():
-            return []
-        if time.monotonic() > deadline:
-            return ["wall-clock budget exceeded"]
-        inbound = backend.poll(0, wait_s)
-
-
 def run_node(node: NodeState, env: EnvState, backend, minpak: int,
              stop: Callable[[], bool]) -> None:
     """Step one processor on its mail until it has seen the run end or
@@ -252,8 +240,10 @@ def run_node(node: NodeState, env: EnvState, backend, minpak: int,
 
 
 class ThreadedEngine:
-    """Free-running execution: one thread per processor, plus the environment
-    in the calling thread, which stops the run early when a node fails."""
+    """Free-running execution: one thread per compute processor. There is no
+    environment thread: ``InProcBackend`` steps the environment in the node
+    thread that mails it, under one lock, so at P=1 a tick costs no thread
+    switch. A node's exception, the environment's included, stops the run."""
 
     def __init__(self, net: NetworkSpec, mapping: MappingSpec,
                  stimuli: dict[int, list[int]], horizon: int,
@@ -263,7 +253,7 @@ class ThreadedEngine:
             net, mapping, stimuli, horizon, timeout_ms=timeout_ms)
         self.minpak = minpak
         self.max_wall_s = max_wall_s
-        self.backend = InProcBackend(mapping.procs)
+        self.backend = InProcBackend(mapping.procs, self.env)
         self._stop = threading.Event()
         self._errors: list[str] = []
         self._errlock = threading.Lock()
@@ -278,6 +268,7 @@ class ThreadedEngine:
             self._stop.set()
 
     def run(self) -> RunResult:
+        ship(self.backend, self.env.step([]))  # T = 1
         threads = [
             threading.Thread(target=self._node_loop, args=(node,), daemon=True)
             for node in self.nodes.values()
@@ -285,13 +276,15 @@ class ThreadedEngine:
         for t in threads:
             t.start()
         try:
-            errors = run_environment(self.env, self.backend, self.max_wall_s,
-                                     self._stop.is_set)
+            deadline = time.monotonic() + self.max_wall_s
+            for t in threads:
+                t.join(max(0.0, deadline - time.monotonic()))
+            late = any(t.is_alive() for t in threads)
+            errors = ["wall-clock budget exceeded"] if late else []
         finally:
             # A finished run's final advancement stops every node; a run
-            # cut short never sends it.
-            if not self.env.done:
-                self._stop.set()
+            # cut short or interrupted stops them here.
+            self._stop.set()
             deadline = time.monotonic() + JOIN_S
             for t in threads:
                 t.join(max(0.0, deadline - time.monotonic()))
@@ -343,7 +336,8 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
 
     ``node_argv`` holds the full command line for each node process; each
     node writes its firing trace to a shard file merged by the caller. A
-    transport failure and every non-zero exit of a node are violations.
+    transport failure, a message the environment rejects and every non-zero
+    exit of a node are violations.
     """
     roster = load_roster(roster_path)
     env, _ = build_simulation(net, mapping, stimuli, horizon,
@@ -358,9 +352,22 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
 
     try:
         backend = TcpBackend(0, roster, give_up=node_exited)
-        errors = run_environment(env, backend, max_wall_s, stop=node_exited)
+        # Step until the run ends or a node fails, waiting on the inbox at
+        # most env.timeout_ms at a time to check both and the budget.
+        deadline = time.monotonic() + max_wall_s
+        inbound: list[Message] = []
+        while True:
+            ship(backend, env.step(inbound))
+            if env.done or node_exited():
+                break
+            if time.monotonic() > deadline:
+                errors = ["wall-clock budget exceeded"]
+                break
+            inbound = backend.poll(0, env.timeout_ms / 1000.0)
     except TransportError as exc:
         errors = [str(exc)]
+    except ProtocolViolation as exc:
+        errors = [f"environment: {exc!r}"]
     finally:
         # After a finished run every node sees the final advancement (channels
         # are FIFO) and stops by itself, flushing to this backend until then;

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import Spike
+from .events import ProtocolViolation, Spike
 from .oracle import trace_order
 from .transport import Message, Report, merge_clock_into
 
@@ -117,7 +117,8 @@ class EnvState:
 
     def on_report(self, msg: Message) -> None:
         if not 1 <= msg.sender <= self.procs or len(msg.report.sent) != self.procs + 1:
-            raise ValueError(f"report from {msg.sender} does not fit {self.procs} processors")
+            raise ProtocolViolation(
+                f"report from {msg.sender} does not fit {self.procs} processors")
         self.reports[msg.sender] = msg.report
 
     def quiescence_floor(self) -> int | None:
@@ -145,7 +146,8 @@ class EnvState:
         self.received[msg.sender] += 1
         for spike in msg.events:
             if self.owner_of.get(spike.neuron) != msg.sender:
-                raise ValueError(f"{spike} from processor {msg.sender}, which does not own it")
+                raise ProtocolViolation(
+                    f"{spike} from processor {msg.sender}, which does not own it")
             self.output_log.append(spike)
             self.stats.outputs_received += 1
         merge_clock_into(self.clock, msg.clock, own=0)

@@ -18,8 +18,9 @@ in place of nclock, then floor i32, sent u32 * n, received u32 * n.
 
 Each TCP frame is one encoded message preceded by a u32 length prefix;
 frames carry their sender, so a connection sends nothing but frames. The
-in-process backend hands messages between threads through queues; the TCP
-backend starts no thread and reads its sockets inside ``poll``.
+in-process backend hands messages to node threads through queues and steps
+the environment in the thread that mails it; the TCP backend starts no
+thread and reads its sockets inside ``poll``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import queue
 import selectors
 import socket
 import struct
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -150,16 +152,27 @@ def load_roster(path: str) -> dict[int, tuple[str, int]]:
 class InProcBackend:
     """Thread-safe mailbox delivery for free-running in-process runs.
 
-    Per-channel FIFO holds because each sender enqueues its own messages in
-    send order and ``queue.SimpleQueue`` preserves insertion order.
+    The environment ``env`` is processor 0's inbox: mail to it steps ``env``
+    in the sender's thread, under one lock that also covers queueing the
+    broadcast, and is dropped once ``env.done``. Per-channel FIFO holds
+    because each sender enqueues its own messages in send order and
+    ``queue.SimpleQueue`` preserves insertion order.
     """
 
-    def __init__(self, procs: int) -> None:
-        self.inboxes = {p: queue.SimpleQueue() for p in range(procs + 1)}
+    def __init__(self, procs: int, env) -> None:
+        self.env = env
+        self.inboxes = {p: queue.SimpleQueue() for p in range(1, procs + 1)}
+        self._lock = threading.Lock()
 
     def send(self, dest: int, msg: Message) -> None:
         msg.validate()
-        self.inboxes[dest].put(msg)
+        if dest:
+            self.inboxes[dest].put(msg)
+            return
+        with self._lock:
+            if not self.env.done:
+                for pid, out in self.env.step([msg]):
+                    self.inboxes[pid].put(out)
 
     def poll(self, pid: int, wait: float = 0) -> list[Message]:
         """Wait up to ``wait`` seconds for a first message, then take every

@@ -13,6 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Install the wrappers, then trace a small det run whose kept messages are
 # encoded, so the wrapped calls must still return what the tracer counts.
+# A threads run follows: its node threads step the environment themselves,
+# so their spans hold the environment's as well as the node's.
 PROBE = """
 import sys
 sys.path[:0] = ["benchmarks", "src"]
@@ -27,6 +29,15 @@ assert result.violations == [], result.violations
 counts = rec.export()["counts"]
 assert counts["env_messages"] > 0 and counts["node_messages"] > 0, counts
 assert tracing.computed_codec(rec)["bytes"] > 0
+rec.reset()
+result = engine.ThreadedEngine(net, mapping, stimuli, 30, timeout_ms=5).run()
+assert result.violations == [], result.violations
+node = rec.export()["totals"]["node"]
+assert node["engine.node_loop"][0] == 2, node
+advances = sum(node.get(name, [0])[0]
+               for name in ("environment.advance_T", "environment.on_timeout"))
+assert advances > 0 and node["node.cpc_step"][0] > 0, node
+assert node["transport.send"][0] > 0 and node["transport.poll"][0] > 0, node
 """
 
 

@@ -15,7 +15,8 @@ from spikesim import cli, engine, neuron
 from spikesim.engine import (DeterministicEngine, ThreadedEngine,
                              build_simulation, run_tcp_node)
 from spikesim.environment import EnvState
-from spikesim.events import CPEvent, EXT_NEURON, Spike, TopologyError
+from spikesim.events import (CPEvent, EXT_NEURON, ProtocolViolation, Spike,
+                             TopologyError)
 from spikesim.neuron import NeuronParams
 from spikesim.node import UNBOUNDED, NodeState
 from spikesim.oracle import compare_traces, sequential_simulate
@@ -291,6 +292,125 @@ def test_threaded_engine_reports_a_node_thread_that_does_not_stop(monkeypatch):
         release.set()
     assert result.violations == ["wall-clock budget exceeded",
                                  "node 2: thread still running 0.2 s after the run"]
+
+
+@pytest.mark.parametrize("procs", [1, 4])
+def test_threaded_run_equals_det_at_readme_size(procs):
+    # Once the run is over the environment takes no more mail, so the
+    # nodes' last flush and report advance nothing: 209 advancements.
+    for seed in (0, 1, 2):
+        net, mapping, stimuli = generate_random(seed=seed, n=64, prob=0.1,
+                                                procs=procs, horizon=200)
+        det = DeterministicEngine(net, mapping, stimuli, 200).run()
+        threads = ThreadedEngine(net, mapping, stimuli, 200).run()
+        assert threads.violations == det.violations == []
+        assert threads.trace == det.trace and threads.outputs == det.outputs
+        assert threads.stats["advancements"] == det.stats["advancements"] == 209
+
+
+def spy_on_steps(monkeypatch, cls, calls, pause=0.0):
+    """Record (thread, steps in progress) at each call of ``cls.step``."""
+    step, active = cls.step, []
+
+    def spy(self, *args, **kwargs):
+        active.append(None)
+        calls.append((threading.current_thread(), len(active)))
+        time.sleep(pause)  # gives another thread the chance to step too
+        try:
+            return step(self, *args, **kwargs)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(cls, "step", spy)
+
+
+def test_threaded_environment_steps_in_node_threads_one_at_a_time(monkeypatch):
+    calls = []
+    spy_on_steps(monkeypatch, EnvState, calls, pause=1e-4)
+    net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=4,
+                                            horizon=200)
+    result = ThreadedEngine(net, mapping, stimuli, 200).run()
+    assert result.violations == []
+    main = threading.main_thread()
+    assert calls[0][0] is main  # T = 1, before the node threads start
+    steppers = {thread for thread, _depth in calls[1:]}
+    assert main not in steppers and len(steppers) > 1
+    assert max(depth for _thread, depth in calls) == 1
+
+
+def test_threaded_run_at_p1_is_one_thread_making_every_step(monkeypatch):
+    started, env_calls, node_calls = [], [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    spy_on_steps(monkeypatch, EnvState, env_calls)
+    spy_on_steps(monkeypatch, NodeState, node_calls)
+    net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=1,
+                                            horizon=200)
+    result = ThreadedEngine(net, mapping, stimuli, 200).run()
+    assert result.violations == [] and result.stats["advancements"] == 209
+    assert len(started) == 1
+    steppers = {thread for thread, _depth in env_calls[1:] + node_calls}
+    assert steppers == set(started)
+
+
+def disown_an_output(env, net, outputs) -> int:
+    """Make the environment believe no processor owns the first output
+    neuron that fires and is no input; it rejects that neuron's spikes."""
+    out = next(nid for nid, _t in outputs if nid not in net.inputs)
+    env.owner_of[out] = env.procs + 1
+    return out
+
+
+def rejected_output_net():
+    net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=1,
+                                            horizon=60)
+    outputs = DeterministicEngine(net, mapping, stimuli, 60).run().outputs
+    return net, mapping, stimuli, outputs
+
+
+@pytest.mark.parametrize("mode", ["det", "threads"])
+def test_a_message_the_environment_rejects_is_a_violation(mode):
+    net, mapping, stimuli, outputs = rejected_output_net()
+    cls = DeterministicEngine if mode == "det" else ThreadedEngine
+    sim = cls(net, mapping, stimuli, 60)
+    out = disown_an_output(sim.env, net, outputs)
+    result = sim.run()
+    who = "environment" if mode == "det" else "node 1"
+    assert len(result.violations) == 1
+    assert result.violations[0].startswith(f"{who}: ProtocolViolation('Spike(neuron={out}, ")
+    assert result.violations[0].endswith("from processor 1, which does not own it')")
+
+
+def test_tcp_launcher_reports_a_message_its_environment_rejects(tmp_path, monkeypatch,
+                                                                free_ports):
+    net, mapping, stimuli, outputs = rejected_output_net()
+    prefix = str(tmp_path / "w")
+    save_network(net, prefix + ".net")
+    save_mapping(mapping, prefix + ".map")
+    save_stimuli(stimuli, prefix + ".stim")
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(2))))
+    build = engine.build_simulation
+
+    def build_disowning(*args, **kwargs):  # the launcher's environment only
+        env, nodes = build(*args, **kwargs)
+        disown_an_output(env, net, outputs)
+        return env, nodes
+
+    monkeypatch.setattr(engine, "build_simulation", build_disowning)
+    monkeypatch.setattr(engine, "STOP_GRACE_S", 0.2)
+    argv = [sys.executable, "-m", "spikesim", "run", "--net", prefix + ".net",
+            "--map", prefix + ".map", "--stim", prefix + ".stim", "--mode", "tcp",
+            "--horizon", "60", "--roster", str(roster), "--node", "1",
+            "--out", prefix]
+    result = engine.run_tcp_launcher(net, mapping, stimuli, 60,
+                                     roster_path=str(roster), node_argv=[argv])
+    assert result.violations[0].startswith("environment: ProtocolViolation('Spike(")
+    assert result.violations[0].endswith("from processor 1, which does not own it')")
+    assert result.violations[1:] == [
+        "node process exited with -9 after the run stopped (processor 1)"]
 
 
 def two_neuron_simulation():

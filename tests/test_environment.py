@@ -1,7 +1,7 @@
 import pytest
 
 from spikesim.environment import EnvState
-from spikesim.events import Spike
+from spikesim.events import ProtocolViolation, Spike
 from spikesim.node import UNBOUNDED
 from spikesim.transport import Message, Report
 
@@ -137,9 +137,9 @@ def test_step_advances_on_an_output_before_quiescence():
 
 def test_report_that_does_not_fit_is_rejected():
     env = make_env()
-    with pytest.raises(ValueError):
+    with pytest.raises(ProtocolViolation):
         report(env, 3, [0, 0, 0], [0, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ProtocolViolation):
         report(env, 1, [0, 0], [0, 0])
 
 
@@ -171,7 +171,8 @@ def test_non_output_event_rejected():
     env.T = 2
     for neuron in (2, 8):  # owned by processor 2; owned by none
         msg = Message(sender=1, clock=[2, 2, 0], events=[Spike(neuron, 1)])
-        with pytest.raises(ValueError, match="from processor 1, which does not own it"):
+        with pytest.raises(ProtocolViolation,
+                           match="from processor 1, which does not own it"):
             env.on_output(msg)
     assert env.output_log == []
 

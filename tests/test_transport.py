@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikesim import transport
+from spikesim.environment import EnvState
 from spikesim.events import Spike
 from spikesim.transport import (CodecError, InProcBackend, Message, Report,
                                 TcpBackend, TransportError, decode, encode,
@@ -140,8 +141,13 @@ def test_roster_parsing(tmp_path):
         load_roster(str(path))
 
 
+def inproc(procs, horizon=10):
+    env = EnvState(procs=procs, stimuli={}, owner_of={}, horizon=horizon)
+    return InProcBackend(procs, env)
+
+
 def test_inproc_backend_fifo_per_channel():
-    backend = InProcBackend(procs=2)
+    backend = inproc(2)
     msgs = [Message(sender=0, clock=[i], events=[]) for i in range(5)]
     for m in msgs:
         backend.send(1, m)
@@ -150,7 +156,7 @@ def test_inproc_backend_fifo_per_channel():
 
 
 def test_inproc_poll_waits_for_the_first_message():
-    backend = InProcBackend(procs=1)
+    backend = inproc(1)
     sent = Message(sender=0, clock=[1, 0], events=[])
     sender = threading.Timer(0.05, backend.send, args=(1, sent))
     start = time.monotonic()
@@ -165,6 +171,25 @@ def test_inproc_poll_waits_for_the_first_message():
     start = time.monotonic()
     assert backend.poll(1, wait=0.1) == []
     assert 0.09 <= time.monotonic() - start < 5.0
+
+
+def test_inproc_mail_to_the_environment_steps_it_until_the_run_ends():
+    # Processor 0 has no inbox: each report steps the environment in the
+    # sender's thread, and the broadcast is in the node's inbox on return.
+    backend = inproc(1, horizon=0)
+    env = backend.env
+    for dest, msg in env.step([]):
+        backend.send(dest, msg)
+    while not env.done:
+        [broadcast] = backend.poll(1)
+        assert broadcast.clock[0] == env.T
+        backend.send(0, Message(sender=1, clock=[], report=Report(0, [0, 0], [env.T, 0])))
+    assert env.T == env.slack + 1 and env.stats.advancements == env.T
+    # Once the run is over, mail to the environment is dropped unstepped.
+    backend.send(0, Message(sender=1, clock=[], report=Report(0, [0, 0], [env.T, 0])))
+    assert env.stats.advancements == env.T and env.reports[1].received == [env.T - 1, 0]
+    assert [msg.clock[0] for msg in backend.poll(1)] == [env.T]
+    assert 0 not in backend.inboxes
 
 
 def _tcp_pair(free_ports):
