@@ -1,5 +1,10 @@
+import os
 import sys
 
 from .cli import main
 
-sys.exit(main())
+code = main()
+# main closed every file it wrote, so skip the interpreter's teardown.
+sys.stdout.flush()
+sys.stderr.flush()
+os._exit(code)

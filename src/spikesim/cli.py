@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -25,7 +24,6 @@ from .engine import (DeterministicEngine, ThreadedEngine, run_tcp_launcher,
 from .events import TopologyError
 from .oracle import (compare_traces, read_trace, sequential_simulate,
                      trace_order, write_trace)
-from .suite import run_property_suite
 from .topology import (generate_random, load_mapping, load_network,
                        load_stimuli, save_mapping, save_network, save_stimuli,
                        validate, validate_stimuli)
@@ -164,6 +162,7 @@ def _cmd_run(args) -> int:
     if args.out:
         write_trace(result.trace, args.out)
     if args.stats:
+        import json  # a tcp node process writes no stats
         with open(args.stats, "w") as fh:
             json.dump(result.stats, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -206,6 +205,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import run_property_suite  # no other command needs it
     procs_list = tuple(int(p) for p in args.procs.split(","))
     report = run_property_suite(range(args.seeds), procs_list=procs_list,
                                 n=args.n, prob=args.prob,

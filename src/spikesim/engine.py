@@ -22,10 +22,8 @@ whose step moved nothing blocks on its inbox until mail wakes it.
 from __future__ import annotations
 
 import os
-import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .environment import EnvState
@@ -38,12 +36,12 @@ from .transport import (InProcBackend, Message, TcpBackend, TransportError,
                         load_roster)
 
 
-@dataclass
 class RunResult:
-    trace: list[tuple[int, int]]            # every neuron firing (neuron, time)
-    outputs: list[tuple[int, int]]          # spikes logged by the environment
-    stats: dict[str, int]
-    violations: list[str] = field(default_factory=list)
+    def __init__(self, trace: list[tuple[int, int]], outputs: list[tuple[int, int]],
+                 stats: dict[str, int], violations: list[str]) -> None:
+        self.trace = trace  # every neuron firing (neuron, time)
+        self.outputs = outputs  # spikes logged by the environment
+        self.stats, self.violations = stats, violations
 
 
 def build_simulation(net: NetworkSpec, mapping: MappingSpec,
@@ -336,14 +334,16 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
 
     ``node_argv`` holds the full command line for each node process; each
     node writes its firing trace to a shard file merged by the caller. A
-    transport failure, a message the environment rejects and every non-zero
-    exit of a node are violations.
+    node that fails to start, a transport failure, a message the environment
+    rejects and every non-zero exit of a node are violations; every node
+    started is reaped before this returns.
     """
+    import subprocess  # the launcher alone spawns; node processes never import it
     roster = load_roster(roster_path)
     env, _ = build_simulation(net, mapping, stimuli, horizon,
                               timeout_ms=timeout_ms, only_node=-1)
     paths = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    procs = [subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=paths)) for argv in node_argv]
+    procs: list[subprocess.Popen] = []
     errors: list[str] = []
     backend = None
 
@@ -351,6 +351,12 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
         return any(p.poll() is not None for p in procs)
 
     try:
+        for pid, argv in enumerate(node_argv, start=1):
+            try:
+                procs.append(subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=paths)))
+            except OSError as exc:
+                raise TransportError(
+                    f"node process for processor {pid} failed to start: {exc}") from exc
         backend = TcpBackend(0, roster, give_up=node_exited)
         # Step until the run ends or a node fails, waiting on the inbox at
         # most env.timeout_ms at a time to check both and the budget.

@@ -17,18 +17,14 @@ clock entry to the least reported floor (Chandy & Misra 1979).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .events import ProtocolViolation, Spike
 from .oracle import trace_order
 from .transport import Message, Report, merge_clock_into
 
 
-@dataclass
 class EnvStats:
-    timeouts: int = 0
-    advancements: int = 0
-    outputs_received: int = 0
+    def __init__(self) -> None:
+        self.timeouts = self.advancements = self.outputs_received = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))

@@ -17,7 +17,6 @@ carry stamp 0 (the environment emits at T-1 and the run starts at T=1).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # Reserved source id of the environment's stimuli ("Ext"). It never goes on
@@ -48,20 +47,24 @@ class CMEvent(NamedTuple):
     stamp: int
 
 
-@dataclass
 class CPEvent:
     """Outgoing spike forecast: ``source`` is expected to fire at ``stamp``.
 
     Its cell decides whether it is final: a forecast at or below the cell's
     ``horizon + 1`` is certain, and one it cancels leaves the cell's table.
     ``emitted`` and ``delayed`` (emission control has held it back) are
-    one-way flags.
+    one-way flags. A cell holds one forecast per stamp, so two are equal
+    only if they are the same object.
     """
 
-    source: int
-    stamp: int
-    emitted: bool = field(default=False, compare=False)
-    delayed: bool = field(default=False, compare=False)
+    __slots__ = ("source", "stamp", "emitted", "delayed")
+
+    def __init__(self, source: int, stamp: int) -> None:
+        self.source, self.stamp = source, stamp
+        self.emitted = self.delayed = False
+
+    def __repr__(self) -> str:
+        return f"CPEvent(source={self.source}, stamp={self.stamp})"
 
 
 class ArrivalCalendar:

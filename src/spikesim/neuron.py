@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 
 from .events import CPEvent, ProtocolViolation, TopologyError
 
@@ -54,26 +53,32 @@ def membrane_step(v: float, t_prev: int, t: int, entries, params) -> tuple[float
     return v, fired
 
 
-@dataclass
 class Synapse:
-    weight: float
-    delay: int
+    __slots__ = ("weight", "delay")
+
+    def __init__(self, weight: float, delay: int) -> None:
+        self.weight, self.delay = weight, delay
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Synapse)
+                and (self.weight, self.delay) == (other.weight, other.delay))
+
+    def __repr__(self) -> str:
+        return f"Synapse({self.weight}, {self.delay})"
 
 
-@dataclass
 class NeuronParams:
     """The neuron model alone; its synapses live in ``NetworkSpec.synapses``."""
-    threshold: float
-    tau: float
-    reset: float = 0.0
-    stim_weight: float | None = None  # defaults to 2 * threshold
 
-    def __post_init__(self) -> None:
-        if self.stim_weight is None:
-            self.stim_weight = 2.0 * self.threshold
+    __slots__ = ("threshold", "tau", "reset", "stim_weight")
+
+    def __init__(self, threshold: float, tau: float, reset: float = 0.0,
+                 stim_weight: float | None = None) -> None:
+        self.threshold, self.tau, self.reset = threshold, tau, reset
+        self.stim_weight = 2.0 * threshold if stim_weight is None else stim_weight
 
 
-class IntegrationResult:  # two lists of CPEvent; a dataclass builds them slower
+class IntegrationResult:  # two lists of CPEvent
     __slots__ = ("new_forecasts", "cancellations")
 
     def __init__(self) -> None:

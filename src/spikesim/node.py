@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
 
 from .events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON,
                      ProtocolViolation, Spike, TopologyError)
@@ -41,15 +40,11 @@ class AuthDecision(enum.Enum):
     PRIORITY_DEFERRED = "priority_deferred"
 
 
-@dataclass
 class NodeStats:
-    computed: int = 0
-    emitted: int = 0
-    cancellations: int = 0
-    certifications: int = 0  # emissions at or below their cell's horizon + 1
-    delayed_emissions: int = 0
-    delayed_computations: int = 0
-    messages_sent: int = 0
+    def __init__(self) -> None:
+        self.computed = self.emitted = self.cancellations = 0
+        self.certifications = 0  # emissions at or below their cell's horizon + 1
+        self.delayed_emissions = self.delayed_computations = self.messages_sent = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .events import EXT_NEURON
 from .neuron import membrane_step
@@ -69,11 +68,11 @@ def sequential_simulate(net: NetworkSpec, stimuli: dict[int, list[int]],
     return spikes
 
 
-@dataclass
 class TraceDiff:
-    missing_in_b: list[tuple[int, int]] = field(default_factory=list)
-    missing_in_a: list[tuple[int, int]] = field(default_factory=list)
-    first_divergence: tuple[int, int] | None = None
+    def __init__(self, missing_in_b: SpikeTrace, missing_in_a: SpikeTrace) -> None:
+        self.missing_in_b, self.missing_in_a = missing_in_b, missing_in_a
+        self.first_divergence = min(missing_in_a + missing_in_b, key=trace_order,
+                                    default=None)
 
     @property
     def empty(self) -> bool:
@@ -94,14 +93,8 @@ class TraceDiff:
 def compare_traces(a: SpikeTrace, b: SpikeTrace) -> TraceDiff:
     """Compare as multisets, so a spike emitted twice is a difference."""
     ca, cb = Counter(a), Counter(b)
-    diff = TraceDiff(
-        missing_in_b=sorted((ca - cb).elements(), key=trace_order),
-        missing_in_a=sorted((cb - ca).elements(), key=trace_order),
-    )
-    divergent = diff.missing_in_a + diff.missing_in_b
-    if divergent:
-        diff.first_divergence = min(divergent, key=trace_order)
-    return diff
+    return TraceDiff(missing_in_b=sorted((ca - cb).elements(), key=trace_order),
+                     missing_in_a=sorted((cb - ca).elements(), key=trace_order))
 
 
 def write_trace(trace: SpikeTrace, path: str) -> None:

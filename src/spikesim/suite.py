@@ -10,30 +10,26 @@ result and the protocol conditions sampled at every loop boundary.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .engine import DeterministicEngine
 from .oracle import compare_traces, sequential_simulate
 from .topology import generate_random
 
 
-@dataclass
 class CellResult:
-    seed: int
-    procs: int
-    equal: bool
-    violations: list[str]
-    spikes: int
-    seconds: float
+    def __init__(self, seed: int, procs: int, equal: bool, violations: list[str],
+                 spikes: int, seconds: float) -> None:
+        self.seed, self.procs, self.equal, self.violations = seed, procs, equal, violations
+        self.spikes, self.seconds = spikes, seconds
 
     @property
     def ok(self) -> bool:
         return self.equal and not self.violations
 
 
-@dataclass
 class SuiteReport:
-    cells: list[CellResult] = field(default_factory=list)
+    def __init__(self, cells: list[CellResult]) -> None:
+        self.cells = cells
 
     @property
     def ok(self) -> bool:
@@ -79,10 +75,6 @@ def run_cell(seed: int, procs: int, n: int = 24, prob: float = 0.12,
 def run_property_suite(seeds, procs_list=(1, 2, 4), n: int = 24,
                        prob: float = 0.12, horizon: int = 200,
                        minpak: int = 1) -> SuiteReport:
-    report = SuiteReport()
-    for seed in seeds:
-        for procs in procs_list:
-            report.cells.append(
-                run_cell(seed, procs, n=n, prob=prob, horizon=horizon,
-                         minpak=minpak))
-    return report
+    return SuiteReport([run_cell(seed, procs, n=n, prob=prob, horizon=horizon,
+                                 minpak=minpak)
+                        for seed in seeds for procs in procs_list])

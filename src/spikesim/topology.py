@@ -25,29 +25,30 @@ stimulus file
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .events import TopologyError
 from .neuron import NeuronParams
 
 
-@dataclass
 class NetworkSpec:
-    neurons: dict[int, NeuronParams] = field(default_factory=dict)
-    synapses: list[tuple[int, int, float, int]] = field(default_factory=list)
-    inputs: set[int] = field(default_factory=set)
-    outputs: set[int] = field(default_factory=set)
+    def __init__(self, neurons: dict[int, NeuronParams] | None = None,
+                 synapses: list[tuple[int, int, float, int]] | None = None,
+                 inputs: set[int] | None = None, outputs: set[int] | None = None) -> None:
+        self.neurons = {} if neurons is None else neurons
+        self.synapses = [] if synapses is None else synapses
+        self.inputs = set() if inputs is None else inputs
+        self.outputs = set() if outputs is None else outputs
 
 
-@dataclass
 class MappingSpec:
-    assignment: dict[int, int] = field(default_factory=dict)
-    procs: int = 1
+    def __init__(self, assignment: dict[int, int] | None = None, procs: int = 1) -> None:
+        self.assignment = {} if assignment is None else assignment
+        self.procs = procs
 
 
-@dataclass
 class ValidationReport:
-    violations: list[str] = field(default_factory=list)
+    def __init__(self, violations: list[str]) -> None:
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

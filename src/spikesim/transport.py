@@ -31,7 +31,6 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -59,12 +58,22 @@ class Report(NamedTuple):
     received: list[int]
 
 
-@dataclass
 class Message:
-    sender: int
-    clock: list[int]
-    events: list[Spike] = field(default_factory=list)
-    report: Report | None = None   # a report carries no clock and no events
+    __slots__ = ("sender", "clock", "events", "report")
+
+    def __init__(self, sender: int, clock: list[int], events: list[Spike] | None = None,
+                 report: Report | None = None) -> None:  # a report: no clock, no events
+        self.sender, self.clock, self.report = sender, clock, report
+        self.events = [] if events is None else events
+
+    def _fields(self) -> tuple:
+        return self.sender, self.clock, self.events, self.report
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Message) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "Message(sender={!r}, clock={!r}, events={!r}, report={!r})".format(*self._fields())
 
     def validate(self) -> None:
         if self.report is not None:

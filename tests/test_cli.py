@@ -1,15 +1,21 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import spikesim
 from spikesim import cli, engine
 from spikesim.cli import main
 from spikesim.engine import RunResult
 from spikesim.events import ProtocolViolation
 from spikesim.neuron import ECState
 from spikesim.oracle import read_trace
+
+SRC = str(Path(spikesim.__file__).parent.parent)
 
 
 def gen_workload(tmp_path, seed=3, procs=2, n=12, horizon=40):
@@ -178,7 +184,7 @@ def test_tcp_usage_error_exits_2_before_anything_starts(tmp_path, capsys, monkey
     def refuse(*args, **_kwargs):
         raise AssertionError(f"started {args}")
 
-    monkeypatch.setattr(engine.subprocess, "Popen", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
     monkeypatch.setattr(engine, "TcpBackend", refuse)
     prefix = gen_workload(tmp_path, procs=2, horizon=10)
     write_roster(tmp_path / "roster", pids)
@@ -284,3 +290,47 @@ def test_tcp_nodes_import_the_launchers_package(tmp_path, capsys, monkeypatch,
     assert main(["compare", str(tmp_path / "tcp.trace"),
                  str(tmp_path / "oracle.trace")]) == 0
     assert "traces identical" in capsys.readouterr().out
+
+
+def test_a_node_process_imports_only_what_it_runs():
+    # A tcp node process imports spikesim.cli; only other commands need these.
+    unused = ["dataclasses", "inspect", "subprocess", "json", "spikesim.suite"]
+    probe = "import spikesim.cli, sys; print(*sorted(sys.modules.keys() & set(sys.argv[1:])))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe, *unused],
+                         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == []
+
+
+def test_python_m_spikesim_keeps_its_output_and_exit_codes(tmp_path, capsys):
+    # `python -m spikesim` skips interpreter teardown. With stdout a pipe and
+    # PYTHONUNBUFFERED unset, output it did not flush before exiting is lost.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "spikesim", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    prefix = gen_workload(tmp_path)
+    capsys.readouterr()
+    inputs = ["run", "--net", prefix + ".net", "--map", prefix + ".map",
+              "--stim", prefix + ".stim", "--horizon", "40"]
+    assert main([*inputs, "--out", str(tmp_path / "a.trace"),
+                 "--stats", str(tmp_path / "a.json")]) == 0
+    summary = capsys.readouterr().out
+    run = module(*inputs, "--out", str(tmp_path / "b.trace"),
+                 "--stats", str(tmp_path / "b.json"))
+    assert (run.returncode, run.stdout, run.stderr) == (0, summary, "")
+    for name in ("trace", "json"):
+        assert (tmp_path / f"b.{name}").read_text() == (tmp_path / f"a.{name}").read_text()
+
+    (tmp_path / "c.trace").write_text("spike 1 1\nspike 2 5\n")
+    assert main(["compare", str(tmp_path / "a.trace"), str(tmp_path / "c.trace")]) == 1
+    diff = capsys.readouterr().out
+    compare = module("compare", str(tmp_path / "a.trace"), str(tmp_path / "c.trace"))
+    assert (compare.returncode, compare.stdout) == (1, diff)
+    assert "only in b: spike 2 5" in diff
+
+    missing = module("compare", str(tmp_path / "nope"), str(tmp_path / "nope"))
+    assert missing.returncode == 2 and missing.stderr.startswith("error: ")

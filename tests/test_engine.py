@@ -647,6 +647,49 @@ def test_tcp_launcher_kills_a_node_that_does_not_exit(tmp_path, monkeypatch,
         os.kill(int(pid_file.read_text()), 0)
 
 
+def test_tcp_launcher_reaps_the_nodes_it_started_when_one_fails_to_start(
+        tmp_path, monkeypatch, free_ports, capsys):
+    # Processor 1's node would wait a minute; processor 2's cannot start.
+    net, mapping, stimuli = generate_random(seed=2, n=24, prob=0.12, procs=2,
+                                            horizon=20)
+    prefix = str(tmp_path / "w")
+    save_network(net, prefix + ".net")
+    save_mapping(mapping, prefix + ".map")
+    save_stimuli(stimuli, prefix + ".stim")
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(3))))
+    failing = [[sys.executable, "-c", "import time; time.sleep(60)"],
+               [str(tmp_path / "no-such-python")]]
+    spawned = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    monkeypatch.setattr(engine, "STOP_GRACE_S", 0.2)
+    launch = engine.run_tcp_launcher
+    result = launch(net, mapping, stimuli, 20, roster_path=str(roster),
+                    node_argv=failing)
+    assert result.violations[0].startswith(
+        "node process for processor 2 failed to start: ")
+    assert result.violations[1:] == [
+        "node process exited with -9 after the run stopped (processor 1)"]
+    assert len(spawned) == 1 and spawned[0].poll() is not None
+
+    monkeypatch.setattr(cli, "run_tcp_launcher", lambda *args, node_argv, **kw:
+                        launch(*args, node_argv=failing, **kw))
+    assert cli.main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                     "--stim", prefix + ".stim", "--horizon", "20",
+                     "--mode", "tcp", "--roster", str(roster),
+                     "--out", prefix]) == 1
+    assert "violation: node process for processor 2 failed to start: " in \
+        capsys.readouterr().err
+    assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+
+
 def test_run_tcp_node_builds_with_its_timeout(tmp_path, monkeypatch):
     net, mapping, stimuli = generate_random(seed=2, n=12, prob=0.12, procs=1,
                                             horizon=20)
