@@ -1,22 +1,16 @@
-"""Run orchestration: deterministic, free-running, and multi-process modes.
-
-Every mode drives the same two steps: ``NodeState.step`` (one processor
-receives, computes, emits, and reports once it is idle) and
+"""Run orchestration. Every mode runs the same two steps, ``NodeState.step``
+(one processor receives, computes, emits, and reports once it is idle) and
 ``EnvState.step`` (the environment advances T on an output or at proven
-quiescence). No wall-clock timer advances T.
+quiescence); no wall-clock timer advances T.
 
-* ``DeterministicEngine`` -- single thread, lists for mailboxes; processors
-  step round-robin until none moves and no mail is left, then the
-  environment steps. Reproducible bit-for-bit; this is the mode certified
-  against the sequential oracle.
-* ``ThreadedEngine`` -- one free-running thread per compute processor; the
-  environment steps in the thread that mails it, under one lock.
+* ``drive`` -- one thread steps both in the order a ``choose`` function
+  picks. ``DeterministicEngine`` is its round robin, reproducible
+  bit-for-bit and certified against the sequential oracle; the tests'
+  seeded schedules are its random orders.
+* ``ThreadedEngine`` -- one thread per compute processor runs ``run_node``;
+  the environment steps in the thread that mails it, under one lock.
 * ``run_tcp_node`` / ``run_tcp_launcher`` -- one OS process per processor
-  over TCP; the launcher doubles as the environment.
-
-Free-running nodes, and the tcp launcher's environment, poll an inbox
-(in-process mailboxes or TCP sockets), step and ship (``run_node``). A loop
-whose step moved nothing blocks on its inbox until mail wakes it.
+  runs ``run_node`` over TCP; the launcher's own loop steps the environment.
 """
 
 from __future__ import annotations
@@ -91,12 +85,12 @@ def aggregate_stats(env: EnvState, nodes: dict[int, NodeState]) -> dict[str, int
     return stats
 
 
-def merge_traces(nodes: dict[int, NodeState]) -> list[tuple[int, int]]:
-    trace: list[tuple[int, int]] = []
-    for node in nodes.values():
-        trace.extend(node.trace)
-    trace.sort(key=trace_order)
-    return trace
+def run_result(env: EnvState, nodes: dict[int, NodeState],
+               violations: list[str]) -> RunResult:
+    trace = sorted((spike for node in nodes.values() for spike in node.trace),
+                   key=trace_order)
+    return RunResult(trace=trace, outputs=env.sorted_outputs(),
+                     stats=aggregate_stats(env, nodes), violations=list(violations))
 
 
 class InvariantMonitor:
@@ -145,13 +139,62 @@ class InvariantMonitor:
             self._prev_clock[pid] = list(node.clock)
 
 
-class DeterministicEngine:
-    """Single-threaded reference execution of the distributed protocol.
+def drive(env: EnvState, nodes: dict[int, NodeState], choose, minpak: int,
+          monitor: InvariantMonitor) -> RunResult:
+    """Step the environment (actor 0) and the processors in one thread, over
+    one FIFO channel per ordered pair of actors, in the order ``choose`` picks.
 
-    The authorization gates alone keep stamps in order, and the environment
-    advances on the same reports as in the free-running modes, so this mode
-    tests both; every run with the same inputs is identical.
+    The driver takes the environment's first step. Then ``choose(waiting)``
+    gets the set of actors that have mail or whose last step moved, and
+    returns ``(actor, take)``, or None to end the run. The actor receives
+    ``take(len(channel))`` messages from the front of each inbound channel,
+    in sender order. ``monitor.check()`` runs before every later environment
+    step. A ``ProtocolViolation`` ends the run as a violation. So does a run
+    that is not over with no actor waiting: no step could advance T.
     """
+    inboxes = {dest: {src: [] for src in (0, *nodes) if src != dest}
+               for dest in (0, *nodes)}
+    waiting: set[int] = set()
+    actor, pairs = 0, env.step([])
+    moved = bool(pairs)
+    while True:
+        if moved or any(inboxes[actor].values()):
+            waiting.add(actor)
+        else:
+            waiting.discard(actor)
+        for dest, msg in pairs:
+            inboxes[dest][actor].append(msg)
+            waiting.add(dest)
+        if not (waiting or env.done):
+            monitor.violations.append(f"no advancement at quiescence (T = {env.T})")
+            break
+        if (pick := choose(waiting)) is None:
+            break
+        actor, take = pick
+        inbound: list[Message] = []
+        for channel in inboxes[actor].values():
+            if channel:
+                count = take(len(channel))
+                inbound += channel[:count]
+                del channel[:count]
+        try:
+            if actor:
+                moved, pairs = nodes[actor].step(inbound, minpak)
+            else:
+                monitor.check()
+                pairs = env.step(inbound)
+                moved = bool(pairs)
+        except ProtocolViolation as exc:
+            who = f"node {actor}" if actor else "environment"
+            monitor.violations.append(f"{who}: {exc!r}")
+            break
+    return run_result(env, nodes, monitor.violations)
+
+
+class DeterministicEngine:
+    """The reference schedule: the next waiting processor after the last, in
+    pid order and cyclically, takes all its mail; once none is waiting, the
+    environment steps. Every run with the same inputs is identical."""
 
     def __init__(self, net: NetworkSpec, mapping: MappingSpec,
                  stimuli: dict[int, list[int]], horizon: int,
@@ -161,43 +204,17 @@ class DeterministicEngine:
         self.monitor = InvariantMonitor(self.env, self.nodes)
 
     def run(self) -> RunResult:
-        env, nodes = self.env, self.nodes
-        mail: dict[int, list[Message]] = {pid: [] for pid in range(env.procs + 1)}
-        violations = self.monitor.violations
-        broadcast = env.step([])
-        while not env.done:
-            for dest, msg in broadcast:
-                mail[dest].append(msg)
-            busy = True
-            while busy:
-                busy = False
-                for pid, node in nodes.items():  # in pid order
-                    inbound, mail[pid] = mail[pid], []
-                    try:
-                        moved, messages = node.step(inbound, self.minpak)
-                    except ProtocolViolation as exc:
-                        violations.append(f"node {pid}: {exc!r}")
-                        return self._result()
-                    for dest, msg in messages:
-                        mail[dest].append(msg)
-                    busy = busy or moved
-                busy = busy or any(mail[pid] for pid in nodes)
-            self.monitor.check()
-            inbound, mail[0] = mail[0], []
-            try:
-                broadcast = env.step(inbound)
-            except ProtocolViolation as exc:
-                violations.append(f"environment: {exc!r}")
-                break
-            if not broadcast:
-                violations.append(f"no advancement at quiescence (T = {env.T})")
-                break
-        return self._result()
+        env, last = self.env, 0
 
-    def _result(self) -> RunResult:
-        return RunResult(trace=merge_traces(self.nodes), outputs=self.env.sorted_outputs(),
-                         stats=aggregate_stats(self.env, self.nodes),
-                         violations=list(self.monitor.violations))
+        def choose(waiting: set[int]):
+            nonlocal last
+            if env.done:
+                return None
+            # A processor after the last, else the first one, else the environment.
+            last = min(waiting, key=lambda pid: (pid == 0, pid <= last, pid), default=0)
+            return last, lambda count: count  # the whole channel
+
+        return drive(env, self.nodes, choose, self.minpak, self.monitor)
 
 
 # -- free-running modes: one node loop -----------------------------------------
@@ -291,12 +308,7 @@ class ThreadedEngine:
                    for node, t in zip(self.nodes.values(), threads) if t.is_alive()]
         with self._errlock:
             self._errors.extend(errors)
-        return RunResult(
-            trace=merge_traces(self.nodes),
-            outputs=self.env.sorted_outputs(),
-            stats=aggregate_stats(self.env, self.nodes),
-            violations=list(self._errors),
-        )
+        return run_result(self.env, self.nodes, self._errors)
 
 
 def run_tcp_node(net: NetworkSpec, mapping: MappingSpec,
@@ -393,5 +405,4 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
                 errors.append(f"node process exited with {code} (processor {pid})")
         if backend is not None:
             backend.close()
-    return RunResult(trace=[], outputs=env.sorted_outputs(),
-                     stats=env.stats.as_dict(), violations=errors)
+    return run_result(env, {}, errors)

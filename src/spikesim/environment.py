@@ -89,10 +89,7 @@ class EnvState:
         self.stats.advancements += 1
         per_proc: dict[int, list[Spike]] = {p: [] for p in range(1, self.procs + 1)}
         for nid in self.stimuli.get(self.T - 1, ()):  # noqa: delivered exactly once
-            owner = self.owner_of.get(nid)
-            if owner is None:
-                raise KeyError(f"stimulus for unmapped neuron {nid}")
-            per_proc[owner].append(Spike(nid, self.T - 1))
+            per_proc[self.owner_of[nid]].append(Spike(nid, self.T - 1))
         return [
             Message(sender=0, clock=list(self.clock), events=per_proc[p])
             for p in range(1, self.procs + 1)

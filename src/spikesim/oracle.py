@@ -15,7 +15,7 @@ from collections import Counter
 
 from .events import EXT_NEURON
 from .neuron import membrane_step
-from .topology import NetworkSpec
+from .topology import NetworkSpec, read_tokens
 
 SpikeTrace = list[tuple[int, int]]  # (neuron, time), sorted by trace_order
 
@@ -105,13 +105,8 @@ def write_trace(trace: SpikeTrace, path: str) -> None:
 
 def read_trace(path: str) -> SpikeTrace:
     trace: SpikeTrace = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if tok[0] != "spike" or len(tok) != 3:
-                raise ValueError(f"{path}:{lineno}: bad trace line")
-            trace.append((int(tok[1]), int(tok[2])))
+    for lineno, tok in read_tokens(path):
+        if tok[0] != "spike" or len(tok) != 3:
+            raise ValueError(f"{path}:{lineno}: bad trace line")
+        trace.append((int(tok[1]), int(tok[2])))
     return trace

@@ -117,7 +117,7 @@ def validate_stimuli(net: NetworkSpec, stimuli: dict[int, list[int]]) -> list[st
 
 # -- parsing ----------------------------------------------------------------
 
-def _tokens(path: str):
+def read_tokens(path: str):
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -127,7 +127,7 @@ def _tokens(path: str):
 
 def load_network(path: str) -> NetworkSpec:
     net = NetworkSpec()
-    for lineno, tok in _tokens(path):
+    for lineno, tok in read_tokens(path):
         kind = tok[0]
         try:
             if kind == "neuron":
@@ -161,7 +161,7 @@ def load_network(path: str) -> NetworkSpec:
 
 def load_mapping(path: str) -> MappingSpec:
     mapping = MappingSpec()
-    for lineno, tok in _tokens(path):
+    for lineno, tok in read_tokens(path):
         try:
             if tok[0] == "procs":
                 mapping.procs = int(tok[1])
@@ -177,7 +177,7 @@ def load_mapping(path: str) -> MappingSpec:
 def load_stimuli(path: str) -> dict[int, list[int]]:
     """Emission time -> list of input neuron ids."""
     schedule: dict[int, list[int]] = {}
-    for lineno, tok in _tokens(path):
+    for lineno, tok in read_tokens(path):
         try:
             if tok[0] != "stim":
                 raise TopologyError(f"unknown directive {tok[0]!r}")

@@ -35,6 +35,7 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 from .events import Spike
+from .topology import read_tokens
 
 MAGIC = b"DN"
 REPORT_MAGIC = b"DR"
@@ -142,17 +143,13 @@ def decode(data: bytes) -> Message:
 def load_roster(path: str) -> dict[int, tuple[str, int]]:
     """`<id> <host>:<port>` per line; must include the environment (id 0)."""
     roster: dict[int, tuple[str, int]] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                pid_s, addr = line.split()
-                host, port_s = addr.rsplit(":", 1)
-                roster[int(pid_s)] = (host, int(port_s))
-            except ValueError as exc:
-                raise CodecError(f"{path}:{lineno}: bad roster line") from exc
+    for lineno, tok in read_tokens(path):
+        try:
+            pid_s, addr = tok
+            host, port_s = addr.rsplit(":", 1)
+            roster[int(pid_s)] = (host, int(port_s))
+        except ValueError as exc:
+            raise CodecError(f"{path}:{lineno}: bad roster line") from exc
     return roster
 
 

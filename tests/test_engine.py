@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from spikesim.topology import (MappingSpec, NetworkSpec,
                                generate_random, save_mapping, save_network,
                                save_stimuli)
 from spikesim.transport import Report, TcpBackend, TransportError, load_roster
+from test_schedules import run_schedule
 
 
 def test_deterministic_engine_matches_oracle_small():
@@ -457,12 +459,37 @@ def test_node_step_reports_once_per_change_of_counts():
     assert node.step([], minpak=1) == (False, [])
 
 
-def test_det_reports_a_run_that_cannot_advance(monkeypatch):
+@pytest.mark.parametrize("schedule", ["det", "pct"])
+def test_det_reports_a_run_that_cannot_advance(monkeypatch, schedule):
+    # drive's one stall rule holds in every schedule it steps.
     monkeypatch.setattr(EnvState, "quiescence_floor", lambda self: None)
     net, mapping, stimuli = generate_random(seed=1, n=8, prob=0.0, procs=2,
                                             horizon=30)
-    result = DeterministicEngine(net, mapping, stimuli, horizon=30).run()
+    if schedule == "det":
+        result = DeterministicEngine(net, mapping, stimuli, horizon=30).run()
+    else:
+        result = run_schedule(net, mapping, stimuli, 30, random.Random(0), depth=3)
     assert result.violations == ["no advancement at quiescence (T = 1)"]
+
+
+def test_det_steps_a_processor_only_on_mail_or_after_a_step_that_moved(monkeypatch):
+    # Any other step would repeat, on the same state, a step that moved
+    # nothing. At the README's size.
+    step, moved_last, idle = NodeState.step, {}, []
+
+    def spy(self, inbound, minpak=1):
+        if not inbound and not moved_last.get(self.id):
+            idle.append(self.id)
+        moved, messages = step(self, inbound, minpak)
+        moved_last[self.id] = moved
+        return moved, messages
+
+    monkeypatch.setattr(NodeState, "step", spy)
+    net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=4,
+                                            horizon=200)
+    result = DeterministicEngine(net, mapping, stimuli, horizon=200).run()
+    assert result.violations == [] and sorted(moved_last) == [1, 2, 3, 4]
+    assert idle == []
 
 
 def test_timeout_drives_time_without_activity():

@@ -2,19 +2,17 @@
 and take their mail after delays, drawn from a seeded RNG, in the spirit of
 CHESS (Musuvathi et al. 2008) and PCT (Burckhardt et al. 2010).
 
-The driver calls only ``NodeState.step`` and ``EnvState.step``, the steps
-that every mode runs. Each (sender, receiver) channel is FIFO; a step takes
+``engine.drive`` steps every schedule, as it does det; here each step takes
 a random prefix of each channel into its actor, so any message may stay in
 flight across any number of other steps. Every schedule must give the
-oracle's trace.
+oracle's trace with no invariant violated.
 """
 
 import random
-from collections import deque
 
 import pytest
 
-from spikesim.engine import build_simulation, merge_traces
+from spikesim.engine import InvariantMonitor, build_simulation, drive
 from spikesim.oracle import compare_traces, sequential_simulate
 from spikesim.topology import generate_random
 
@@ -23,59 +21,40 @@ MAX_STEPS = 200_000
 
 
 def run_schedule(net, mapping, stimuli, horizon, rng, minpak=1, depth=None):
-    """Run one schedule to the end; returns the merged trace.
+    """Run one schedule to the end; returns the ``RunResult``.
 
-    With ``depth`` None every step picks its actor uniformly. Otherwise the
-    actors get random priorities and the highest-priority actor with mail
-    or unfinished work steps; at ``depth`` random steps the actor about to
-    step drops below every other (PCT)."""
+    With ``depth`` None every step picks a live actor uniformly. Otherwise
+    the actors get random priorities and the highest-priority waiting actor
+    steps; at ``depth`` random steps the actor about to step drops below
+    every other (PCT)."""
     env, nodes = build_simulation(net, mapping, stimuli, horizon)
     actors = [0, *sorted(nodes)]
-    channels = {(src, dest): deque() for src in actors for dest in actors
-                if src != dest}
-    busy = set(actors)            # actors whose last step may not be their last
     priority = {a: p for p, a in enumerate(rng.sample(actors, len(actors)))}
     changes = set(rng.sample(range(2_000 * len(actors)), depth or 0))
+    steps = 0
 
-    def take(dest):
-        inbound = []
-        for src in actors:
-            if src != dest:
-                channel = channels[src, dest]
-                inbound.extend(channel.popleft()
-                               for _ in range(rng.randint(0, len(channel))))
-        return inbound
+    def take(count):
+        return rng.randint(0, count)
 
     def live(actor):
-        if actor == 0:
-            return not env.done
-        return not env.past_end(nodes[actor].clock[0])
+        return not env.past_end(nodes[actor].clock[0] if actor else env.T)
 
-    for count in range(MAX_STEPS):
-        ready = [a for a in actors if live(a)]
+    def choose(waiting):
+        nonlocal steps
+        ready = [a for a in actors if live(a) and (depth is None or a in waiting)]
         if not ready:
-            return merge_traces(nodes)
+            return None
+        if steps == MAX_STEPS:
+            raise AssertionError(f"no end of run in {MAX_STEPS} steps (T = {env.T})")
+        steps += 1
         if depth is None:
-            actor = rng.choice(ready)
-        else:
-            waiting = [a for a in ready if a in busy or any(
-                channels[src, a] for src in actors if src != a)]
-            assert waiting, f"schedule stalled at T = {env.T}"
-            actor = max(waiting, key=priority.__getitem__)
-            if count in changes:
-                priority[actor] = -1 - count
-        if actor == 0:
-            pairs = env.step(take(0))
-            moved = bool(pairs)
-        else:
-            moved, pairs = nodes[actor].step(take(actor), minpak)
-        if moved:
-            busy.add(actor)
-        else:
-            busy.discard(actor)
-        for dest, msg in pairs:
-            channels[actor, dest].append(msg)
-    raise AssertionError(f"no end of run in {MAX_STEPS} steps (T = {env.T})")
+            return rng.choice(ready), take
+        actor = max(ready, key=priority.__getitem__)
+        if steps in changes:
+            priority[actor] = -steps
+        return actor, take
+
+    return drive(env, nodes, choose, minpak, InvariantMonitor(env, nodes))
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -87,8 +66,17 @@ def test_seeded_schedules_match_oracle(seed):
                                        horizon=HORIZON)
     _n, mapping, _s = generate_random(seed=seed, n=n, prob=prob, procs=4,
                                       horizon=HORIZON)
-    trace = run_schedule(net, mapping, stimuli, HORIZON,
-                         random.Random(f"schedule/{seed}"),
-                         minpak=1 + 3 * (seed % 3 == 2),
-                         depth=None if seed % 2 == 0 else 3)
-    assert compare_traces(trace, sequential_simulate(net, stimuli, HORIZON)).empty
+    result = run_schedule(net, mapping, stimuli, HORIZON,
+                          random.Random(f"schedule/{seed}"),
+                          minpak=1 + 3 * (seed % 3 == 2),
+                          depth=None if seed % 2 == 0 else 3)
+    assert result.violations == []
+    assert compare_traces(result.trace, sequential_simulate(net, stimuli, HORIZON)).empty
+
+
+def test_a_schedule_past_its_step_bound_fails_naming_T(monkeypatch):
+    monkeypatch.setitem(globals(), "MAX_STEPS", 50)
+    net, mapping, stimuli = generate_random(seed=1, n=16, prob=0.1, procs=4,
+                                            horizon=HORIZON)
+    with pytest.raises(AssertionError, match=r"in 50 steps \(T = \d+\)"):
+        run_schedule(net, mapping, stimuli, HORIZON, random.Random(0))
