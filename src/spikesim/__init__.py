@@ -2,9 +2,9 @@
 
 Multithreaded, message-passing simulation of leaky integrate-and-fire
 networks with no central scheduler: processors coordinate purely through
-time-stamped spike events and piggybacked clock arrays, forecasting
-outgoing spikes and cancelling the ones later arrivals invalidate. A
-sequential reference simulator certifies every distributed run.
+time-stamped spike events, each message carrying its sender's time alone,
+forecasting outgoing spikes and cancelling the ones later arrivals
+invalidate. A sequential reference simulator certifies every distributed run.
 """
 
 from .engine import DeterministicEngine, RunResult, ThreadedEngine

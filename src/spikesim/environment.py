@@ -3,23 +3,23 @@
 The environment injects external stimuli towards input neurons, collects
 the spikes of output neurons, and advances the actual time T. Every
 advancement is broadcast to all compute processors as a message carrying
-the environment's clock array and, when scheduled, the stimuli emitted at
-T-1 (so input neurons fire at T), each a ``Spike(input, T-1)`` that its
-owner files under the source ``EXT_NEURON``. Processors with nothing
-scheduled still receive the bare clock; the environment is the only
-sender allowed to emit clock-only messages.
+``[T, raised]`` and, when scheduled, the stimuli emitted at T-1 (so input
+neurons fire at T), each a ``Spike(input, T-1)`` that its owner files
+under the source ``EXT_NEURON``. Processors with nothing scheduled still
+receive the bare stamps; the environment is the only sender allowed to
+emit clock-only messages.
 
-T advances when an output shows a processor's clock has reached it, or
+T advances when an output carries its sender's emission time at T, or
 once the idle processors' reports prove the run quiescent (the paper's
 timeout path; channel counting after Mattern 1987). It then raises every
-clock entry to the least reported floor (Chandy & Misra 1979).
+emission time to the least reported floor, as one stamp (Chandy & Misra 1979).
 """
 
 from __future__ import annotations
 
 from .events import ProtocolViolation, Spike
 from .oracle import trace_order
-from .transport import Message, Report, merge_clock_into
+from .transport import Message, Report
 
 
 class EnvStats:
@@ -43,7 +43,7 @@ class EnvState:
             raise ValueError(f"timeout_ms must be at least 1, got {timeout_ms}")
         self.procs = procs
         self.T = 0
-        self.clock = [0] * (procs + 1)
+        self.raised = 0  # the stamp the last quiescence raise lifted every emission time to
         self.stimuli = dict(stimuli)
         self.owner_of = owner_of
         self.horizon = horizon
@@ -85,15 +85,12 @@ class EnvState:
     def _advance(self) -> list[Message]:
         """T + 1; one message per compute processor, with stimuli emitted at T-1."""
         self.T += 1
-        self.clock[0] = self.T
         self.stats.advancements += 1
         per_proc: dict[int, list[Spike]] = {p: [] for p in range(1, self.procs + 1)}
         for nid in self.stimuli.get(self.T - 1, ()):  # noqa: delivered exactly once
             per_proc[self.owner_of[nid]].append(Spike(nid, self.T - 1))
-        return [
-            Message(sender=0, clock=list(self.clock), events=per_proc[p])
-            for p in range(1, self.procs + 1)
-        ]
+        return [Message(sender=0, clock=[self.T, self.raised], events=spikes)
+                for spikes in per_proc.values()]  # in processor order
 
     def advance_T(self) -> list[Message]:
         return self._advance()
@@ -103,9 +100,7 @@ class EnvState:
         ``floor``, the least stamp any processor may still emit, but not past
         T-1."""
         self.stats.timeouts += 1
-        bound = min(self.T, floor)  # the new T - 1
-        for m in range(1, self.procs + 1):
-            self.clock[m] = max(self.clock[m], bound)
+        self.raised = max(self.raised, min(self.T, floor))  # the new T - 1 at most
         return self._advance()
 
     def on_report(self, msg: Message) -> None:
@@ -133,7 +128,7 @@ class EnvState:
         return min(r.floor for r in reps.values())
 
     def on_output(self, msg: Message) -> bool:
-        """Log output spikes, merge the clock; True if T must advance."""
+        """Log output spikes; True if the sender's emission time reached T."""
         if msg.sender < 1:
             raise ValueError("on_output expects a compute processor message")
         self.received[msg.sender] += 1
@@ -143,8 +138,7 @@ class EnvState:
                     f"{spike} from processor {msg.sender}, which does not own it")
             self.output_log.append(spike)
             self.stats.outputs_received += 1
-        merge_clock_into(self.clock, msg.clock, own=0)
-        return any(msg.clock[m] == self.T for m in range(1, self.procs + 1))
+        return msg.clock[0] == self.T
 
     def sorted_outputs(self) -> list[tuple[int, int]]:
         return sorted(self.output_log, key=trace_order)

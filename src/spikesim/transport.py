@@ -3,18 +3,20 @@
 Wire layout (little-endian, bit-exact):
 
     magic   2 bytes  0x44 0x4E ("DN")
-    version 1 byte   2
+    version 1 byte   3
     sender  u16
-    nclock  u16      P + 1
+    nclock  u16      1 from a compute processor, 2 from the environment
     clocks  i32 * nclock
     nevents u32
     events  (neuron u32, stamp i32) * nevents
 
-Each event is a ``Spike``. In a node's message it names a neuron of that
-node that fired, and the receiver files it for each of its cells that
-neuron reaches; in the environment's, it names the input a stimulus
-drives. A ``Report`` has magic "DR" and the same header with n = P + 1
-in place of nclock, then floor i32, sent u32 * n, received u32 * n.
+A channel carries its sender's time alone (Chandy & Misra 1979): a node's
+emission time, or the environment's T and quiescence raise. Each event is a
+``Spike``. In a node's message it names a neuron of that node that fired,
+and the receiver files it for each of its cells that neuron reaches; in the
+environment's, it names the input a stimulus drives. A ``Report`` has magic
+"DR" and the same header with n = P + 1 in place of nclock, then floor i32,
+sent u32 * n, received u32 * n. ``decode`` rejects what ``validate`` does.
 
 Each TCP frame is one encoded message preceded by a u32 length prefix;
 frames carry their sender, so a connection sends nothing but frames. The
@@ -39,7 +41,7 @@ from .topology import read_tokens
 
 MAGIC = b"DN"
 REPORT_MAGIC = b"DR"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<2sBHH")
 _NEVENTS = struct.Struct("<I")
 _EVENT = struct.Struct("<Ii")
@@ -81,16 +83,10 @@ class Message:
             if (self.sender == 0 or self.events or self.clock
                     or len(self.report.sent) != len(self.report.received)):
                 raise CodecError("a report comes from a compute processor alone")
+        elif len(self.clock) != (1 if self.sender else 2):
+            raise CodecError(f"{len(self.clock)} stamps from processor {self.sender}")
         elif not self.events and self.sender != 0:
             raise CodecError("only the environment may send clock-only messages")
-
-
-def merge_clock_into(local: list[int], remote: list[int], own: int) -> None:
-    """Raise each entry but ``own`` to the remote one where that is larger;
-    entries are stamps that never decrease."""
-    for m in range(len(local)):
-        if m != own and remote[m] > local[m]:
-            local[m] = remote[m]
 
 
 def encode(msg: Message) -> bytes:
@@ -124,18 +120,21 @@ def decode(data: bytes) -> Message:
         if len(data) != _HEADER.size + body.size:
             raise CodecError(f"{len(data)} bytes for a report on {nclock} channels")
         floor, *counts = body.unpack_from(data, _HEADER.size)
-        return Message(sender, [], report=Report(floor, counts[:nclock], counts[nclock:]))
-    off = _HEADER.size + 4 * nclock
-    try:
-        clock = list(struct.unpack_from(f"<{nclock}i", data, _HEADER.size))
-        (nevents,) = _NEVENTS.unpack_from(data, off)
-    except struct.error as exc:
-        raise CodecError(f"truncated message: {exc}") from exc
-    off += _NEVENTS.size
-    if len(data) - off != nevents * _EVENT.size:
-        raise CodecError(f"{len(data) - off} bytes left for {nevents} events")
-    events = list(map(Spike._make, _EVENT.iter_unpack(memoryview(data)[off:])))
-    return Message(sender=sender, clock=clock, events=events)
+        msg = Message(sender, [], report=Report(floor, counts[:nclock], counts[nclock:]))
+    else:
+        off = _HEADER.size + 4 * nclock
+        try:
+            clock = list(struct.unpack_from(f"<{nclock}i", data, _HEADER.size))
+            (nevents,) = _NEVENTS.unpack_from(data, off)
+        except struct.error as exc:
+            raise CodecError(f"truncated message: {exc}") from exc
+        off += _NEVENTS.size
+        if len(data) - off != nevents * _EVENT.size:
+            raise CodecError(f"{len(data) - off} bytes left for {nevents} events")
+        events = list(map(Spike._make, _EVENT.iter_unpack(memoryview(data)[off:])))
+        msg = Message(sender=sender, clock=clock, events=events)
+    msg.validate()
+    return msg
 
 
 # -- roster -------------------------------------------------------------------
@@ -222,7 +221,7 @@ class TcpBackend:
     without polling could fill each other's receive buffers and both block
     in ``sendall``. Each advancement of T needs the peers' mail, though, so
     a connection's unread backlog stays near one tick of traffic: in det,
-    at most 1,355 bytes on the n=512, p=0.02 net at P=2 (723 at P=4),
+    at most 1,347 bytes on the n=512, p=0.02 net at P=2 (707 at P=4),
     against the 131,072-byte initial TCP receive buffer of a Linux host.
     """
 
@@ -318,6 +317,8 @@ class TcpBackend:
                 break
             try:
                 msg = decode(buf[start + _FRAME.size:end])
+                if msg.sender == self.pid or msg.sender not in self.roster:
+                    raise CodecError(f"sender {msg.sender} is no peer")
             except CodecError as exc:
                 raise TransportError(f"processor {self.pid}: bad frame: {exc}") from exc
             if msg.sender == 0:

@@ -218,12 +218,15 @@ def test_criterion_8_wire_fidelity(tmp_path, free_ports):
     rng = random.Random(20260826)
     checked = 0
     for _ in range(10_000):
+        # Half broadcasts (T and the raise, any events), half node messages
+        # (an emission time and at least one spike).
+        sender = rng.randrange(1, 1 << 16) if rng.randrange(2) else 0
         msg = Message(
-            sender=rng.randrange(1 << 16),
+            sender=sender,
             clock=[rng.randrange(-(1 << 31), 1 << 31)
-                   for _ in range(rng.randrange(9))],
+                   for _ in range(1 if sender else 2)],
             events=[Spike(rng.randrange(1 << 32), rng.randrange(-(1 << 31), 1 << 31))
-                    for _ in range(rng.randrange(6))],
+                    for _ in range(rng.randrange(1 if sender else 0, 6))],
         )
         back = decode(encode(msg))
         assert back.sender == msg.sender and back.clock == msg.clock

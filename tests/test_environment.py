@@ -20,9 +20,9 @@ def report(env, node, sent, received, floor=UNBOUNDED):
 def test_advance_broadcasts_clock_to_every_processor():
     env = make_env()
     messages = env.advance_T()
-    assert env.T == 1 and env.clock[0] == 1
+    assert env.T == 1
     assert len(messages) == 2
-    assert all(m.sender == 0 and m.clock[0] == 1 for m in messages)
+    assert all(m.sender == 0 and m.clock == [1, 0] for m in messages)  # T, the raise
     assert all(m.events == [] for m in messages)
 
 
@@ -45,12 +45,15 @@ def test_stimulus_for_unmapped_neuron_raises():
 def test_timeout_raises_magnitudes_to_T_minus_one():
     env = make_env(procs=3, owners={1: 1})
     env.T = 6
-    env.clock = [6, 2, 4, 9]
-    env.on_timeout(floor=UNBOUNDED)
+    env.raised = 4
+    messages = env.on_timeout(floor=UNBOUNDED)
     assert env.T == 7
-    # Entries behind T-1 = 6 rise to it; 9 stays.
-    assert env.clock == [7, 6, 6, 9]
+    # The raise rises to T-1 = 6; each node lifts its entries behind it.
+    assert env.raised == 6
+    assert [m.clock for m in messages] == [[7, 6]] * 3
     assert env.stats.timeouts == 1
+    env.on_timeout(floor=2)  # a raise never falls
+    assert env.T == 8 and env.raised == 6
 
 
 def test_timeout_raises_no_entry_above_a_pending_forecast():
@@ -60,10 +63,11 @@ def test_timeout_raises_no_entry_above_a_pending_forecast():
     # emit at 37.
     env = make_env(procs=4, owners={1: 1})
     env.T = 38
-    env.clock = [38, 38, 38, 32, 36]
-    env.on_timeout(floor=37)
+    env.raised = 32
+    messages = env.on_timeout(floor=37)
     assert env.T == 39
-    assert env.clock == [39, 38, 38, 37, 37]
+    assert env.raised == 37  # not T - 1 = 38
+    assert [m.clock for m in messages] == [[39, 37]] * 4
 
 
 def test_quiescence_needs_every_channel_to_balance():
@@ -92,7 +96,7 @@ def test_quiescence_waits_for_outputs_in_flight():
     report(env, 1, [1, 0, 0], [1, 0, 0])
     report(env, 2, [0, 0, 0], [1, 0, 0])
     assert env.quiescence_floor() is None
-    env.on_output(Message(sender=1, clock=[1, 1, 0], events=[Spike(1, 1)]))
+    env.on_output(Message(sender=1, clock=[1], events=[Spike(1, 1)]))
     assert env.quiescence_floor() == UNBOUNDED
 
 
@@ -125,14 +129,15 @@ def test_step_returns_nothing_while_a_channel_is_unbalanced():
 def test_step_advances_on_an_output_before_quiescence():
     env = make_env()
     env.step([])
-    output = Message(sender=1, clock=[1, 1, 0], events=[Spike(1, 1)])
+    output = Message(sender=1, clock=[1], events=[Spike(1, 1)])
     # The same mail also proves quiescence; the output decides first.
     broadcast = env.step([report_msg(1, [1, 0, 0], [1, 0, 0], floor=5),
                           report_msg(2, [0, 0, 0], [1, 0, 0]), output])
     assert [dest for dest, _ in broadcast] == [1, 2]
     assert env.T == 2
     assert env.stats.timeouts == 0 and env.stats.advancements == 2
-    assert env.clock == [2, 1, 0]   # no magnitude raised to the floor
+    assert env.raised == 0   # no magnitude raised to the floor
+    assert [msg.clock for _, msg in broadcast] == [[2, 0]] * 2
 
 
 def test_report_that_does_not_fit_is_rejected():
@@ -146,23 +151,20 @@ def test_report_that_does_not_fit_is_rejected():
 def test_output_logging_and_advancement_trigger():
     env = make_env()
     env.T = 4
-    env.clock = [4, 2, 2]
     spike = Spike(neuron=7, stamp=3)
-    msg = Message(sender=1, clock=[4, 4, 2], events=[spike])
+    msg = Message(sender=1, clock=[4], events=[spike])
     assert env.on_output(msg) is True  # et_1 reached T
     assert env.output_log == [(7, 3)]
     # a second copy is logged again, so a double emission shows
-    env.on_output(Message(sender=1, clock=[4, 4, 2], events=[spike]))
+    env.on_output(Message(sender=1, clock=[4], events=[spike]))
     assert env.output_log == [(7, 3), (7, 3)]
 
 
 def test_output_below_T_does_not_trigger_advancement():
     env = make_env()
     env.T = 9
-    env.clock[0] = 9
-    assert env.on_output(Message(sender=2, clock=[12, 3, 4], events=[])) is False
-    assert env.clock[1:] == [3, 4]
-    assert env.clock[0] == 9  # own entry never overwritten by merges
+    assert env.on_output(Message(sender=2, clock=[8], events=[])) is False
+    assert env.T == 9 and env.raised == 0  # an output moves neither
 
 
 def test_non_output_event_rejected():
@@ -170,7 +172,7 @@ def test_non_output_event_rejected():
     env = make_env()
     env.T = 2
     for neuron in (2, 8):  # owned by processor 2; owned by none
-        msg = Message(sender=1, clock=[2, 2, 0], events=[Spike(neuron, 1)])
+        msg = Message(sender=1, clock=[2], events=[Spike(neuron, 1)])
         with pytest.raises(ProtocolViolation,
                            match="from processor 1, which does not own it"):
             env.on_output(msg)
@@ -180,7 +182,7 @@ def test_non_output_event_rejected():
 def test_environment_messages_rejected_by_on_output():
     env = make_env()
     with pytest.raises(ValueError):
-        env.on_output(Message(sender=0, clock=[1, 0, 0], events=[]))
+        env.on_output(Message(sender=0, clock=[1, 0], events=[]))
 
 
 def test_done_after_horizon_plus_slack():
@@ -196,5 +198,5 @@ def test_sorted_outputs_by_time_then_neuron():
     env = make_env(owners={2: 1, 5: 1, 9: 1})
     env.T = 5
     for neuron, stamp in ((9, 3), (2, 3), (5, 1)):
-        env.on_output(Message(sender=1, clock=[5, 1, 1], events=[Spike(neuron, stamp)]))
+        env.on_output(Message(sender=1, clock=[stamp], events=[Spike(neuron, stamp)]))
     assert env.sorted_outputs() == [(5, 1), (2, 3), (9, 3)]

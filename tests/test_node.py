@@ -330,19 +330,25 @@ def test_computation_delayed_while_threads_running():
 # -- clocks and message handling -------------------------------------------------
 
 
-def test_merge_clock_keeps_larger_magnitudes_and_skips_self():
+def test_receive_raises_the_sender_entry_and_a_broadcast_the_others():
+    # A node's message carries its emission time alone; a broadcast carries
+    # T and the raise, which lifts every entry but our own. None falls.
     node = make_node(node_id=1, procs=3)
-    node.clock = [5, 4, 3, 2]
-    node.merge_clock([7, 99, 2, 6])
-    assert node.clock == [7, 4, 3, 6]  # entry 1 (self) untouched, 2 < 3
+    node.clock = [5, 2, 3, 2]
+    node.receive(Message(sender=3, clock=[6], events=[Spike(99, 6)]))
+    assert node.clock == [5, 2, 3, 6]
+    node.receive(Message(sender=0, clock=[7, 4], events=[]))
+    assert node.clock == [7, 2, 4, 6]  # entry 1 (self) untouched, 6 > 4
+    node.receive(Message(sender=2, clock=[3], events=[Spike(99, 3)]))
+    assert node.clock == [7, 2, 4, 6]  # the raise already passed 3
 
 
 def test_receive_queues_events_and_leaves_pt_alone():
     node = make_node()
     node.pt = 4
-    node.receive(Message(sender=0, clock=[5, 0, 0], events=[]))
+    node.receive(Message(sender=0, clock=[5, 0], events=[]))
     assert node.pt == 4 and not node.cm_queue  # clock-only message
-    node.receive(Message(sender=0, clock=[5, 0, 0], events=[Spike(7, 5)]))
+    node.receive(Message(sender=0, clock=[5, 0], events=[Spike(7, 5)]))
     assert node.pt == 4  # moves only when a computation starts
     assert node.cm_queue.peek() == CMEvent(7, EXT_NEURON, 5)  # a stimulus of input 7
 
@@ -406,11 +412,11 @@ def test_arrival_for_a_neuron_the_node_does_not_own_rejected():
     # computation starts when it shares an authorized stamp with an owned
     # cell's.
     node = make_node(neurons=(7,))
-    node.receive(Message(sender=0, clock=[5, 0, 0], events=[Spike(3, 2)]))
+    node.receive(Message(sender=0, clock=[5, 0], events=[Spike(3, 2)]))
     with pytest.raises(TopologyError, match="no cell for neuron 3"):
         node.cpc_step()
     node = make_node(neurons=(7,))
-    node.receive(Message(sender=0, clock=[5, 0, 0],
+    node.receive(Message(sender=0, clock=[5, 0],
                          events=[Spike(7, 2), Spike(9, 2)]))
     node.pt = 2  # the top arrival, for neuron 7, is authorized by st == pt
     with pytest.raises(TopologyError, match="no cell for neuron 9"):
@@ -448,7 +454,7 @@ def test_stats_count_transitions():
 
 def test_a_received_spike_is_filed_for_every_local_target():
     node = make_node(neurons=(7, 8), fanout={99: [7, 8]})
-    node.receive(Message(sender=2, clock=[5, 0, 4], events=[Spike(99, 4)]))
+    node.receive(Message(sender=2, clock=[4], events=[Spike(99, 4)]))
     assert node.received == [0, 0, 1]
     assert node.cm_queue.pop_stamp() == (4, {7: [99], 8: [99]})
 
@@ -458,9 +464,9 @@ def test_a_received_spike_without_a_local_target_or_stamped_0_rejected():
     # stamp-0 spike that only a stimulus may carry.
     for source in (98, EXT_NEURON):
         with pytest.raises(TopologyError, match=f"no local target of neuron {source}"):
-            make_node().receive(Message(sender=2, clock=[5, 0, 4], events=[Spike(source, 0)]))
+            make_node().receive(Message(sender=2, clock=[4], events=[Spike(source, 0)]))
     for stamp in (0, -2):
         node = make_node()
         with pytest.raises(ProtocolViolation, match=f"non-positive event stamp {stamp}"):
-            node.receive(Message(sender=2, clock=[5, 0, 4], events=[Spike(99, stamp)]))
+            node.receive(Message(sender=2, clock=[4], events=[Spike(99, stamp)]))
         assert not node.cm_queue

@@ -57,10 +57,10 @@ def run_schedule(net, mapping, stimuli, horizon, rng, minpak=1, depth=None):
     return drive(env, nodes, choose, minpak, InvariantMonitor(env, nodes))
 
 
-@pytest.mark.parametrize("seed", range(24))
-def test_seeded_schedules_match_oracle(seed):
-    # Sized as criterion 1, at P=4; even seeds pick actors uniformly, odd
-    # seeds by priority. Both minpak paths are taken.
+def seeded_schedule(seed):
+    """Seed ``seed``'s schedule, sized as criterion 1, at P=4: its
+    ``RunResult`` and the oracle's trace. Even seeds pick actors uniformly,
+    odd seeds by priority. Both minpak paths are taken."""
     n, prob = 16 + (seed % 4) * 16, 0.05 + (seed % 7) * 0.025
     net, _m, stimuli = generate_random(seed=seed, n=n, prob=prob, procs=1,
                                        horizon=HORIZON)
@@ -70,8 +70,25 @@ def test_seeded_schedules_match_oracle(seed):
                           random.Random(f"schedule/{seed}"),
                           minpak=1 + 3 * (seed % 3 == 2),
                           depth=None if seed % 2 == 0 else 3)
+    return result, sequential_simulate(net, stimuli, HORIZON)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_seeded_schedules_match_oracle(seed):
+    result, oracle = seeded_schedule(seed)
     assert result.violations == []
-    assert compare_traces(result.trace, sequential_simulate(net, stimuli, HORIZON)).empty
+    assert compare_traces(result.trace, oracle).empty
+
+
+def test_a_schedule_that_delays_a_computation_matches_oracle():
+    # A node that takes a remote spike at st before the environment's raise
+    # to st refuses to compute it (DELAYED) until the raise arrives. Det
+    # takes the environment's channel first and never refuses; seed 1's
+    # schedule takes such a spike first.
+    result, oracle = seeded_schedule(1)
+    assert result.violations == []
+    assert result.stats["delayed_computations"] > 0
+    assert compare_traces(result.trace, oracle).empty
 
 
 def test_a_schedule_past_its_step_bound_fails_naming_T(monkeypatch):

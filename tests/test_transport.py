@@ -15,20 +15,21 @@ from spikesim.transport import (CodecError, InProcBackend, Message, Report,
 
 
 def test_clock_only_message_golden_bytes():
-    # Environment clock-only message for two compute processors: 23 bytes.
-    msg = Message(sender=0, clock=[3, -2, 5], events=[])
+    # Environment clock-only message, T and the raise, whatever P: 19 bytes.
+    msg = Message(sender=0, clock=[3, -2], events=[])
     data = encode(msg)
-    assert len(data) == 23
-    assert data.hex() == "444e020000030003000000feffffff0500000000000000"
+    assert len(data) == 19
+    assert data.hex() == "444e030000020003000000feffffff00000000"
     back = decode(data)
-    assert (back.sender, back.clock, back.events) == (0, [3, -2, 5], [])
+    assert (back.sender, back.clock, back.events) == (0, [3, -2], [])
 
 
 def test_event_message_golden_bytes():
-    # Processor 2 ships neuron 7's spike at 3: 8 bytes after the count.
-    msg = Message(sender=2, clock=[4, 4, -4], events=[Spike(neuron=7, stamp=3)])
+    # Processor 2, at emission time 4, ships neuron 7's spike at 3: 8 bytes
+    # after the count.
+    msg = Message(sender=2, clock=[4], events=[Spike(neuron=7, stamp=3)])
     data = encode(msg)
-    assert data.hex() == ("444e02020003000400000004000000fcffffff"
+    assert data.hex() == ("444e030200010004000000"
                           "010000000700000003000000")
     assert decode(data) == msg
 
@@ -38,7 +39,7 @@ def test_report_golden_bytes():
     # 1 to processor 1, and 5 received from the environment: 35 bytes.
     msg = Message(sender=2, clock=[], report=Report(37, [3, 1, 0], [5, 0, 0]))
     data = encode(msg)
-    assert data.hex() == ("445202020003002500000003000000010000000000000005"
+    assert data.hex() == ("445203020003002500000003000000010000000000000005"
                           "0000000000000000000000")
     assert decode(data) == msg
 
@@ -54,28 +55,28 @@ def test_truncated_or_padded_report_rejected():
 
 
 def test_truncated_data_rejected():
-    data = encode(Message(sender=1, clock=[1, 2], events=[Spike(1, 3)]))
+    data = encode(Message(sender=1, clock=[2], events=[Spike(1, 3)]))
     for cut in (1, 6, 10, len(data) - 1):
         with pytest.raises(CodecError):
             decode(data[:cut])
     # Two events announced, the second one byte short.
-    two = encode(Message(sender=1, clock=[1, 2], events=[Spike(1, 3), Spike(4, 6)]))
+    two = encode(Message(sender=1, clock=[2], events=[Spike(1, 3), Spike(4, 6)]))
     with pytest.raises(CodecError):
         decode(two[:-1])
 
 
 def test_trailing_bytes_rejected():
-    data = encode(Message(sender=0, clock=[1], events=[]))
+    data = encode(Message(sender=0, clock=[1, 0], events=[]))
     with pytest.raises(CodecError):
         decode(data + b"\x00")
     # An event section one byte longer than its count says.
-    data = encode(Message(sender=1, clock=[1, 2], events=[Spike(1, 3)]))
+    data = encode(Message(sender=1, clock=[2], events=[Spike(1, 3)]))
     with pytest.raises(CodecError):
         decode(data + b"\x00")
 
 
 def test_bad_magic_and_version_rejected():
-    data = bytearray(encode(Message(sender=0, clock=[1], events=[])))
+    data = bytearray(encode(Message(sender=0, clock=[1, 0], events=[])))
     bad = bytes([0x58]) + bytes(data[1:])
     with pytest.raises(CodecError):
         decode(bad)
@@ -88,16 +89,26 @@ def test_out_of_range_values_rejected():
     with pytest.raises(CodecError):
         encode(Message(sender=1 << 16, clock=[], events=[]))
     with pytest.raises(CodecError):
-        encode(Message(sender=0, clock=[1 << 40], events=[]))
+        encode(Message(sender=0, clock=[1 << 40, 0], events=[]))
     for neuron, stamp in ((1, 1 << 40), (1, -(1 << 31) - 1), (-1, 3), (1 << 32, 3)):
         with pytest.raises(CodecError):
-            encode(Message(sender=0, clock=[1], events=[Spike(neuron, stamp)]))
+            encode(Message(sender=0, clock=[1, 0], events=[Spike(neuron, stamp)]))
 
 
 def test_clock_only_allowed_for_environment_only():
-    Message(sender=0, clock=[1], events=[]).validate()
-    with pytest.raises(CodecError):
-        Message(sender=3, clock=[1], events=[]).validate()
+    # A node sends its emission time and spikes; the environment sends T and
+    # the raise. ``decode`` rejects what ``validate`` does.
+    Message(sender=0, clock=[1, 0], events=[]).validate()
+    Message(sender=3, clock=[1], events=[Spike(1, 1)]).validate()
+    for bad in (Message(sender=3, clock=[1], events=[]),
+                Message(sender=0, clock=[1], events=[]),
+                Message(sender=0, clock=[1, 0, 0], events=[]),
+                Message(sender=3, clock=[1, 1], events=[Spike(1, 1)]),
+                Message(sender=3, clock=[], events=[Spike(1, 1)])):
+        with pytest.raises(CodecError):
+            bad.validate()
+        with pytest.raises(CodecError):
+            decode(encode(bad))
 
 
 def test_only_a_node_may_report_and_a_report_carries_nothing_else():
@@ -110,17 +121,22 @@ def test_only_a_node_may_report_and_a_report_carries_nothing_else():
                         report=report)):
         with pytest.raises(CodecError):
             bad.validate()
+    with pytest.raises(CodecError):  # on the wire, a report's sender alone can be bad
+        decode(encode(Message(sender=0, clock=[], report=report)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     sender=st.integers(0, 65535),
-    clock=st.lists(st.integers(-(2**31), 2**31 - 1), max_size=9),
+    clock=st.lists(st.integers(-(2**31), 2**31 - 1), min_size=2, max_size=2),
     events=st.lists(
         st.tuples(st.integers(0, 2**32 - 1), st.integers(-(2**31), 2**31 - 1)),
         max_size=12),
 )
 def test_codec_round_trip(sender, clock, events):
+    # A node's message: its emission time and at least one spike.
+    if sender:
+        clock, events = clock[:1], events or [(0, 0)]
     msg = Message(sender=sender, clock=clock,
                   events=[Spike(neuron, stamp) for neuron, stamp in events])
     data = encode(msg)
@@ -148,7 +164,7 @@ def inproc(procs, horizon=10):
 
 def test_inproc_backend_fifo_per_channel():
     backend = inproc(2)
-    msgs = [Message(sender=0, clock=[i], events=[]) for i in range(5)]
+    msgs = [Message(sender=0, clock=[i, 0], events=[]) for i in range(5)]
     for m in msgs:
         backend.send(1, m)
     assert backend.poll(1) == msgs
@@ -287,20 +303,26 @@ def test_tcp_backend_starts_no_thread(free_ports):
 
 
 def test_tcp_backend_reports_a_malformed_frame(free_ports):
-    # A frame with bad magic, then a good message on the same connection:
-    # poll must raise instead of waiting for a frame that never arrives.
-    backends = _tcp_pair(free_ports)
-    try:
-        payload = b"XX" + encode(Message(sender=0, clock=[1, -1]))[2:]
-        backends[0]._out[1].sendall(struct.pack("<I", len(payload)) + payload)
-        backends[0].send(1, Message(sender=0, clock=[2, -1]))
-        start = time.monotonic()
-        with pytest.raises(TransportError, match="bad frame"):
-            backends[1].poll(1, wait=5)
-        assert time.monotonic() - start < 4.0
-    finally:
-        for b in backends.values():
-            b.close()
+    # A bad frame, then a good message on the same connection: poll must
+    # raise instead of waiting for a frame that never arrives, or handing
+    # its node a message it cannot file. The frames: bad magic, a broadcast
+    # with one stamp, a node message with the environment's two, and mail
+    # from processor 9, which is no peer of a two-processor roster.
+    for payload in (b"XX" + encode(Message(sender=0, clock=[1, -1]))[2:],
+                    encode(Message(sender=0, clock=[1])),
+                    encode(Message(sender=1, clock=[1, 0], events=[Spike(4, 1)])),
+                    encode(Message(sender=9, clock=[1], events=[Spike(4, 1)]))):
+        backends = _tcp_pair(free_ports)
+        try:
+            backends[0]._out[1].sendall(struct.pack("<I", len(payload)) + payload)
+            backends[0].send(1, Message(sender=0, clock=[2, -1]))
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="bad frame"):
+                backends[1].poll(1, wait=5)
+            assert time.monotonic() - start < 4.0
+        finally:
+            for b in backends.values():
+                b.close()
 
 
 def test_tcp_backend_reports_an_environment_that_closes(free_ports):
