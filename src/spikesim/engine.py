@@ -94,21 +94,17 @@ def run_result(env: EnvState, nodes: dict[int, NodeState],
 
 
 class InvariantMonitor:
-    """Samples protocol invariants at controller-loop boundaries.
-
-    Checked properties: the actual time T is positive, never decreases and
-    dominates every processor's registers (T is the environment's emission
-    time, which it keeps nowhere else); registers and clock entries never
-    decrease, so none is ever negative.
+    """Samples, before each environment step of ``drive``, the one fact no
+    single actor can check: no processor's view runs ahead of the truth.
+    Its T is at most the environment's, and its entry of another processor
+    at most that processor's emission time or the environment's raise.
+    Each node checks its own order as it steps (``NodeState``), in every mode.
     """
 
     def __init__(self, env: EnvState, nodes: dict[int, NodeState]) -> None:
         self.env = env
         self.nodes = nodes
         self.violations: list[str] = []
-        self._prev_T = 0
-        self._prev_pt = {p: 0 for p in nodes}
-        self._prev_clock = {p: [0] * (env.procs + 1) for p in nodes}
         self.samples = 0
 
     def _flag(self, text: str) -> None:
@@ -117,24 +113,14 @@ class InvariantMonitor:
 
     def check(self) -> None:
         self.samples += 1
-        env = self.env
-        if env.T <= 0:
-            self._flag(f"T = {env.T} not positive")
-        if env.T < self._prev_T:
-            self._flag(f"T decreased {self._prev_T} -> {env.T}")
-        self._prev_T = env.T
-        for pid, node in self.nodes.items():
-            if env.T < node.clock[pid]:  # its own entry is its emission time
-                self._flag(f"node {pid}: et {node.clock[pid]} exceeds T {env.T}")
-            if env.T < node.pt:
-                self._flag(f"node {pid}: pt {node.pt} exceeds T {env.T}")
-            if node.pt < self._prev_pt[pid]:
-                self._flag(f"node {pid}: pt decreased")
-            self._prev_pt[pid] = node.pt
-            for m in range(env.procs + 1):
-                if node.clock[m] < self._prev_clock[pid][m]:
-                    self._flag(f"node {pid}: clock[{m}] decreased")
-            self._prev_clock[pid] = list(node.clock)
+        env, nodes = self.env, self.nodes
+        for pid, node in nodes.items():
+            if node.clock[0] > env.T:
+                self._flag(f"node {pid}: T {node.clock[0]} ahead of {env.T}")
+            for m, other in nodes.items():
+                if m != pid and node.clock[m] > max(other.clock[m], env.raised):
+                    self._flag(f"node {pid}: clock[{m}] {node.clock[m]} ahead of "
+                               f"{other.clock[m]} and the raise {env.raised}")
 
 
 def drive(env: EnvState, nodes: dict[int, NodeState], choose, minpak: int,

@@ -11,7 +11,10 @@ each local target in ``fanout``; it is staged once for each processor in
 ``owners``. Only the arrival gate sees ``CMEvent`` records.
 
 The processing time and the clock entries are plain stamps that never
-decrease. The gates read queue emptiness from the queues themselves.
+decrease. Each transition checks the order it relies on, in every mode, and
+raises ``ProtocolViolation`` otherwise: a broadcast brings T + 1 with a
+raise below it, and an emission or a computation lies at or above the last
+and at or below T. The gates read queue emptiness from the queues themselves.
 Another processor counts as silent below a stamp only once its clock entry
 has reached it: an empty queue is no promise, since a later arrival can
 refill it at or just above its last stamp (Chandy & Misra 1979).
@@ -69,6 +72,7 @@ class NodeState:
         self.cp_queue: list[tuple[int, int]] = []
         self.pt = 0  # processing time register: the last started stamp
         self.running: set[int] = set()  # cells with a computation in flight
+        self.refused: CMEvent | None = None  # the last arrival the gate refused
         self.clock = [0] * (procs + 1)  # clock[id]: the last emitted stamp
         self.ecs = ecs
         self.fanout = fanout  # source -> its local targets (at least one)
@@ -116,12 +120,17 @@ class NodeState:
         if sender:  # its emission time
             clock[sender] = max(clock[sender], msg.clock[0])
         else:  # T, and the raise, which lifts every entry but our own
-            clock[0], raised = msg.clock
+            T, raised = msg.clock
+            if T != clock[0] + 1 or raised >= T:  # each advancement, once, in order
+                raise ProtocolViolation(f"node {self.id}: broadcast {msg.clock} after T {clock[0]}")
+            clock[0] = T
             for m in range(1, self.procs + 1):
                 if m != self.id:
                     clock[m] = max(clock[m], raised)
         for neuron, stamp in msg.events:
             if sender == 0:  # a stimulus drives the input it names
+                if neuron not in self.ecs:
+                    raise TopologyError(f"node {self.id}: no cell for neuron {neuron}")
                 self.cm_queue.file(EXT_NEURON, stamp, (neuron,))
             elif not self.file_spike(neuron, stamp):
                 raise TopologyError(f"node {self.id}: no local target of neuron {neuron}")
@@ -157,14 +166,13 @@ class NodeState:
     # at st: from an emission of ours, which read every entry at st, or from
     # a raise, which stays at or below the floor we reported, so no forecast
     # of ours lies below st. A raise reaches every processor in one
-    # broadcast, so it alone can arrive after the spike. Det takes the
-    # environment's channel first and never refuses; in 72 seeded schedules
-    # all 8,852 refusals came with the raise to st in flight, and 36 threads
-    # runs refused none. The ``running`` branches serve overlapping work.
+    # broadcast, which ``receive`` takes once and in order, so it alone can
+    # arrive after the spike. Det takes the environment's channel first and
+    # never refuses; in 72 seeded schedules each of the 4,737 arrivals the
+    # gate refused waited for the raise to st in flight, and 36 threads runs
+    # refused none. The ``running`` branches serve overlapping work.
 
     def computation_authorized(self, e: CMEvent) -> AuthDecision:
-        if e.target not in self.ecs:
-            raise TopologyError(f"node {self.id}: no cell for neuron {e.target}")
         st = e.stamp
         if e.target in self.running:
             return AuthDecision.PRIORITY_DEFERRED
@@ -185,8 +193,11 @@ class NodeState:
         top = self.cp_top()
         if top is not e:
             raise ProtocolViolation("apply_emission on a non-top event")
-        heapq.heappop(self.cp_queue)
         source, stamp = e.source, e.stamp
+        if not self.clock[self.id] <= stamp <= self.clock[0]:
+            raise ProtocolViolation(f"node {self.id}: emission at {stamp} after "
+                                    f"{self.clock[self.id]}, T {self.clock[0]}")
+        heapq.heappop(self.cp_queue)
         self.clock[self.id] = stamp
         self.stats.certifications += self.ecs[source].on_emitted(stamp)
         self.trace.append((source, stamp))
@@ -201,12 +212,12 @@ class NodeState:
 
     def start_computation(self, target: int, stamp: int) -> ECState:
         """Start one cell's arrivals of one stamp, taken from the calendar."""
-        ec = self.ecs.get(target)
-        if ec is None:
-            raise TopologyError(f"node {self.id}: no cell for neuron {target}")
+        if not self.pt <= stamp <= self.clock[0]:
+            raise ProtocolViolation(f"node {self.id}: computation at {stamp} after "
+                                    f"{self.pt}, T {self.clock[0]}")
         self.running.add(target)
         self.pt = stamp
-        return ec
+        return self.ecs[target]
 
     def collect_result(self, ec: ECState, result: IntegrationResult) -> None:
         if ec.neuron not in self.running:
@@ -272,7 +283,9 @@ class NodeState:
         queue, computed = self.cm_queue, 0
         while (e := queue.peek()) is not None:
             if self.computation_authorized(e) is not AuthDecision.AUTHORIZED:
-                self.stats.delayed_computations += 1
+                if e != self.refused:  # count each delayed arrival once
+                    self.refused = e
+                    self.stats.delayed_computations += 1
                 break
             st, by_cell = queue.pop_stamp()
             for target, sources in by_cell.items():

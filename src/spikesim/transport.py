@@ -319,6 +319,8 @@ class TcpBackend:
                 msg = decode(buf[start + _FRAME.size:end])
                 if msg.sender == self.pid or msg.sender not in self.roster:
                     raise CodecError(f"sender {msg.sender} is no peer")
+                if msg.report is not None and self.pid:
+                    raise CodecError("a report goes to the environment alone")
             except CodecError as exc:
                 raise TransportError(f"processor {self.pid}: bad frame: {exc}") from exc
             if msg.sender == 0:

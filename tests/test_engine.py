@@ -158,6 +158,7 @@ def test_a_spike_crosses_once_to_each_processor_it_reaches():
     assert nodes[2].fanout == {1: [2, 3]} and nodes[3].fanout == {1: [4]}
     forecast = sender.ecs[1].queued[4] = CPEvent(source=1, stamp=4)
     sender.queue_forecast(forecast)
+    sender.clock[0] = 4
     sender.apply_emission(forecast)
     assert sender.outboxes == {2: [Spike(1, 4)], 3: [Spike(1, 4)], 0: [Spike(1, 4)]}
     assert sender.cm_queue.pop_stamp() == (4, {5: [1]})
@@ -222,17 +223,22 @@ def test_invariant_monitor_samples_states():
     assert result.violations == []
 
 
-def test_invariant_monitor_flags_a_falling_clock_and_an_et_past_T():
+def test_invariant_monitor_flags_a_view_ahead_of_the_truth():
+    # A node's T may lag the environment's, and its entry of another node
+    # that node's emission time or the raise, but never run ahead of them.
     net, mapping, stimuli = generate_random(seed=4, n=16, prob=0.1, procs=2)
     run = DeterministicEngine(net, mapping, stimuli, horizon=60)
     assert run.run().violations == []
-    monitor, node, T = run.monitor, run.nodes[1], run.env.T
-    node.clock[2] -= 1
+    monitor, node, env = run.monitor, run.nodes[1], run.env
+    node.clock[0] = env.T + 1
     monitor.check()
-    assert monitor.violations == ["node 1: clock[2] decreased"]
-    node.clock[1] = T + 1  # its own entry is its emission time
+    assert monitor.violations == [f"node 1: T {env.T + 1} ahead of {env.T}"]
+    node.clock[0] = env.T
+    truth = max(run.nodes[2].clock[2], env.raised)
+    node.clock[2] = truth + 1
     monitor.check()
-    assert monitor.violations[1:] == [f"node 1: et {T + 1} exceeds T {T}"]
+    assert monitor.violations[1:] == [
+        f"node 1: clock[2] {truth + 1} ahead of {run.nodes[2].clock[2]} and the raise {env.raised}"]
 
 
 def test_single_processor_run_equals_partitioned_run():
@@ -269,6 +275,30 @@ def test_threaded_engine_batches_at_minpak_4(seed):
     assert result.violations == []
     expected = sequential_simulate(net, stimuli, 50)
     assert compare_traces(result.trace, expected).empty
+
+
+def test_a_duplicated_broadcast_ends_a_threads_run_as_that_nodes_violation():
+    # Node 1 gets the advancement to 20 twice. Its step rejects the second
+    # copy at once; without that check its count of the environment's
+    # messages never balances, quiescence is never proven and the run waits
+    # out its wall budget.
+    net, mapping, stimuli = generate_random(seed=3, n=64, prob=0.1, procs=2,
+                                            horizon=200)
+    run = ThreadedEngine(net, mapping, stimuli, horizon=200, max_wall_s=5)
+    step = run.env.step
+
+    def step_and_repeat_20_to_node_1(inbound):
+        pairs = step(inbound)
+        return pairs + [(1, msg) for dest, msg in pairs if dest == 1 and msg.clock[0] == 20]
+
+    run.env.step = step_and_repeat_20_to_node_1
+    start = time.monotonic()
+    result = run.run()
+    assert time.monotonic() - start < 2.5
+    assert len(result.violations) == 1
+    assert result.violations[0].startswith(
+        "node 1: ProtocolViolation('node 1: broadcast [20, ")
+    assert result.violations[0].endswith("] after T 20')")
 
 
 def test_threaded_engine_reports_a_node_thread_that_does_not_stop(monkeypatch):

@@ -179,12 +179,6 @@ def test_non_output_event_rejected():
     assert env.output_log == []
 
 
-def test_environment_messages_rejected_by_on_output():
-    env = make_env()
-    with pytest.raises(ValueError):
-        env.on_output(Message(sender=0, clock=[1, 0], events=[]))
-
-
 def test_done_after_horizon_plus_slack():
     env = make_env(horizon=10)
     assert not env.done

@@ -207,6 +207,7 @@ def test_deferred_arrival_is_computed_first_once_its_cell_is_idle():
 
 def test_a_cell_is_running_from_start_to_collect():
     node = make_node(neurons=(7, 8))
+    node.clock[0] = 3
     ec = node.start_computation(7, 3)
     assert node.running == {7} and node.pt == 3
     node.collect_result(ec, ec.integrate(3, [99]))
@@ -327,6 +328,29 @@ def test_computation_delayed_while_threads_running():
     assert node.computation_authorized(e) is AuthDecision.DELAYED
 
 
+# -- each transition checks its own order ----------------------------------------
+
+
+@pytest.mark.parametrize("transition, message", [
+    (lambda node: node.receive(Message(sender=0, clock=[4, 3])), r"broadcast \[4, 3\] after T 4"),
+    (lambda node: node.receive(Message(sender=0, clock=[6, 3])), r"broadcast \[6, 3\] after T 4"),
+    (lambda node: node.receive(Message(sender=0, clock=[5, 5])), r"broadcast \[5, 5\] after T 4"),
+    (lambda node: node.apply_emission(queue_forecast(node, 2)), "emission at 2 after 3, T 4"),
+    (lambda node: node.apply_emission(queue_forecast(node, 5)), "emission at 5 after 3, T 4"),
+    (lambda node: node.start_computation(7, 1), "computation at 1 after 2, T 4"),
+    (lambda node: node.start_computation(7, 5), "computation at 5 after 2, T 4"),
+], ids=["T-repeated", "T-skipped", "raise-at-T", "emission-falls", "emission-past-T",
+        "computation-falls", "computation-past-T"])
+def test_each_transition_rejects_an_out_of_order_input(transition, message):
+    # T 4, emission time 3, processing time 2. A broadcast must bring T + 1
+    # with a raise below it; an emission and a computation start at or above
+    # the node's last and at or below its T.
+    node = make_node(node_id=1, procs=2)
+    node.clock, node.pt = [4, 3, 4], 2
+    with pytest.raises(ProtocolViolation, match=message):
+        transition(node)
+
+
 # -- clocks and message handling -------------------------------------------------
 
 
@@ -337,18 +361,18 @@ def test_receive_raises_the_sender_entry_and_a_broadcast_the_others():
     node.clock = [5, 2, 3, 2]
     node.receive(Message(sender=3, clock=[6], events=[Spike(99, 6)]))
     assert node.clock == [5, 2, 3, 6]
-    node.receive(Message(sender=0, clock=[7, 4], events=[]))
-    assert node.clock == [7, 2, 4, 6]  # entry 1 (self) untouched, 6 > 4
+    node.receive(Message(sender=0, clock=[6, 4], events=[]))
+    assert node.clock == [6, 2, 4, 6]  # entry 1 (self) untouched, 6 > 4
     node.receive(Message(sender=2, clock=[3], events=[Spike(99, 3)]))
-    assert node.clock == [7, 2, 4, 6]  # the raise already passed 3
+    assert node.clock == [6, 2, 4, 6]  # the raise already passed 3
 
 
 def test_receive_queues_events_and_leaves_pt_alone():
     node = make_node()
-    node.pt = 4
+    node.pt = node.clock[0] = 4
     node.receive(Message(sender=0, clock=[5, 0], events=[]))
     assert node.pt == 4 and not node.cm_queue  # clock-only message
-    node.receive(Message(sender=0, clock=[5, 0], events=[Spike(7, 5)]))
+    node.receive(Message(sender=0, clock=[6, 0], events=[Spike(7, 5)]))
     assert node.pt == 4  # moves only when a computation starts
     assert node.cm_queue.peek() == CMEvent(7, EXT_NEURON, 5)  # a stimulus of input 7
 
@@ -391,7 +415,7 @@ def test_apply_emission_routes_local_remote_and_output():
     node = make_node(node_id=1, procs=2, neurons=(7, 8), outputs=(7,),
                      fanout={7: [8]}, owners={7: {2}})
     e = queue_forecast(node, 5, source=7)
-    node.pt = 3
+    node.pt, node.clock[0] = 3, 6
     assert node.apply_emission(e) is None
     assert e.emitted and node.clock[1] == 5
     assert node.trace == [(7, 5)]
@@ -407,20 +431,11 @@ def test_apply_emission_routes_local_remote_and_output():
 
 
 def test_arrival_for_a_neuron_the_node_does_not_own_rejected():
-    # A misrouted stimulus is filed under the input it names. The node finds
-    # no cell for it at the gate when it is the top arrival, and when its
-    # computation starts when it shares an authorized stamp with an owned
-    # cell's.
-    node = make_node(neurons=(7,))
-    node.receive(Message(sender=0, clock=[5, 0], events=[Spike(3, 2)]))
-    with pytest.raises(TopologyError, match="no cell for neuron 3"):
-        node.cpc_step()
-    node = make_node(neurons=(7,))
-    node.receive(Message(sender=0, clock=[5, 0],
-                         events=[Spike(7, 2), Spike(9, 2)]))
-    node.pt = 2  # the top arrival, for neuron 7, is authorized by st == pt
-    with pytest.raises(TopologyError, match="no cell for neuron 9"):
-        node.cpc_step()
+    # A misrouted stimulus is rejected where it arrives, alone or next to
+    # one for an owned cell, so no later step looks for its cell.
+    for events in ([Spike(3, 0)], [Spike(7, 0), Spike(9, 0)]):
+        with pytest.raises(TopologyError, match=f"no cell for neuron {events[-1].neuron}"):
+            make_node(neurons=(7,)).receive(Message(sender=0, clock=[1, 0], events=events))
 
 
 def test_apply_emission_requires_queue_top():
@@ -434,6 +449,7 @@ def test_apply_emission_requires_queue_top():
 def test_emission_sets_et_to_its_stamp():
     node = make_node(node_id=1, procs=1)
     e = queue_forecast(node, 5)
+    node.clock[0] = 5
     assert node.clock[1] == 0  # the own entry moves only on emission
     node.apply_emission(e)
     assert node.clock[1] == 5 and node.cp_top() is None
@@ -443,8 +459,8 @@ def test_stats_count_transitions():
     node = make_node(node_id=1, procs=1)
     queue_incoming(node, 2, source=EXT_NEURON)
     node.pt = 2
+    node.clock[0] = 3  # environment time must cover the computation and the forecast
     assert node.cpc_step()
-    node.clock[0] = 3  # environment time must cover the forecast stamp
     _progress, _msgs = node.cmc_step()
     assert node.stats.computed == 1
     assert node.stats.emitted == 1

@@ -208,9 +208,10 @@ def test_inproc_mail_to_the_environment_steps_it_until_the_run_ends():
     assert 0 not in backend.inboxes
 
 
-def _tcp_pair(free_ports):
-    """Two connected TcpBackends, processors 0 and 1, on kernel-given ports."""
-    roster = {pid: ("127.0.0.1", port) for pid, port in enumerate(free_ports(2))}
+def _tcp_pair(free_ports, count=2):
+    """Connected TcpBackends, processors 0 to ``count - 1`` (0 and 1 by
+    default), on kernel-given ports."""
+    roster = {pid: ("127.0.0.1", port) for pid, port in enumerate(free_ports(count))}
     backends = {}
     errors = []
 
@@ -305,20 +306,27 @@ def test_tcp_backend_starts_no_thread(free_ports):
 def test_tcp_backend_reports_a_malformed_frame(free_ports):
     # A bad frame, then a good message on the same connection: poll must
     # raise instead of waiting for a frame that never arrives, or handing
-    # its node a message it cannot file. The frames: bad magic, a broadcast
-    # with one stamp, a node message with the environment's two, and mail
-    # from processor 9, which is no peer of a two-processor roster.
-    for payload in (b"XX" + encode(Message(sender=0, clock=[1, -1]))[2:],
-                    encode(Message(sender=0, clock=[1])),
-                    encode(Message(sender=1, clock=[1, 0], events=[Spike(4, 1)])),
-                    encode(Message(sender=9, clock=[1], events=[Spike(4, 1)]))):
-        backends = _tcp_pair(free_ports)
+    # its actor a message it cannot take. The frames to processor 1: bad
+    # magic, a broadcast with one stamp, a node message with the
+    # environment's two, mail from processor 9, which is no peer of a
+    # three-processor roster, and processor 2's report, which only the
+    # environment takes. To the environment: a broadcast from itself.
+    node_mail = Message(sender=1, clock=[2], events=[Spike(4, 1)])
+    for dest, payload in (
+            (1, b"XX" + encode(Message(sender=0, clock=[1, -1]))[2:]),
+            (1, encode(Message(sender=0, clock=[1]))),
+            (1, encode(Message(sender=1, clock=[1, 0], events=[Spike(4, 1)]))),
+            (1, encode(Message(sender=9, clock=[1], events=[Spike(4, 1)]))),
+            (1, encode(Message(sender=2, clock=[], report=Report(0, [0] * 3, [0] * 3)))),
+            (0, encode(Message(sender=0, clock=[1, 0])))):
+        backends = _tcp_pair(free_ports, count=3)
+        peer = 1 - dest
         try:
-            backends[0]._out[1].sendall(struct.pack("<I", len(payload)) + payload)
-            backends[0].send(1, Message(sender=0, clock=[2, -1]))
+            backends[peer]._out[dest].sendall(struct.pack("<I", len(payload)) + payload)
+            backends[peer].send(dest, node_mail if peer else Message(sender=0, clock=[2, -1]))
             start = time.monotonic()
             with pytest.raises(TransportError, match="bad frame"):
-                backends[1].poll(1, wait=5)
+                backends[dest].poll(dest, wait=5)
             assert time.monotonic() - start < 4.0
         finally:
             for b in backends.values():
