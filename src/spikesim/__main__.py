@@ -1,10 +1,5 @@
-import os
 import sys
 
-from .cli import main
+from .cli import run_and_exit
 
-code = main()
-# main closed every file it wrote, so skip the interpreter's teardown.
-sys.stdout.flush()
-sys.stderr.flush()
-os._exit(code)
+run_and_exit(sys.argv[1:])

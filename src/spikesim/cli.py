@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import os
 import sys
+from typing import NoReturn
 
 from .engine import (DeterministicEngine, ThreadedEngine, run_tcp_launcher,
                      run_tcp_node)
@@ -228,6 +229,27 @@ def main(argv=None) -> int:
     except (OSError, TopologyError, CodecError, TransportError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def run_and_exit(argv: list[str]) -> NoReturn:
+    """End this process as ``python -m spikesim *argv`` does: run
+    ``main(argv)``, flush stdout and stderr, and skip the interpreter's
+    teardown, since main closed every file it wrote. A ``SystemExit`` gives
+    its own code; any other exception prints its traceback and exits 1.
+    Never returns, so a node the tcp launcher forked never resumes its code.
+    """
+    code = 1
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # None is success, any other object failure
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        except BaseException:  # reported here: raising would not end the process
+            sys.excepthook(*sys.exc_info())
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 if __name__ == "__main__":

@@ -11,14 +11,16 @@ quiescence); no wall-clock timer advances T.
   the environment steps in the thread that mails it, under one lock.
 * ``run_tcp_node`` / ``run_tcp_launcher`` -- one OS process per processor
   runs ``run_node`` over TCP; the launcher's own loop steps the environment.
+  A node that runs spikesim's own CLI is forked from the launcher.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .environment import EnvState
 from .events import EXT_NEURON, ProtocolViolation, TopologyError
@@ -321,25 +323,68 @@ def run_tcp_node(net: NetworkSpec, mapping: MappingSpec,
     return node
 
 
+class ForkedNode:
+    """A node process forked from the launcher that ends as ``run(args)``
+    ends it, with the part of ``subprocess.Popen`` the launcher uses."""
+
+    def __init__(self, run: Callable[[list[str]], NoReturn], args: list[str]) -> None:
+        sys.stdout.flush()  # else the child writes what is buffered once more
+        sys.stderr.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            run(args)
+        self.returncode: int | None = None
+        self._lock = threading.Lock()  # one waitpid at a time
+
+    def poll(self) -> int | None:
+        if self.returncode is None and self._lock.acquire(blocking=False):
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+                if pid:
+                    self.returncode = os.waitstatus_to_exitcode(status)
+            finally:
+                self._lock.release()
+        return self.returncode
+
+    def wait(self) -> int:
+        with self._lock:
+            if self.returncode is None:
+                self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.returncode is None:
+            try:
+                os.kill(self.pid, 9)  # SIGKILL
+            except ProcessLookupError:  # reaped by a waiter just now
+                pass
+
+
 def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
                      stimuli: dict[int, list[int]], horizon: int,
                      roster_path: str, node_argv: list[list[str]],
                      timeout_ms: int = 20,
                      max_wall_s: float = TCP_WALL_S) -> RunResult:
-    """Spawn one subprocess per compute processor and act as the environment.
+    """Start one node process per compute processor and act as the environment.
 
     ``node_argv`` holds the full command line for each node process; each
     node writes its firing trace to a shard file merged by the caller. A
-    node that fails to start, a transport failure, a message the environment
-    rejects and every non-zero exit of a node are violations; every node
-    started is reaped before this returns.
+    command ``[sys.executable, "-m", "spikesim", *args]`` is forked, and the
+    child ends as that command would (``cli.run_and_exit``); any other
+    command, and every command where ``os.fork`` is missing or another
+    thread runs, is spawned.
+    A node that fails to start, a transport failure, a message the
+    environment rejects and every non-zero exit of a node are violations;
+    every node started is reaped before this returns.
     """
-    import subprocess  # the launcher alone spawns; node processes never import it
     roster = load_roster(roster_path)
     env, _ = build_simulation(net, mapping, stimuli, horizon,
                               timeout_ms=timeout_ms, only_node=-1)
+    fork = hasattr(os, "fork") and threading.active_count() == 1
+    if fork:
+        from .cli import run_and_exit  # once, here, so that no child imports it
     paths = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    procs: list[subprocess.Popen] = []
+    procs: list = []  # ForkedNode or subprocess.Popen
     errors: list[str] = []
     backend = None
 
@@ -347,9 +392,14 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
         return any(p.poll() is not None for p in procs)
 
     try:
+        # Every node starts before the backend opens a socket or any thread runs.
         for pid, argv in enumerate(node_argv, start=1):
             try:
-                procs.append(subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=paths)))
+                if fork and argv[:3] == [sys.executable, "-m", "spikesim"]:
+                    procs.append(ForkedNode(run_and_exit, argv[3:]))
+                else:
+                    import subprocess  # node processes never import it
+                    procs.append(subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=paths)))
             except OSError as exc:
                 raise TransportError(
                     f"node process for processor {pid} failed to start: {exc}") from exc
@@ -385,6 +435,7 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
             if waiter.is_alive():
                 p.kill()
                 code = f"{p.wait()} after the run stopped"
+                waiter.join()  # no thread outlives the launcher
             if code != 0:
                 errors.append(f"node process exited with {code} (processor {pid})")
         if backend is not None:

@@ -19,7 +19,8 @@ environment's, it names the input a stimulus drives. A ``Report`` has magic
 sent u32 * n, received u32 * n. ``decode`` rejects what ``validate`` does.
 
 Each TCP frame is one encoded message preceded by a u32 length prefix;
-frames carry their sender, so a connection sends nothing but frames. The
+frames carry their sender, so a connection sends nothing but frames, and
+the first frame on a connection binds it to the sender it names. The
 in-process backend hands messages to node threads through queues and steps
 the environment in the thread that mails it; the TCP backend starts no
 thread and reads its sockets inside ``poll``.
@@ -215,14 +216,17 @@ class TcpBackend:
     Building it fails at once when ``give_up()`` holds.
 
     Connections carry nothing but frames, and frames carry their sender.
-    No thread reads them: ``poll`` waits on the incoming connections,
-    reads what is readable into a buffer per connection and decodes each
-    complete frame. Sends block, so two processes that each sent much
-    without polling could fill each other's receive buffers and both block
-    in ``sendall``. Each advancement of T needs the peers' mail, though, so
-    a connection's unread backlog stays near one tick of traffic: in det,
-    at most 1,347 bytes on the n=512, p=0.02 net at P=2 (707 at P=4),
-    against the 131,072-byte initial TCP receive buffer of a Linux host.
+    The first frame on an incoming connection binds it to its sender; a
+    later frame there that names another sender, or a second connection
+    that names a bound sender, is a bad frame. No thread reads them:
+    ``poll`` waits on the incoming connections, reads what is readable into
+    a buffer per connection and decodes each complete frame. Sends block,
+    so two processes that each sent much without polling could fill each
+    other's receive buffers and both block in ``sendall``. Each advancement
+    of T needs the peers' mail, though, so a connection's unread backlog
+    stays near one tick of traffic: in det, at most 1,347 bytes on the
+    n=512, p=0.02 net at P=2 (707 at P=4), against the 131,072-byte
+    initial TCP receive buffer of a Linux host.
     """
 
     def __init__(self, pid: int, roster: dict[int, tuple[str, int]],
@@ -231,7 +235,7 @@ class TcpBackend:
         self.roster = roster
         self._out: dict[int, socket.socket] = {}
         self._in: dict[socket.socket, bytearray] = {}  # unread bytes of each
-        self._env: socket.socket | None = None  # the one the environment sends on
+        self._sender: dict[socket.socket, int] = {}  # bound by each one's first frame
         self._selector = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
@@ -292,7 +296,7 @@ class TcpBackend:
     def _read(self, conn: socket.socket, out: list[Message]) -> None:
         # Peers close their sockets when they terminate. The environment
         # closes only after every node has exited, so a node still reading
-        # has lost its run. The sender is known from the first frame; an
+        # has lost its run. The sender is bound by the first frame; an
         # environment that closes before it failed to build its backend (its
         # launcher kills the nodes after STOP_GRACE_S) or was killed (they
         # fail at TCP_WALL_S).
@@ -304,12 +308,12 @@ class TcpBackend:
             self._selector.unregister(conn)
             del self._in[conn]
             conn.close()
-            if conn is self._env:
+            if self._sender.get(conn) == 0:
                 raise TransportError(f"processor {self.pid}: environment closed the connection")
             return
         buf = self._in[conn]
         buf += chunk
-        start = 0
+        start, bound = 0, self._sender.get(conn)
         while len(buf) - start >= _FRAME.size:
             (length,) = _FRAME.unpack_from(buf, start)
             end = start + _FRAME.size + length
@@ -319,12 +323,16 @@ class TcpBackend:
                 msg = decode(buf[start + _FRAME.size:end])
                 if msg.sender == self.pid or msg.sender not in self.roster:
                     raise CodecError(f"sender {msg.sender} is no peer")
+                if bound is None:
+                    if msg.sender in self._sender.values():
+                        raise CodecError(f"a second connection from {msg.sender}")
+                    self._sender[conn] = bound = msg.sender
+                elif msg.sender != bound:
+                    raise CodecError(f"sender {msg.sender} on the connection from {bound}")
                 if msg.report is not None and self.pid:
                     raise CodecError("a report goes to the environment alone")
             except CodecError as exc:
                 raise TransportError(f"processor {self.pid}: bad frame: {exc}") from exc
-            if msg.sender == 0:
-                self._env = conn
             out.append(msg)
             start = end
         del buf[:start]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,8 @@ from spikesim.cli import main
 from spikesim.engine import RunResult
 from spikesim.events import ProtocolViolation
 from spikesim.neuron import ECState
-from spikesim.oracle import read_trace
+from spikesim.oracle import read_trace, sequential_simulate
+from spikesim.topology import load_network, load_stimuli
 
 SRC = str(Path(spikesim.__file__).parent.parent)
 
@@ -185,6 +187,7 @@ def test_tcp_usage_error_exits_2_before_anything_starts(tmp_path, capsys, monkey
         raise AssertionError(f"started {args}")
 
     monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(engine, "TcpBackend", refuse)
     prefix = gen_workload(tmp_path, procs=2, horizon=10)
     write_roster(tmp_path / "roster", pids)
@@ -273,19 +276,86 @@ def test_tcp_run_at_four_processors_equals_det(tmp_path, free_ports):
     assert det and read_trace(str(tmp_path / "tcp.trace")) == det
 
 
+def write_free_roster(path, free_ports, procs):
+    path.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                            for pid, port in enumerate(free_ports(procs + 1))))
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+def test_tcp_run_forks_its_nodes_and_equals_the_oracle(tmp_path, monkeypatch,
+                                                       free_ports, procs):
+    # No node is spawned: each is a fork of this process that runs the CLI.
+    def refuse(*args, **_kwargs):
+        raise AssertionError(f"spawned {args}")
+
+    assert threading.active_count() == 1  # else the launcher would spawn
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    prefix = str(tmp_path / "w")
+    assert main(["gen", "--seed", "7", "--n", "64", "--prob", "0.1",
+                 "--procs", str(procs), "--out", prefix]) == 0
+    write_free_roster(tmp_path / "roster", free_ports, procs)
+    assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                 "--stim", prefix + ".stim", "--horizon", "200", "--mode", "tcp",
+                 "--roster", str(tmp_path / "roster"),
+                 "--out", str(tmp_path / "tcp.trace")]) == 0
+    expected = sequential_simulate(load_network(prefix + ".net"),
+                                   load_stimuli(prefix + ".stim"), 200)
+    assert expected and read_trace(str(tmp_path / "tcp.trace")) == expected
+
+
+def test_output_buffered_before_a_tcp_run_is_written_once(tmp_path, free_ports):
+    # With stdout a pipe, what the caller wrote before the run still waits
+    # in its buffer when the launcher forks its two nodes.
+    prefix = gen_workload(tmp_path, procs=2)
+    write_free_roster(tmp_path / "roster", free_ports, 2)
+    args = ["run", "--net", prefix + ".net", "--map", prefix + ".map",
+            "--stim", prefix + ".stim", "--horizon", "40", "--mode", "tcp",
+            "--roster", str(tmp_path / "roster"), "--out", str(tmp_path / "tcp.trace")]
+    code = ("import sys; sys.stdout.write('before the run\\n'); "
+            f"from spikesim.cli import main; sys.exit(main({args!r}))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    lines = run.stdout.splitlines()
+    assert lines[0] == "before the run" and len(lines) == 2
+    assert " spikes, T advanced " in lines[1]
+
+
 def test_tcp_nodes_import_the_launchers_package(tmp_path, capsys, monkeypatch,
                                                 free_ports):
     # Without PYTHONPATH and outside the checkout, `python -m spikesim` finds
-    # the package only through the path the launcher hands its nodes.
+    # the package only through the path the launcher hands its nodes. While
+    # another thread runs, the launcher spawns its nodes rather than fork.
+    def refuse(*args, **_kwargs):
+        raise AssertionError("forked")
+
+    spawned = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spawned.append(self)
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.delenv("PYTHONPATH", raising=False)
     monkeypatch.chdir(tmp_path)
     prefix = gen_workload(tmp_path, procs=2)
-    roster = tmp_path / "roster"
-    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
-                              for pid, port in enumerate(free_ports(3))))
+    write_free_roster(tmp_path / "roster", free_ports, 2)
     inputs = ["--net", prefix + ".net", "--stim", prefix + ".stim", "--horizon", "40"]
-    assert main(["run", *inputs, "--map", prefix + ".map", "--mode", "tcp",
-                 "--roster", str(roster), "--out", str(tmp_path / "tcp.trace")]) == 0
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60.0,))
+    other.start()
+    try:
+        assert main(["run", *inputs, "--map", prefix + ".map", "--mode", "tcp",
+                     "--roster", str(tmp_path / "roster"),
+                     "--out", str(tmp_path / "tcp.trace")]) == 0
+    finally:
+        release.set()
+        other.join()
+    assert len(spawned) == 2 and all(p.returncode == 0 for p in spawned)
     assert main(["oracle", *inputs, "--out", str(tmp_path / "oracle.trace")]) == 0
     assert main(["compare", str(tmp_path / "tcp.trace"),
                  str(tmp_path / "oracle.trace")]) == 0

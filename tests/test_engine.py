@@ -426,9 +426,10 @@ def test_tcp_launcher_reports_a_message_its_environment_rejects(tmp_path, monkey
                               for pid, port in enumerate(free_ports(2))))
     build = engine.build_simulation
 
-    def build_disowning(*args, **kwargs):  # the launcher's environment only
-        env, nodes = build(*args, **kwargs)
-        disown_an_output(env, net, outputs)
+    def build_disowning(*args, only_node, **kwargs):  # the launcher's environment only
+        env, nodes = build(*args, only_node=only_node, **kwargs)
+        if only_node == -1:  # the forked node builds through this too
+            disown_an_output(env, net, outputs)
         return env, nodes
 
     monkeypatch.setattr(engine, "build_simulation", build_disowning)
@@ -763,3 +764,120 @@ def test_run_tcp_node_builds_with_its_timeout(tmp_path, monkeypatch):
         run_tcp_node(net, mapping, stimuli, 20, node_id=1,
                      roster_path=str(roster), timeout_ms=7)
     assert built == {"timeout_ms": 7}
+
+
+# -- forked tcp nodes: the launcher's failure cases through the CLI's own command --
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Refuse every spawn; return the pids of the nodes the launcher forks."""
+    def refuse(*args, **_kwargs):
+        raise AssertionError(f"spawned {args}")
+
+    assert threading.active_count() == 1  # else the launcher would spawn
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def cli_workload(tmp_path, free_ports, procs, horizon, n=24):
+    """Files and a roster for a tcp run, and each node's CLI command."""
+    net, mapping, stimuli = generate_random(seed=2, n=n, prob=0.12, procs=procs,
+                                            horizon=horizon)
+    prefix = str(tmp_path / "w")
+    save_network(net, prefix + ".net")
+    save_mapping(mapping, prefix + ".map")
+    save_stimuli(stimuli, prefix + ".stim")
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(procs + 1))))
+    argv = [[sys.executable, "-m", "spikesim", "run", "--net", prefix + ".net",
+             "--map", prefix + ".map", "--stim", prefix + ".stim", "--mode", "tcp",
+             "--horizon", str(horizon), "--roster", str(roster),
+             "--node", str(pid), "--out", prefix] for pid in range(1, procs + 1)]
+    return net, mapping, stimuli, str(roster), argv
+
+
+@pytest.mark.parametrize("how, code, err", [
+    ("returns", 2, "error: [Errno 2] No such file or directory"),
+    ("exits", 2, "invalid input: --node 2 is not a compute processor 1..1"),
+    ("raises", 1, "RuntimeError: node failed"),
+])
+def test_tcp_launcher_reports_a_forked_node_that_fails(tmp_path, monkeypatch, free_ports,
+                                                       forked, capfd, how, code, err):
+    # The node's main returns 2, raises SystemExit(2) or raises another
+    # exception; the child exits with that code, as `python -m spikesim`.
+    net, mapping, stimuli, roster, [argv] = cli_workload(tmp_path, free_ports, 1, 20)
+    if how == "returns":
+        argv[argv.index("--net") + 1] = str(tmp_path / "missing.net")
+    elif how == "exits":
+        argv[argv.index("--node") + 1] = "2"
+    else:
+        def fail(*_args, **_kwargs):
+            raise RuntimeError("node failed")
+        monkeypatch.setattr(cli, "run_tcp_node", fail)
+    start = time.monotonic()
+    result = engine.run_tcp_launcher(net, mapping, stimuli, 20, roster_path=roster,
+                                     node_argv=[argv])
+    assert time.monotonic() - start < 2.0  # the backend gives up at the exit
+    assert f"node process exited with {code} (processor 1)" in result.violations
+    assert any(v.startswith("cannot reach processor 1") for v in result.violations)
+    assert err in capfd.readouterr().err
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+def test_tcp_launcher_stops_soon_after_a_forked_node_dies(tmp_path, monkeypatch,
+                                                          free_ports, forked):
+    # Forked processor 2 is killed about 1 s into a run that would take far longer.
+    horizon = 20_000
+    net, mapping, stimuli, roster, argv = cli_workload(tmp_path, free_ports, 2,
+                                                       horizon, n=32)
+    run_tcp_node = cli.run_tcp_node
+
+    def dying(*args, node_id, **kwargs):
+        if node_id == 2:
+            threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGKILL)).start()
+        return run_tcp_node(*args, node_id=node_id, **kwargs)
+
+    monkeypatch.setattr(cli, "run_tcp_node", dying)
+    start = time.monotonic()
+    result = engine.run_tcp_launcher(net, mapping, stimuli, horizon, roster_path=roster,
+                                     node_argv=argv, max_wall_s=30.0)
+    assert f"node process exited with {-signal.SIGKILL} (processor 2)" in \
+        result.violations
+    assert time.monotonic() - start < 6.0
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+def test_tcp_launcher_kills_a_forked_node_that_does_not_exit(tmp_path, monkeypatch,
+                                                             free_ports, forked):
+    # The forked node finishes its run, then blocks writing its trace shard.
+    net, mapping, stimuli, roster, argv = cli_workload(tmp_path, free_ports, 1, 20)
+    monkeypatch.setattr(cli, "write_trace", lambda *args: time.sleep(60))
+    monkeypatch.setattr(engine, "EXIT_WAIT_S", 1.0)
+    start = time.monotonic()
+    result = engine.run_tcp_launcher(net, mapping, stimuli, 20, roster_path=roster,
+                                     node_argv=argv)
+    assert time.monotonic() - start < 10.0  # the node blocks for 60 s
+    assert result.violations == [
+        "node process exited with -9 after the run stopped (processor 1)"]
+    assert result.stats["advancements"] > 20  # the run itself finished
+    assert len(forked) == 1
+    assert_reaped(forked)
+    assert threading.active_count() == 1  # the launcher's waiter has ended

@@ -375,3 +375,31 @@ def test_tcp_backend_build_stops_once_it_gives_up(free_ports):
         with pytest.raises(TransportError, match="peers failed to connect"):
             TcpBackend(0, roster, give_up=lambda: time.monotonic() > start + 0.2)
         assert time.monotonic() - start < 2.0
+
+
+@pytest.mark.parametrize("forged_first, why", [
+    (False, "bad frame: sender 2 on the connection from 0"),
+    (True, "bad frame: a second connection from 2"),
+], ids=["after-the-senders-own", "before-the-named-senders-own"])
+def test_tcp_backend_binds_each_connection_to_one_sender(free_ports, forged_first, why):
+    # Processor 0 writes a frame naming processor 2 on its connection to
+    # processor 1. After 0's own broadcast, that connection is 0's; sent
+    # first, it binds the connection to 2, so 2's own frame then comes on a
+    # second connection that claims 2. Either way the second frame is bad.
+    forged = encode(Message(sender=2, clock=[3], events=[Spike(4, 3)]))
+    broadcast = Message(sender=0, clock=[1, -1])
+    backends = _tcp_pair(free_ports, count=3)
+    try:
+        if forged_first:
+            backends[0]._out[1].sendall(struct.pack("<I", len(forged)) + forged)
+            assert backends[1].poll(1, wait=5) == [decode(forged)]
+            backends[2].send(1, Message(sender=2, clock=[4], events=[Spike(5, 4)]))
+        else:
+            backends[0].send(1, broadcast)
+            assert backends[1].poll(1, wait=5) == [broadcast]
+            backends[0]._out[1].sendall(struct.pack("<I", len(forged)) + forged)
+        with pytest.raises(TransportError, match=why):
+            backends[1].poll(1, wait=5)
+    finally:
+        for b in backends.values():
+            b.close()
