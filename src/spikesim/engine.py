@@ -11,16 +11,19 @@ quiescence); no wall-clock timer advances T.
   the environment steps in the thread that mails it, under one lock.
 * ``run_tcp_node`` / ``run_tcp_launcher`` -- one OS process per processor
   runs ``run_node`` over TCP; the launcher's own loop steps the environment.
-  A node that runs spikesim's own CLI is forked from the launcher.
+  ``start_node`` forks a node that runs spikesim's own CLI and spawns any
+  other. The launcher knows each node by its pid and an exit pipe (POSIX
+  only), and starts no thread.
 """
 
 from __future__ import annotations
 
 import os
+import select
 import sys
 import threading
 import time
-from typing import Callable, NoReturn
+from typing import Callable
 
 from .environment import EnvState
 from .events import EXT_NEURON, ProtocolViolation, TopologyError
@@ -323,41 +326,41 @@ def run_tcp_node(net: NetworkSpec, mapping: MappingSpec,
     return node
 
 
-class ForkedNode:
-    """A node process forked from the launcher that ends as ``run(args)``
-    ends it, with the part of ``subprocess.Popen`` the launcher uses."""
+def start_node(argv: list[str], fork: bool, env: dict[str, str]) -> tuple[int, int]:
+    """Start one node process; return its pid and the read end of its exit
+    pipe. The node holds the pipe's only write end, so the read end reaches
+    end of file once the node has exited. With ``fork``, a command
+    ``[sys.executable, "-m", "spikesim", *args]`` is forked and the child
+    ends as that command would (``cli.run_and_exit``); any other command is
+    spawned with ``env``. Raises ``OSError`` if the node cannot start."""
+    exit_pipe, held = os.pipe()
+    try:
+        if fork and argv[:3] == [sys.executable, "-m", "spikesim"]:
+            from .cli import run_and_exit  # before the fork, so that no child imports it
+            sys.stdout.flush()  # else the child writes what is buffered once more
+            sys.stderr.flush()
+            pid = os.fork()
+            if pid == 0:
+                run_and_exit(argv[3:])
+        else:
+            os.set_inheritable(held, True)
+            pid = os.posix_spawnp(argv[0], argv, env)
+    except OSError:
+        os.close(exit_pipe)
+        raise
+    finally:
+        os.close(held)
+    return pid, exit_pipe
 
-    def __init__(self, run: Callable[[list[str]], NoReturn], args: list[str]) -> None:
-        sys.stdout.flush()  # else the child writes what is buffered once more
-        sys.stderr.flush()
-        self.pid = os.fork()
-        if self.pid == 0:
-            run(args)
-        self.returncode: int | None = None
-        self._lock = threading.Lock()  # one waitpid at a time
 
-    def poll(self) -> int | None:
-        if self.returncode is None and self._lock.acquire(blocking=False):
-            try:
-                pid, status = os.waitpid(self.pid, os.WNOHANG)
-                if pid:
-                    self.returncode = os.waitstatus_to_exitcode(status)
-            finally:
-                self._lock.release()
-        return self.returncode
-
-    def wait(self) -> int:
-        with self._lock:
-            if self.returncode is None:
-                self.returncode = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.returncode
-
-    def kill(self) -> None:
-        if self.returncode is None:
-            try:
-                os.kill(self.pid, 9)  # SIGKILL
-            except ProcessLookupError:  # reaped by a waiter just now
-                pass
+def node_exits(exit_pipes: list[int], timeout: float) -> bool:
+    """Whether a node with an exit pipe in ``exit_pipes`` has exited or
+    exits within ``timeout`` seconds. ``poll``, since ``select`` takes no fd
+    above ``FD_SETSIZE`` (1024)."""
+    watch = select.poll()
+    for exit_pipe in exit_pipes:
+        watch.register(exit_pipe, select.POLLIN)
+    return bool(watch.poll(timeout * 1000.0))  # ms
 
 
 def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
@@ -368,11 +371,10 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     """Start one node process per compute processor and act as the environment.
 
     ``node_argv`` holds the full command line for each node process; each
-    node writes its firing trace to a shard file merged by the caller. A
-    command ``[sys.executable, "-m", "spikesim", *args]`` is forked, and the
-    child ends as that command would (``cli.run_and_exit``); any other
-    command, and every command where ``os.fork`` is missing or another
-    thread runs, is spawned.
+    node writes its firing trace to a shard file merged by the caller. Each
+    node starts through ``start_node``, which forks the CLI's own command
+    only while no other thread runs. The launcher watches the nodes' exit
+    pipes, and starts no thread.
     A node that fails to start, a transport failure, a message the
     environment rejects and every non-zero exit of a node are violations;
     every node started is reaped before this returns.
@@ -380,29 +382,27 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     roster = load_roster(roster_path)
     env, _ = build_simulation(net, mapping, stimuli, horizon,
                               timeout_ms=timeout_ms, only_node=-1)
-    fork = hasattr(os, "fork") and threading.active_count() == 1
-    if fork:
-        from .cli import run_and_exit  # once, here, so that no child imports it
+    fork = threading.active_count() == 1
     paths = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    procs: list = []  # ForkedNode or subprocess.Popen
+    spawn_env = dict(os.environ, PYTHONPATH=paths)
+    children: list[int] = []
+    exit_pipes: list[int] = []
     errors: list[str] = []
     backend = None
 
     def node_exited() -> bool:  # only a failing node exits before the end
-        return any(p.poll() is not None for p in procs)
+        return node_exits(exit_pipes, 0.0)
 
     try:
-        # Every node starts before the backend opens a socket or any thread runs.
+        # Every node starts before the backend opens a socket.
         for pid, argv in enumerate(node_argv, start=1):
             try:
-                if fork and argv[:3] == [sys.executable, "-m", "spikesim"]:
-                    procs.append(ForkedNode(run_and_exit, argv[3:]))
-                else:
-                    import subprocess  # node processes never import it
-                    procs.append(subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=paths)))
+                child, exit_pipe = start_node(argv, fork, spawn_env)
             except OSError as exc:
                 raise TransportError(
                     f"node process for processor {pid} failed to start: {exc}") from exc
+            children.append(child)
+            exit_pipes.append(exit_pipe)
         backend = TcpBackend(0, roster, give_up=node_exited)
         # Step until the run ends or a node fails, waiting on the inbox at
         # most env.timeout_ms at a time to check both and the budget.
@@ -425,19 +425,15 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
         # are FIFO) and stops by itself, flushing to this backend until then;
         # after a run cut short, none does.
         deadline = time.monotonic() + (EXIT_WAIT_S if env.done else STOP_GRACE_S)
-        for pid, p in enumerate(procs, start=1):
-            # A blocking wait wakes at the exit; Popen.wait(timeout) would
-            # poll with sleeps of up to 50 ms.
-            waiter = threading.Thread(target=p.wait, daemon=True)
-            waiter.start()
-            waiter.join(max(0.0, deadline - time.monotonic()))
-            code = p.returncode
-            if waiter.is_alive():
-                p.kill()
-                code = f"{p.wait()} after the run stopped"
-                waiter.join()  # no thread outlives the launcher
-            if code != 0:
-                errors.append(f"node process exited with {code} (processor {pid})")
+        for pid, (child, exit_pipe) in enumerate(zip(children, exit_pipes), start=1):
+            exited = node_exits([exit_pipe], max(0.0, deadline - time.monotonic()))
+            os.close(exit_pipe)
+            if not exited:
+                os.kill(child, 9)  # SIGKILL
+            code = os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
+            if code != 0 or not exited:
+                late = "" if exited else " after the run stopped"
+                errors.append(f"node process exited with {code}{late} (processor {pid})")
         if backend is not None:
             backend.close()
     return run_result(env, {}, errors)

@@ -72,10 +72,9 @@ class NeuronParams:
 
     __slots__ = ("threshold", "tau", "reset", "stim_weight")
 
-    def __init__(self, threshold: float, tau: float, reset: float = 0.0,
-                 stim_weight: float | None = None) -> None:
+    def __init__(self, threshold: float, tau: float, reset: float = 0.0) -> None:
         self.threshold, self.tau, self.reset = threshold, tau, reset
-        self.stim_weight = 2.0 * threshold if stim_weight is None else stim_weight
+        self.stim_weight = 2.0 * threshold
 
 
 class IntegrationResult:  # two lists of CPEvent

@@ -1,4 +1,6 @@
+import os
 import socket
+import threading
 
 import pytest
 
@@ -18,3 +20,42 @@ def free_ports():
             for sock in socks:
                 sock.close()
     return take
+
+
+class Started(list):
+    """The pids of the node processes started through ``os.<how>``, one of
+    ``fork`` and ``posix_spawnp``; starting one the other way fails."""
+
+    def __init__(self, monkeypatch, how: str) -> None:
+        super().__init__()
+        start = getattr(os, how)
+
+        def recorded(*args, **kwargs):
+            pid = start(*args, **kwargs)
+            if pid:  # 0 in a forked child
+                self.append(pid)
+            return pid
+
+        def refuse(*args, **_kwargs):
+            raise AssertionError(f"started {args}")
+
+        monkeypatch.setattr(os, how, recorded)
+        monkeypatch.setattr(os, "posix_spawnp" if how == "fork" else "fork", refuse)
+
+    def assert_reaped(self) -> None:
+        for pid in self:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the node processes the launcher forks; it spawns none."""
+    assert threading.active_count() == 1  # else the launcher would spawn
+    return Started(monkeypatch, "fork")
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """The pids of the node processes the launcher spawns; it forks none."""
+    return Started(monkeypatch, "posix_spawnp")

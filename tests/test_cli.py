@@ -15,6 +15,7 @@ from spikesim.engine import RunResult
 from spikesim.events import ProtocolViolation
 from spikesim.neuron import ECState
 from spikesim.oracle import read_trace, sequential_simulate
+from spikesim.suite import CellResult, SuiteReport
 from spikesim.topology import load_network, load_stimuli
 
 SRC = str(Path(spikesim.__file__).parent.parent)
@@ -133,6 +134,13 @@ def test_timeout_below_1_ms_is_usage_error(tmp_path, capsys, timeout_ms):
     assert "timeout_ms must be at least 1" in capsys.readouterr().err
 
 
+def test_horizon_below_1_is_usage_error(tmp_path, capsys):
+    prefix = gen_workload(tmp_path)
+    assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+                 "--stim", prefix + ".stim", "--horizon", "0"]) == 2
+    assert "horizon must be positive" in capsys.readouterr().err
+
+
 def test_det_reports_a_protocol_violation(tmp_path, capsys, monkeypatch):
     # As in threads mode, a node's ProtocolViolation is a reported violation
     # with exit code 1 and the run's partial result, not a traceback.
@@ -162,6 +170,16 @@ def test_suite_subcommand(capsys):
     assert "cells passed" in capsys.readouterr().out
 
 
+def test_suite_summary_names_each_failing_cell():
+    cells = [CellResult(1, 2, True, [], 10, 0.5),
+             CellResult(2, 4, False, ["only in a: spike 3 7"], 3, 0.25),
+             CellResult(3, 1, True, ["node 1: boom"], 0, 0.25)]
+    assert SuiteReport(cells).summary().splitlines() == [
+        "1/3 cells passed, 13 spikes certified in 1.0s",
+        "  FAIL seed=2 procs=4: trace mismatch",
+        "  FAIL seed=3 procs=1: node 1: boom"]
+
+
 def test_tcp_mode_requires_roster(tmp_path, capsys):
     prefix = gen_workload(tmp_path, horizon=10)
     assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
@@ -186,7 +204,7 @@ def test_tcp_usage_error_exits_2_before_anything_starts(tmp_path, capsys, monkey
     def refuse(*args, **_kwargs):
         raise AssertionError(f"started {args}")
 
-    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "posix_spawnp", refuse)
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(engine, "TcpBackend", refuse)
     prefix = gen_workload(tmp_path, procs=2, horizon=10)
@@ -281,26 +299,42 @@ def write_free_roster(path, free_ports, procs):
                             for pid, port in enumerate(free_ports(procs + 1))))
 
 
-@pytest.mark.parametrize("procs", [1, 2])
-def test_tcp_run_forks_its_nodes_and_equals_the_oracle(tmp_path, monkeypatch,
-                                                       free_ports, procs):
-    # No node is spawned: each is a fork of this process that runs the CLI.
-    def refuse(*args, **_kwargs):
-        raise AssertionError(f"spawned {args}")
-
-    assert threading.active_count() == 1  # else the launcher would spawn
-    monkeypatch.setattr(subprocess, "Popen", refuse)
+def tcp_run_of_the_readme_net(tmp_path, free_ports, procs):
+    """Run README's net over tcp through the CLI at P=``procs``; return the
+    exit code, the run's trace and the oracle's."""
     prefix = str(tmp_path / "w")
     assert main(["gen", "--seed", "7", "--n", "64", "--prob", "0.1",
                  "--procs", str(procs), "--out", prefix]) == 0
     write_free_roster(tmp_path / "roster", free_ports, procs)
-    assert main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
+    code = main(["run", "--net", prefix + ".net", "--map", prefix + ".map",
                  "--stim", prefix + ".stim", "--horizon", "200", "--mode", "tcp",
                  "--roster", str(tmp_path / "roster"),
-                 "--out", str(tmp_path / "tcp.trace")]) == 0
+                 "--out", str(tmp_path / "tcp.trace")])
     expected = sequential_simulate(load_network(prefix + ".net"),
                                    load_stimuli(prefix + ".stim"), 200)
-    assert expected and read_trace(str(tmp_path / "tcp.trace")) == expected
+    return code, read_trace(str(tmp_path / "tcp.trace")), expected
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+def test_tcp_run_forks_its_nodes_and_equals_the_oracle(tmp_path, free_ports, forked,
+                                                       procs):
+    # No node is spawned: each is a fork of this process that runs the CLI.
+    code, trace, expected = tcp_run_of_the_readme_net(tmp_path, free_ports, procs)
+    assert code == 0 and expected and trace == expected
+    assert len(forked) == procs
+    forked.assert_reaped()
+
+
+def test_a_tcp_run_starts_no_thread(tmp_path, monkeypatch, free_ports, forked):
+    # The launcher watches its nodes through their exit pipes.
+    def refuse(thread):
+        raise AssertionError(f"started {thread}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, trace, expected = tcp_run_of_the_readme_net(tmp_path, free_ports, 2)
+    assert code == 0 and expected and trace == expected
+    assert len(forked) == 2
+    forked.assert_reaped()
 
 
 def test_output_buffered_before_a_tcp_run_is_written_once(tmp_path, free_ports):
@@ -324,22 +358,10 @@ def test_output_buffered_before_a_tcp_run_is_written_once(tmp_path, free_ports):
 
 
 def test_tcp_nodes_import_the_launchers_package(tmp_path, capsys, monkeypatch,
-                                                free_ports):
+                                                free_ports, spawned):
     # Without PYTHONPATH and outside the checkout, `python -m spikesim` finds
     # the package only through the path the launcher hands its nodes. While
     # another thread runs, the launcher spawns its nodes rather than fork.
-    def refuse(*args, **_kwargs):
-        raise AssertionError("forked")
-
-    spawned = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            spawned.append(self)
-
-    monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.delenv("PYTHONPATH", raising=False)
     monkeypatch.chdir(tmp_path)
     prefix = gen_workload(tmp_path, procs=2)
@@ -355,7 +377,8 @@ def test_tcp_nodes_import_the_launchers_package(tmp_path, capsys, monkeypatch,
     finally:
         release.set()
         other.join()
-    assert len(spawned) == 2 and all(p.returncode == 0 for p in spawned)
+    assert len(spawned) == 2
+    spawned.assert_reaped()
     assert main(["oracle", *inputs, "--out", str(tmp_path / "oracle.trace")]) == 0
     assert main(["compare", str(tmp_path / "tcp.trace"),
                  str(tmp_path / "oracle.trace")]) == 0

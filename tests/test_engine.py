@@ -2,8 +2,8 @@ import hashlib
 import json
 import os
 import random
+import resource
 import signal
-import subprocess
 import sys
 import threading
 import time
@@ -415,7 +415,7 @@ def test_a_message_the_environment_rejects_is_a_violation(mode):
 
 
 def test_tcp_launcher_reports_a_message_its_environment_rejects(tmp_path, monkeypatch,
-                                                                free_ports):
+                                                                free_ports, forked):
     net, mapping, stimuli, outputs = rejected_output_net()
     prefix = str(tmp_path / "w")
     save_network(net, prefix + ".net")
@@ -444,6 +444,8 @@ def test_tcp_launcher_reports_a_message_its_environment_rejects(tmp_path, monkey
     assert result.violations[0].endswith("from processor 1, which does not own it')")
     assert result.violations[1:] == [
         "node process exited with -9 after the run stopped (processor 1)"]
+    assert len(forked) == 1
+    forked.assert_reaped()
 
 
 def two_neuron_simulation():
@@ -580,8 +582,7 @@ def test_tcp_node_gives_up_without_environment(tmp_path, monkeypatch, free_ports
     assert not env_thread.is_alive() and len(envs) == 1
 
 
-def test_tcp_launcher_stops_soon_after_a_node_dies(tmp_path, monkeypatch,
-                                                    free_ports):
+def test_tcp_launcher_stops_soon_after_a_node_dies(tmp_path, free_ports, spawned):
     # Processor 2 is killed about 1 s into a run that would take far longer.
     horizon = 20_000
     net, mapping, stimuli = generate_random(seed=2, n=32, prob=0.1, procs=2,
@@ -604,14 +605,6 @@ def test_tcp_launcher_stops_soon_after_a_node_dies(tmp_path, monkeypatch,
                 f"import sys; sys.path.insert(0, {src!r}); {prelude}"
                 f"from spikesim.cli import main; sys.exit(main({args!r}))"]
 
-    spawned = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            spawned.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
     kill = ("import os, signal, threading; threading.Timer(1.0, os.kill, "
             "(os.getpid(), signal.SIGKILL)).start(); ")
     start = time.monotonic()
@@ -622,11 +615,12 @@ def test_tcp_launcher_stops_soon_after_a_node_dies(tmp_path, monkeypatch,
     assert f"node process exited with {-signal.SIGKILL} (processor 2)" in \
         result.violations
     assert elapsed < 6.0
-    assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+    assert len(spawned) == 2
+    spawned.assert_reaped()
 
 
 def test_tcp_launcher_reports_a_backend_it_cannot_build(tmp_path, monkeypatch,
-                                                        free_ports, capsys):
+                                                        free_ports, capsys, spawned):
     # The node processes exit at once, so the environment cannot reach them.
     net, mapping, stimuli = generate_random(seed=2, n=24, prob=0.12, procs=1,
                                             horizon=20)
@@ -635,19 +629,11 @@ def test_tcp_launcher_reports_a_backend_it_cannot_build(tmp_path, monkeypatch,
     save_mapping(mapping, prefix + ".map")
     save_stimuli(stimuli, prefix + ".stim")
     exit3 = [sys.executable, "-c", "import sys; sys.exit(3)"]
-    spawned = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            spawned.append(self)
-
     # Both runs share one roster: a backend that failed to build frees its port.
     roster = tmp_path / "roster"
     roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
                               for pid, port in enumerate(free_ports(2))))
 
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
     launch = engine.run_tcp_launcher
     start = time.monotonic()
     result = launch(net, mapping, stimuli, 20, roster_path=str(roster),
@@ -668,11 +654,12 @@ def test_tcp_launcher_reports_a_backend_it_cannot_build(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert "violation: node process exited with 3 (processor 1)" in err
     assert "violation: cannot reach processor 1" in err
-    assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+    assert len(spawned) == 2
+    spawned.assert_reaped()
 
 
 def test_tcp_launcher_kills_a_node_that_does_not_exit(tmp_path, monkeypatch,
-                                                      free_ports):
+                                                      free_ports, spawned):
     # The node finishes its run, then blocks writing its trace shard. Once
     # EXIT_WAIT_S has passed, the launcher kills it and reports the exit.
     net, mapping, stimuli = generate_random(seed=2, n=24, prob=0.12, procs=1,
@@ -701,12 +688,12 @@ def test_tcp_launcher_kills_a_node_that_does_not_exit(tmp_path, monkeypatch,
     assert result.violations == [
         "node process exited with -9 after the run stopped (processor 1)"]
     assert result.stats["advancements"] > 20  # the run itself finished
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(pid_file.read_text()), 0)
+    assert spawned == [int(pid_file.read_text())]
+    spawned.assert_reaped()
 
 
 def test_tcp_launcher_reaps_the_nodes_it_started_when_one_fails_to_start(
-        tmp_path, monkeypatch, free_ports, capsys):
+        tmp_path, monkeypatch, free_ports, capsys, spawned):
     # Processor 1's node would wait a minute; processor 2's cannot start.
     net, mapping, stimuli = generate_random(seed=2, n=24, prob=0.12, procs=2,
                                             horizon=20)
@@ -719,14 +706,6 @@ def test_tcp_launcher_reaps_the_nodes_it_started_when_one_fails_to_start(
                               for pid, port in enumerate(free_ports(3))))
     failing = [[sys.executable, "-c", "import time; time.sleep(60)"],
                [str(tmp_path / "no-such-python")]]
-    spawned = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            spawned.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
     monkeypatch.setattr(engine, "STOP_GRACE_S", 0.2)
     launch = engine.run_tcp_launcher
     result = launch(net, mapping, stimuli, 20, roster_path=str(roster),
@@ -735,7 +714,8 @@ def test_tcp_launcher_reaps_the_nodes_it_started_when_one_fails_to_start(
         "node process for processor 2 failed to start: ")
     assert result.violations[1:] == [
         "node process exited with -9 after the run stopped (processor 1)"]
-    assert len(spawned) == 1 and spawned[0].poll() is not None
+    assert len(spawned) == 1
+    spawned.assert_reaped()
 
     monkeypatch.setattr(cli, "run_tcp_launcher", lambda *args, node_argv, **kw:
                         launch(*args, node_argv=failing, **kw))
@@ -745,7 +725,8 @@ def test_tcp_launcher_reaps_the_nodes_it_started_when_one_fails_to_start(
                      "--out", prefix]) == 1
     assert "violation: node process for processor 2 failed to start: " in \
         capsys.readouterr().err
-    assert len(spawned) == 2 and all(p.poll() is not None for p in spawned)
+    assert len(spawned) == 2
+    spawned.assert_reaped()
 
 
 def test_run_tcp_node_builds_with_its_timeout(tmp_path, monkeypatch):
@@ -767,32 +748,6 @@ def test_run_tcp_node_builds_with_its_timeout(tmp_path, monkeypatch):
 
 
 # -- forked tcp nodes: the launcher's failure cases through the CLI's own command --
-
-@pytest.fixture
-def forked(monkeypatch):
-    """Refuse every spawn; return the pids of the nodes the launcher forks."""
-    def refuse(*args, **_kwargs):
-        raise AssertionError(f"spawned {args}")
-
-    assert threading.active_count() == 1  # else the launcher would spawn
-    pids, fork = [], os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(subprocess, "Popen", refuse)
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
 
 def cli_workload(tmp_path, free_ports, procs, horizon, n=24):
     """Files and a roster for a tcp run, and each node's CLI command."""
@@ -838,7 +793,7 @@ def test_tcp_launcher_reports_a_forked_node_that_fails(tmp_path, monkeypatch, fr
     assert any(v.startswith("cannot reach processor 1") for v in result.violations)
     assert err in capfd.readouterr().err
     assert len(forked) == 1
-    assert_reaped(forked)
+    forked.assert_reaped()
 
 
 def test_tcp_launcher_stops_soon_after_a_forked_node_dies(tmp_path, monkeypatch,
@@ -862,7 +817,7 @@ def test_tcp_launcher_stops_soon_after_a_forked_node_dies(tmp_path, monkeypatch,
         result.violations
     assert time.monotonic() - start < 6.0
     assert len(forked) == 2
-    assert_reaped(forked)
+    forked.assert_reaped()
 
 
 def test_tcp_launcher_kills_a_forked_node_that_does_not_exit(tmp_path, monkeypatch,
@@ -879,5 +834,69 @@ def test_tcp_launcher_kills_a_forked_node_that_does_not_exit(tmp_path, monkeypat
         "node process exited with -9 after the run stopped (processor 1)"]
     assert result.stats["advancements"] > 20  # the run itself finished
     assert len(forked) == 1
-    assert_reaped(forked)
-    assert threading.active_count() == 1  # the launcher's waiter has ended
+    forked.assert_reaped()
+    assert threading.active_count() == 1  # the launcher started no thread
+
+
+def test_tcp_launcher_kills_a_forked_node_once_its_budget_is_spent(tmp_path, monkeypatch,
+                                                                  free_ports, forked):
+    # The run would take seconds; the launcher stops stepping after 0.5 s,
+    # so the node never sees the run end and is killed after STOP_GRACE_S.
+    horizon = 20_000
+    net, mapping, stimuli, roster, argv = cli_workload(tmp_path, free_ports, 1,
+                                                       horizon, n=32)
+    monkeypatch.setattr(engine, "STOP_GRACE_S", 0.2)
+    start = time.monotonic()
+    result = engine.run_tcp_launcher(net, mapping, stimuli, horizon, roster_path=roster,
+                                     node_argv=argv, max_wall_s=0.5)
+    assert time.monotonic() - start < 5.0
+    assert result.violations == [
+        "wall-clock budget exceeded",
+        "node process exited with -9 after the run stopped (processor 1)"]
+    assert 0 < result.stats["advancements"] < horizon
+    assert len(forked) == 1
+    forked.assert_reaped()
+
+
+def test_tcp_launcher_reaps_the_nodes_it_forked_when_one_fails_to_fork(
+        tmp_path, monkeypatch, free_ports, forked):
+    # Processor 1's node waits for the environment, which never listens;
+    # processor 2's fork fails. No exit pipe stays open.
+    net, mapping, stimuli, roster, argv = cli_workload(tmp_path, free_ports, 2, 20)
+    fork = os.fork
+
+    def fork_once():
+        if forked:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(engine, "STOP_GRACE_S", 0.2)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    result = engine.run_tcp_launcher(net, mapping, stimuli, 20, roster_path=roster,
+                                     node_argv=argv)
+    assert result.violations == [
+        "node process for processor 2 failed to start: "
+        "[Errno 11] Resource temporarily unavailable",
+        "node process exited with -9 after the run stopped (processor 1)"]
+    assert len(forked) == 1
+    forked.assert_reaped()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_tcp_launcher_watches_exit_pipes_above_fd_setsize(tmp_path, free_ports, forked):
+    # With 1,100 files open, the node's exit pipe lies above select's limit
+    # of 1024 fds.
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("needs 1,200 open files")
+    net, mapping, stimuli, roster, argv = cli_workload(tmp_path, free_ports, 1, 20)
+    files = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+    try:
+        result = engine.run_tcp_launcher(net, mapping, stimuli, 20, roster_path=roster,
+                                         node_argv=argv)
+    finally:
+        for fd in files:
+            os.close(fd)
+    assert result.violations == []
+    assert len(forked) == 1
+    forked.assert_reaped()

@@ -90,7 +90,7 @@ def test_d_min_counts_stimuli_for_input_neurons():
     assert (nodes[1].ecs[1].d_min, nodes[1].ecs[2].d_min) == (1, 3)
 
 
-def test_stim_weight_defaults_to_twice_threshold():
+def test_stim_weight_is_twice_threshold():
     assert lif(threshold=0.8).stim_weight == 1.6
 
 

@@ -21,6 +21,11 @@ def make_node(node_id=1, procs=2, neurons=(7,), outputs=(), fanout=None, owners=
                      owners=owners or {}, outputs=set(outputs))
 
 
+def test_node_ids_start_at_1():
+    with pytest.raises(ValueError, match="compute processor ids start at 1"):
+        make_node(node_id=0)
+
+
 def queue_forecast(node, stamp, source=7, certain=False):
     """File a forecast in its cell's table and queue its key; a certain one
     lies at its cell's horizon + 1."""

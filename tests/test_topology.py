@@ -76,6 +76,19 @@ def test_validate_rejects_environment_assignment():
     assert any("0 is the environment" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("change, why", [
+    (lambda net, mapping: net.inputs.add(8), "io neuron 8 not declared"),
+    (lambda net, mapping: net.outputs.add(9), "io neuron 9 not declared"),
+    (lambda net, mapping: setattr(mapping, "procs", 0), "procs 0 < 1"),
+    (lambda net, mapping: mapping.assignment.update({7: 1}),
+     "assignment of unknown neuron 7"),
+], ids=["input", "output", "procs", "assignment"])
+def test_validate_rejects_what_the_spec_does_not_declare(change, why):
+    net, mapping = small_net(), MappingSpec({1: 1, 2: 1, 3: 2}, procs=2)
+    change(net, mapping)
+    assert why in validate(net, mapping).violations
+
+
 def test_validate_flags_unreachable_output():
     net = small_net()
     net.synapses = [(1, 2, 0.5, 2)]
@@ -175,11 +188,43 @@ def test_generator_forces_inhibition_and_delay_spread():
     assert max(delays) - min(delays) >= 2
 
 
+@pytest.mark.parametrize("kwargs, why", [
+    ({"prob": 1.5}, "connection probability must be in [0, 1]"),
+    ({"prob": -0.1}, "connection probability must be in [0, 1]"),
+    ({"n": 0}, "n and procs must be positive"),
+    ({"procs": 0}, "n and procs must be positive"),
+])
+def test_generator_rejects_bad_arguments(kwargs, why):
+    with pytest.raises(ValueError) as exc_info:
+        generate_random(**{"seed": 1, "n": 8, "prob": 0.1, "procs": 1, **kwargs})
+    assert str(exc_info.value) == why
+
+
 def test_parse_errors_carry_location(tmp_path):
     path = tmp_path / "bad.net"
     path.write_text("neuron 1 theta 1.0 tau 10\nsynapse 1\n")
     with pytest.raises(TopologyError, match="bad.net:2"):
         load_network(str(path))
+
+
+@pytest.mark.parametrize("load, text, why", [
+    (load_network, "neuron 1 theta 1.0 tau 10 model izh\n",
+     "bad.txt:1: unsupported neuron model 'izh'"),
+    (load_network, "neuron 1 theta 1.0 tau 10\nneurons 2\n",
+     "bad.txt:2: unknown directive 'neurons'"),
+    (load_mapping, "procs 2\nprocessors 2\n", "bad.txt:2: unknown directive 'processors'"),
+    (load_mapping, "procs 2\nassign 1 x\n",
+     "bad.txt:2: invalid literal for int() with base 10: 'x'"),
+    (load_stimuli, "stim 1 0\nstimulus 1 2\n", "bad.txt:2: unknown directive 'stimulus'"),
+    (load_stimuli, "stim 1\n", "bad.txt:1: list index out of range"),
+], ids=["net-model", "net-directive", "map-directive", "map-field",
+        "stim-directive", "stim-field"])
+def test_loaders_reject_a_bad_line_with_its_location(tmp_path, load, text, why):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(TopologyError) as exc_info:
+        load(str(path))
+    assert str(exc_info.value).endswith(why)
 
 
 def test_negative_stimulus_time_rejected(tmp_path):
