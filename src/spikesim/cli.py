@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--n", type=int, default=24)
     suite.add_argument("--prob", type=float, default=0.12)
     suite.add_argument("--horizon", type=int, default=200)
-    suite.add_argument("--minpak", type=int, default=1)
     return parser
 
 
@@ -209,8 +208,7 @@ def _cmd_suite(args) -> int:
     from .suite import run_property_suite  # no other command needs it
     procs_list = tuple(int(p) for p in args.procs.split(","))
     report = run_property_suite(range(args.seeds), procs_list=procs_list,
-                                n=args.n, prob=args.prob,
-                                horizon=args.horizon, minpak=args.minpak)
+                                n=args.n, prob=args.prob, horizon=args.horizon)
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -7,10 +7,11 @@ quiescence); no wall-clock timer advances T.
   picks. ``DeterministicEngine`` is its round robin, reproducible
   bit-for-bit and certified against the sequential oracle; the tests'
   seeded schedules are its random orders.
-* ``ThreadedEngine`` -- one thread per compute processor runs ``run_node``;
-  the environment steps in the thread that mails it, under one lock.
-* ``run_tcp_node`` / ``run_tcp_launcher`` -- one OS process per processor
-  runs ``run_node`` over TCP; the launcher's own loop steps the environment.
+* ``run_actor`` -- the one free-running loop, which steps an actor on its
+  mail. ``ThreadedEngine`` runs it in one thread per compute processor; the
+  environment steps in the thread that mails it, under one lock.
+* ``run_tcp_node`` / ``run_tcp_launcher`` -- it runs over TCP in one OS
+  process per processor, and as the launcher's environment.
   ``start_node`` forks a node that runs spikesim's own CLI and spawns any
   other. The launcher knows each node by its pid and an exit pipe (POSIX
   only), and starts no thread.
@@ -45,8 +46,10 @@ class RunResult:
 
 def build_simulation(net: NetworkSpec, mapping: MappingSpec,
                      stimuli: dict[int, list[int]], horizon: int,
-                     timeout_ms: int = 20, only_node: int | None = None):
-    """Instantiate the environment and the compute processors. One pass over
+                     timeout_ms: int = 20, only_node: int | None = None,
+                     minpak: int = 1):
+    """Instantiate the environment and the compute processors, which batch
+    their messages to each other at ``minpak`` events. One pass over
     ``net.synapses`` gives each cell its incoming synapses, and each
     processor its ``fanout`` (every source's local targets) and ``owners``
     (the other processors each local neuron reaches).
@@ -78,7 +81,8 @@ def build_simulation(net: NetworkSpec, mapping: MappingSpec,
         ecs = {nid: ECState(nid, net.neurons[nid], incoming[nid], horizon)
                for nid in incoming if owner_of[nid] == pid}
         nodes[pid] = NodeState(pid, mapping.procs, ecs, fanout=fanout[pid],
-                               owners=owners[pid], outputs=set(net.outputs))
+                               owners=owners[pid], outputs=set(net.outputs),
+                               minpak=minpak)
     return env, nodes
 
 
@@ -128,7 +132,7 @@ class InvariantMonitor:
                                f"{other.clock[m]} and the raise {env.raised}")
 
 
-def drive(env: EnvState, nodes: dict[int, NodeState], choose, minpak: int,
+def drive(env: EnvState, nodes: dict[int, NodeState], choose,
           monitor: InvariantMonitor) -> RunResult:
     """Step the environment (actor 0) and the processors in one thread, over
     one FIFO channel per ordered pair of actors, in the order ``choose`` picks.
@@ -141,11 +145,10 @@ def drive(env: EnvState, nodes: dict[int, NodeState], choose, minpak: int,
     step. A ``ProtocolViolation`` ends the run as a violation. So does a run
     that is not over with no actor waiting: no step could advance T.
     """
-    inboxes = {dest: {src: [] for src in (0, *nodes) if src != dest}
-               for dest in (0, *nodes)}
+    actors: dict[int, EnvState | NodeState] = {0: env, **nodes}
+    inboxes = {dest: {src: [] for src in actors if src != dest} for dest in actors}
     waiting: set[int] = set()
-    actor, pairs = 0, env.step([])
-    moved = bool(pairs)
+    actor, (moved, pairs) = 0, env.step([])
     while True:
         if moved or any(inboxes[actor].values()):
             waiting.add(actor)
@@ -167,12 +170,9 @@ def drive(env: EnvState, nodes: dict[int, NodeState], choose, minpak: int,
                 inbound += channel[:count]
                 del channel[:count]
         try:
-            if actor:
-                moved, pairs = nodes[actor].step(inbound, minpak)
-            else:
+            if not actor:
                 monitor.check()
-                pairs = env.step(inbound)
-                moved = bool(pairs)
+            moved, pairs = actors[actor].step(inbound)
         except ProtocolViolation as exc:
             who = f"node {actor}" if actor else "environment"
             monitor.violations.append(f"{who}: {exc!r}")
@@ -188,8 +188,8 @@ class DeterministicEngine:
     def __init__(self, net: NetworkSpec, mapping: MappingSpec,
                  stimuli: dict[int, list[int]], horizon: int,
                  minpak: int = 1) -> None:
-        self.env, self.nodes = build_simulation(net, mapping, stimuli, horizon)
-        self.minpak = minpak
+        self.env, self.nodes = build_simulation(net, mapping, stimuli, horizon,
+                                                minpak=minpak)
         self.monitor = InvariantMonitor(self.env, self.nodes)
 
     def run(self) -> RunResult:
@@ -203,10 +203,10 @@ class DeterministicEngine:
             last = min(waiting, key=lambda pid: (pid == 0, pid <= last, pid), default=0)
             return last, lambda count: count  # the whole channel
 
-        return drive(env, self.nodes, choose, self.minpak, self.monitor)
+        return drive(env, self.nodes, choose, self.monitor)
 
 
-# -- free-running modes: one node loop -----------------------------------------
+# -- free-running modes: one actor loop ----------------------------------------
 
 # Wall-clock budget of a tcp run, for the launcher and for each node process.
 TCP_WALL_S = 120.0
@@ -221,8 +221,9 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def ship(backend, pairs) -> None:
-    """Send each ``(dest, msg)``, skipping a peer that has closed, which
-    happens only once the run is over."""
+    """Send each ``(dest, msg)``, skipping a peer that has closed. A node
+    closes once the run is over; one that failed before is reported when
+    the environment reads its close."""
     for dest, msg in pairs:
         try:
             backend.send(dest, msg)
@@ -230,17 +231,26 @@ def ship(backend, pairs) -> None:
             pass
 
 
-def run_node(node: NodeState, env: EnvState, backend, minpak: int,
-             stop: Callable[[], bool]) -> None:
-    """Step one processor on its mail until it has seen the run end or
-    ``stop()`` holds, then ship what is staged. After a step that moves
-    nothing it waits for mail, at most ``env.timeout_ms`` at a time."""
+def run_actor(actor: int, step, over: Callable[[], bool], env: EnvState,
+              backend, stop: Callable[[], bool]) -> None:
+    """Step one actor (0 the environment) on its mail until ``over()`` or
+    ``stop()`` holds, shipping what each step sends. ``step(inbound)``
+    returns ``(moved, messages)``; after a step that moves nothing the actor
+    waits for mail, at most ``env.timeout_ms`` at a time."""
     wait = 0.0
-    while not env.past_end(node.clock[0]) and not stop():
-        moved, messages = node.step(backend.poll(node.id, wait), minpak)
+    while not over() and not stop():
+        moved, messages = step(backend.poll(actor, wait))
         ship(backend, messages)
         wait = 0.0 if moved else env.timeout_ms / 1000.0
-    ship(backend, node.flush_ready(minpak, force=True))
+
+
+def run_node(node: NodeState, env: EnvState, backend,
+             stop: Callable[[], bool]) -> None:
+    """Run one processor until it has seen the run end or ``stop()`` holds,
+    then ship what is staged."""
+    run_actor(node.id, node.step, lambda: env.past_end(node.clock[0]), env,
+              backend, stop)
+    ship(backend, node.flush_ready(force=True))
 
 
 class ThreadedEngine:
@@ -254,8 +264,7 @@ class ThreadedEngine:
                  minpak: int = 1, timeout_ms: int = 20,
                  max_wall_s: float = 60.0) -> None:
         self.env, self.nodes = build_simulation(
-            net, mapping, stimuli, horizon, timeout_ms=timeout_ms)
-        self.minpak = minpak
+            net, mapping, stimuli, horizon, timeout_ms=timeout_ms, minpak=minpak)
         self.max_wall_s = max_wall_s
         self.backend = InProcBackend(mapping.procs, self.env)
         self._stop = threading.Event()
@@ -264,15 +273,14 @@ class ThreadedEngine:
 
     def _node_loop(self, node: NodeState) -> None:
         try:
-            run_node(node, self.env, self.backend, self.minpak,
-                     self._stop.is_set)
+            run_node(node, self.env, self.backend, self._stop.is_set)
         except Exception as exc:  # noqa: BLE001 - reported as a run violation
             with self._errlock:
                 self._errors.append(f"node {node.id}: {exc!r}")
             self._stop.set()
 
     def run(self) -> RunResult:
-        ship(self.backend, self.env.step([]))  # T = 1
+        ship(self.backend, self.env.step([])[1])  # T = 1
         threads = [
             threading.Thread(target=self._node_loop, args=(node,), daemon=True)
             for node in self.nodes.values()
@@ -309,20 +317,17 @@ def run_tcp_node(net: NetworkSpec, mapping: MappingSpec,
     Raises ``TransportError`` if the run is not over within ``TCP_WALL_S``."""
     roster = load_roster(roster_path)
     env, nodes = build_simulation(net, mapping, stimuli, horizon,
-                                  timeout_ms=timeout_ms, only_node=node_id)
+                                  timeout_ms=timeout_ms, only_node=node_id,
+                                  minpak=minpak)
     node = nodes[node_id]
     backend = TcpBackend(node_id, roster)
     deadline = time.monotonic() + TCP_WALL_S
-
-    def stop() -> bool:
-        if time.monotonic() > deadline:
-            raise TransportError(f"processor {node_id}: no end of run in {TCP_WALL_S} s")
-        return False
-
     try:
-        run_node(node, env, backend, minpak, stop)
+        run_node(node, env, backend, lambda: time.monotonic() > deadline)
     finally:
         backend.close()
+    if not env.past_end(node.clock[0]):
+        raise TransportError(f"processor {node_id}: no end of run in {TCP_WALL_S} s")
     return node
 
 
@@ -373,8 +378,9 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     ``node_argv`` holds the full command line for each node process; each
     node writes its firing trace to a shard file merged by the caller. Each
     node starts through ``start_node``, which forks the CLI's own command
-    only while no other thread runs. The launcher watches the nodes' exit
-    pipes, and starts no thread.
+    only while no other thread runs. The environment steps in ``run_actor``;
+    a node that fails mid-run closes its connections. Exit pipes serve the
+    backend's build, which gives up once a node has exited, and the reaping.
     A node that fails to start, a transport failure, a message the
     environment rejects and every non-zero exit of a node are violations;
     every node started is reaped before this returns.
@@ -389,10 +395,6 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     exit_pipes: list[int] = []
     errors: list[str] = []
     backend = None
-
-    def node_exited() -> bool:  # only a failing node exits before the end
-        return node_exits(exit_pipes, 0.0)
-
     try:
         # Every node starts before the backend opens a socket.
         for pid, argv in enumerate(node_argv, start=1):
@@ -403,19 +405,13 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
                     f"node process for processor {pid} failed to start: {exc}") from exc
             children.append(child)
             exit_pipes.append(exit_pipe)
-        backend = TcpBackend(0, roster, give_up=node_exited)
-        # Step until the run ends or a node fails, waiting on the inbox at
-        # most env.timeout_ms at a time to check both and the budget.
+        # Only a failing node exits before the end.
+        backend = TcpBackend(0, roster, give_up=lambda: node_exits(exit_pipes, 0.0))
         deadline = time.monotonic() + max_wall_s
-        inbound: list[Message] = []
-        while True:
-            ship(backend, env.step(inbound))
-            if env.done or node_exited():
-                break
-            if time.monotonic() > deadline:
-                errors = ["wall-clock budget exceeded"]
-                break
-            inbound = backend.poll(0, env.timeout_ms / 1000.0)
+        run_actor(0, env.step, lambda: env.done, env, backend,
+                  lambda: time.monotonic() > deadline)
+        if not env.done:
+            errors = ["wall-clock budget exceeded"]
     except TransportError as exc:
         errors = [str(exc)]
     except ProtocolViolation as exc:

@@ -65,9 +65,11 @@ class EnvState:
 
     # -- advancement ---------------------------------------------------------
 
-    def step(self, inbound: list[Message]) -> list[tuple[int, Message]]:
+    def step(self, inbound: list[Message]) -> tuple[bool, list[tuple[int, Message]]]:
         """Take reports and outputs; advance T at the start, on an output that
-        reached T, else at quiescence. Returns the (dest, message) pairs."""
+        reached T, else at quiescence. Returns (moved, messages) as
+        ``NodeState.step`` does: whether T advanced, and the (dest, message)
+        pairs of its broadcast."""
         advance = self.T == 0
         for msg in inbound:
             if msg.report is not None:
@@ -79,8 +81,8 @@ class EnvState:
         elif (floor := self.quiescence_floor()) is not None:
             broadcast = self.on_timeout(floor)
         else:
-            return []
-        return list(enumerate(broadcast, start=1))
+            return False, []
+        return True, list(enumerate(broadcast, start=1))
 
     def _advance(self) -> list[Message]:
         """T + 1; one message per compute processor, with stimuli emitted at T-1."""

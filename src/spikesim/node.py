@@ -62,7 +62,7 @@ class NodeState:
                  ecs: dict[int, ECState],
                  fanout: dict[int, list[int]],
                  owners: dict[int, set[int]],
-                 outputs: set[int]) -> None:
+                 outputs: set[int], minpak: int = 1) -> None:
         if node_id < 1:
             raise ValueError("compute processor ids start at 1")
         self.id = node_id
@@ -78,6 +78,7 @@ class NodeState:
         self.fanout = fanout  # source -> its local targets (at least one)
         self.owners = owners  # local neuron -> other processors it reaches
         self.outputs = outputs
+        self.minpak = minpak  # staged events that fill a batch to another processor
         self.outboxes: dict[int, list[Spike]] = {}
         # Spike messages (anything but a report) per destination / source.
         self.sent = [0] * (procs + 1)
@@ -247,24 +248,24 @@ class NodeState:
 
     # -- controller steps ---------------------------------------------------------
 
-    def step(self, inbound, minpak: int = 1):
+    def step(self, inbound):
         """Receive, compute and emit; returns (moved, messages). Only mail can
         change a processor whose step moves nothing, so such a step ships its
         partial batches and reports any change of its message counts."""
         for msg in inbound:
             self.receive(msg)
         computed = self.cpc_step()
-        progress, messages = self.cmc_step(minpak)
+        progress, messages = self.cmc_step()
         if computed or progress or messages:
             return True, messages
-        messages = self.flush_ready(minpak, force=True)
+        messages = self.flush_ready(force=True)
         if (self.sent, self.received) != self.reported:
             self.reported = (list(self.sent), list(self.received))
             report = Report(self.floor(), *self.reported)
             messages.append((0, Message(self.id, [], report=report)))
         return False, messages
 
-    def cmc_step(self, minpak: int = 1):
+    def cmc_step(self):
         """Emission control + message staging; returns (progress, messages)."""
         progress = False
         while (e := self.cp_top()) is not None:
@@ -275,7 +276,7 @@ class NodeState:
                 break
             self.apply_emission(e)
             progress = True
-        return progress, self.flush_ready(minpak)
+        return progress, self.flush_ready()
 
     def cpc_step(self) -> bool:
         """Once the top arrival is authorized, so is every arrival of its stamp
@@ -295,7 +296,7 @@ class NodeState:
         self.stats.computed += computed
         return computed > 0
 
-    def flush_ready(self, minpak: int, force: bool = False):
+    def flush_ready(self, force: bool = False):
         """Messages ready to send, as (destination, message) pairs.
 
         Destination 0 always flushes immediately: a withheld output spike
@@ -304,7 +305,7 @@ class NodeState:
         messages = []
         for dest in sorted(self.outboxes):
             staged = self.outboxes[dest]
-            if dest == 0 or force or len(staged) >= minpak:
+            if dest == 0 or force or len(staged) >= self.minpak:
                 del self.outboxes[dest]  # the batch leaves with the message
                 messages.append(
                     (dest, Message(sender=self.id, clock=[self.clock[self.id]],

@@ -56,12 +56,11 @@ class SuiteReport:
 
 
 def run_cell(seed: int, procs: int, n: int = 24, prob: float = 0.12,
-             horizon: int = 200, minpak: int = 1) -> CellResult:
+             horizon: int = 200) -> CellResult:
     net, mapping, stimuli = generate_random(seed=seed, n=n, prob=prob,
                                             procs=procs, horizon=horizon)
     start = time.perf_counter()
-    result = DeterministicEngine(net, mapping, stimuli, horizon,
-                                 minpak=minpak).run()
+    result = DeterministicEngine(net, mapping, stimuli, horizon).run()
     expected = sequential_simulate(net, stimuli, horizon)
     diff = compare_traces(result.trace, expected)
     violations = list(result.violations)
@@ -73,8 +72,6 @@ def run_cell(seed: int, procs: int, n: int = 24, prob: float = 0.12,
 
 
 def run_property_suite(seeds, procs_list=(1, 2, 4), n: int = 24,
-                       prob: float = 0.12, horizon: int = 200,
-                       minpak: int = 1) -> SuiteReport:
-    return SuiteReport([run_cell(seed, procs, n=n, prob=prob, horizon=horizon,
-                                 minpak=minpak)
+                       prob: float = 0.12, horizon: int = 200) -> SuiteReport:
+    return SuiteReport([run_cell(seed, procs, n=n, prob=prob, horizon=horizon)
                         for seed in seeds for procs in procs_list])

@@ -85,10 +85,9 @@ def validate(net: NetworkSpec, mapping: MappingSpec) -> ValidationReport:
     for nid, proc in mapping.assignment.items():
         if nid not in net.neurons:
             report.violations.append(f"assignment of unknown neuron {nid}")
-        if proc < 1 or proc > mapping.procs:
-            report.violations.append(
-                f"neuron {nid} assigned to processor {proc} (0 is the environment)"
-            )
+        if not 1 <= proc <= mapping.procs:
+            why = " (0 is the environment)" if proc == 0 else f", outside 1..{mapping.procs}"
+            report.violations.append(f"neuron {nid} assigned to processor {proc}{why}")
     for nid in net.neurons:
         if nid not in mapping.assignment:
             report.violations.append(f"neuron {nid} unmapped")

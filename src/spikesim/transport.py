@@ -177,7 +177,7 @@ class InProcBackend:
             return
         with self._lock:
             if not self.env.done:
-                for pid, out in self.env.step([msg]):
+                for pid, out in self.env.step([msg])[1]:
                     self.inboxes[pid].put(out)
 
     def poll(self, pid: int, wait: float = 0) -> list[Message]:
@@ -294,22 +294,27 @@ class TcpBackend:
                 return out
 
     def _read(self, conn: socket.socket, out: list[Message]) -> None:
-        # Peers close their sockets when they terminate. The environment
-        # closes only after every node has exited, so a node still reading
-        # has lost its run. The sender is bound by the first frame; an
-        # environment that closes before it failed to build its backend (its
-        # launcher kills the nodes after STOP_GRACE_S) or was killed (they
-        # fail at TCP_WALL_S).
+        # Peers close their sockets when they terminate. A node closes only
+        # once it has seen the run end, and the environment only after every
+        # node has exited, so an environment that reads a node's close has
+        # lost its run, as has a node that reads the environment's. The
+        # sender is bound by the first frame; an environment that closes
+        # before it failed to build its backend (its launcher kills the nodes
+        # after STOP_GRACE_S) or was killed (they fail at TCP_WALL_S).
         try:
             chunk = conn.recv(1 << 16)
         except OSError:
             chunk = b""
         if not chunk:
+            sender = self._sender.get(conn)
             self._selector.unregister(conn)
             del self._in[conn]
             conn.close()
-            if self._sender.get(conn) == 0:
+            if sender == 0:
                 raise TransportError(f"processor {self.pid}: environment closed the connection")
+            if self.pid == 0:
+                peer = "a node" if sender is None else f"processor {sender}"
+                raise TransportError(f"environment: {peer} closed the connection")
             return
         buf = self._in[conn]
         buf += chunk

@@ -288,8 +288,9 @@ def test_a_duplicated_broadcast_ends_a_threads_run_as_that_nodes_violation():
     step = run.env.step
 
     def step_and_repeat_20_to_node_1(inbound):
-        pairs = step(inbound)
-        return pairs + [(1, msg) for dest, msg in pairs if dest == 1 and msg.clock[0] == 20]
+        moved, pairs = step(inbound)
+        return moved, pairs + [(1, msg) for dest, msg in pairs
+                               if dest == 1 and msg.clock[0] == 20]
 
     run.env.step = step_and_repeat_20_to_node_1
     start = time.monotonic()
@@ -448,7 +449,7 @@ def test_tcp_launcher_reports_a_message_its_environment_rejects(tmp_path, monkey
     forked.assert_reaped()
 
 
-def two_neuron_simulation():
+def two_neuron_simulation(minpak=1):
     # Neuron 1 on processor 1 fires once, at 1, into neuron 2 on processor 2.
     net = NetworkSpec()
     net.neurons = {1: NeuronParams(1.0, 10.0), 2: NeuronParams(1.0, 10.0)}
@@ -456,18 +457,18 @@ def two_neuron_simulation():
     net.inputs = {1}
     net.outputs = {2}
     mapping = MappingSpec(assignment={1: 1, 2: 2}, procs=2)
-    return build_simulation(net, mapping, {0: [1]}, horizon=10)
+    return build_simulation(net, mapping, {0: [1]}, horizon=10, minpak=minpak)
 
 
 def test_node_flushes_a_partial_batch_before_it_waits():
-    env, nodes = two_neuron_simulation()
+    env, nodes = two_neuron_simulation(minpak=4)
     # T = 2 after a quiescence advancement: the spike at 1 may be emitted.
     floor = min(node.floor() for node in nodes.values())
     inbound = [env.advance_T()[0], env.on_timeout(floor)[0]]
-    moved, messages = nodes[1].step(inbound, minpak=4)
+    moved, messages = nodes[1].step(inbound)
     # One staged event, below minpak, stays in the outbox while work moves.
     assert moved and messages == [] and nodes[1].trace == [(1, 1)]
-    moved, messages = nodes[1].step([], minpak=4)
+    moved, messages = nodes[1].step([])
     assert not moved
     assert [(dest, msg.events) for dest, msg in messages] == [
         (2, [Spike(1, 1)]), (0, [])]
@@ -477,19 +478,19 @@ def test_node_flushes_a_partial_batch_before_it_waits():
 def test_node_step_reports_once_per_change_of_counts():
     env, nodes = two_neuron_simulation()
     node = nodes[2]
-    moved, messages = node.step([], minpak=1)
+    moved, messages = node.step([])
     assert not moved
     assert [(dest, msg.report) for dest, msg in messages] == [
         (0, Report(UNBOUNDED, [0, 0, 0], [0, 0, 0]))]
-    assert node.step([], minpak=1) == (False, [])
+    assert node.step([]) == (False, [])
     # A clock-only broadcast moves nothing here; its receipt is reported at
     # once, and only once.
-    broadcast = dict(env.step([]))
-    moved, messages = node.step([broadcast[2]], minpak=1)
+    broadcast = dict(env.step([])[1])
+    moved, messages = node.step([broadcast[2]])
     assert not moved
     assert [(dest, msg.report) for dest, msg in messages] == [
         (0, Report(UNBOUNDED, [0, 0, 0], [1, 0, 0]))]
-    assert node.step([], minpak=1) == (False, [])
+    assert node.step([]) == (False, [])
 
 
 @pytest.mark.parametrize("schedule", ["det", "pct"])
@@ -510,10 +511,10 @@ def test_det_steps_a_processor_only_on_mail_or_after_a_step_that_moved(monkeypat
     # nothing. At the README's size.
     step, moved_last, idle = NodeState.step, {}, []
 
-    def spy(self, inbound, minpak=1):
+    def spy(self, inbound):
         if not inbound and not moved_last.get(self.id):
             idle.append(self.id)
-        moved, messages = step(self, inbound, minpak)
+        moved, messages = step(self, inbound)
         moved_last[self.id] = moved
         return moved, messages
 
@@ -616,6 +617,33 @@ def test_tcp_launcher_stops_soon_after_a_node_dies(tmp_path, free_ports, spawned
         result.violations
     assert elapsed < 6.0
     assert len(spawned) == 2
+    spawned.assert_reaped()
+
+
+@pytest.mark.parametrize("send, peer", [("", "a node"), (
+    "b.send(0, Message(1, [], report=Report(0, [0, 0], [0, 0]))); ", "processor 1")],
+    ids=["silent", "after-a-report"])
+def test_tcp_launcher_reports_a_node_that_closes_before_the_run_ends(
+        tmp_path, free_ports, spawned, send, peer):
+    # The node builds its backend, sends nothing or one report, closes the
+    # backend and exits 0 long before a 50-tick run could end. Its exit code
+    # says nothing is wrong, so the violation is the close the environment
+    # reads, which names the node once a frame has bound its connection.
+    net, mapping, stimuli = generate_random(seed=2, n=8, prob=0.2, procs=1,
+                                            horizon=50)
+    roster = tmp_path / "roster"
+    roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
+                              for pid, port in enumerate(free_ports(2))))
+    quits = ("from spikesim.transport import Message, Report, TcpBackend, load_roster; "
+             f"b = TcpBackend(1, load_roster({str(roster)!r})); {send}b.close()")
+    start = time.monotonic()
+    result = engine.run_tcp_launcher(net, mapping, stimuli, 50, roster_path=str(roster),
+                                     node_argv=[[sys.executable, "-c", quits]],
+                                     max_wall_s=30.0)
+    assert time.monotonic() - start < 5.0
+    assert result.violations == [f"environment: {peer} closed the connection"]
+    assert result.stats["advancements"] <= 1
+    assert len(spawned) == 1
     spawned.assert_reaped()
 
 

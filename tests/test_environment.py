@@ -106,8 +106,9 @@ def report_msg(node, sent, received, floor=UNBOUNDED):
 
 def test_step_starts_the_run_and_then_waits_for_mail():
     env = make_env()
-    assert [(dest, msg.clock[0]) for dest, msg in env.step([])] == [(1, 1), (2, 1)]
-    assert env.step([]) == []
+    moved, broadcast = env.step([])
+    assert moved and [(dest, msg.clock[0]) for dest, msg in broadcast] == [(1, 1), (2, 1)]
+    assert env.step([]) == (False, [])
     assert env.T == 1
 
 
@@ -116,13 +117,13 @@ def test_step_returns_nothing_while_a_channel_is_unbalanced():
     env.step([])
     # Node 2 has not yet received the first broadcast.
     assert env.step([report_msg(1, [0, 0, 0], [1, 0, 0]),
-                     report_msg(2, [0, 0, 0], [0, 0, 0])]) == []
+                     report_msg(2, [0, 0, 0], [0, 0, 0])]) == (False, [])
     # Node 1 sent node 2 a message that node 2 has not reported.
     assert env.step([report_msg(1, [0, 0, 1], [1, 0, 0], floor=4),
-                     report_msg(2, [0, 0, 0], [1, 0, 0])]) == []
+                     report_msg(2, [0, 0, 0], [1, 0, 0])]) == (False, [])
     assert env.T == 1 and env.stats.timeouts == 0
-    broadcast = env.step([report_msg(2, [0, 0, 0], [1, 1, 0], floor=3)])
-    assert [dest for dest, _ in broadcast] == [1, 2]
+    moved, broadcast = env.step([report_msg(2, [0, 0, 0], [1, 1, 0], floor=3)])
+    assert moved and [dest for dest, _ in broadcast] == [1, 2]
     assert env.T == 2 and env.stats.timeouts == 1
 
 
@@ -131,9 +132,9 @@ def test_step_advances_on_an_output_before_quiescence():
     env.step([])
     output = Message(sender=1, clock=[1], events=[Spike(1, 1)])
     # The same mail also proves quiescence; the output decides first.
-    broadcast = env.step([report_msg(1, [1, 0, 0], [1, 0, 0], floor=5),
-                          report_msg(2, [0, 0, 0], [1, 0, 0]), output])
-    assert [dest for dest, _ in broadcast] == [1, 2]
+    moved, broadcast = env.step([report_msg(1, [1, 0, 0], [1, 0, 0], floor=5),
+                                 report_msg(2, [0, 0, 0], [1, 0, 0]), output])
+    assert moved and [dest for dest, _ in broadcast] == [1, 2]
     assert env.T == 2
     assert env.stats.timeouts == 0 and env.stats.advancements == 2
     assert env.raised == 0   # no magnitude raised to the floor

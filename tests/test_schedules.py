@@ -27,7 +27,7 @@ def run_schedule(net, mapping, stimuli, horizon, rng, minpak=1, depth=None):
     the actors get random priorities and the highest-priority waiting actor
     steps; at ``depth`` random steps the actor about to step drops below
     every other (PCT)."""
-    env, nodes = build_simulation(net, mapping, stimuli, horizon)
+    env, nodes = build_simulation(net, mapping, stimuli, horizon, minpak=minpak)
     actors = [0, *sorted(nodes)]
     priority = {a: p for p, a in enumerate(rng.sample(actors, len(actors)))}
     changes = set(rng.sample(range(2_000 * len(actors)), depth or 0))
@@ -54,7 +54,7 @@ def run_schedule(net, mapping, stimuli, horizon, rng, minpak=1, depth=None):
             priority[actor] = -steps
         return actor, take
 
-    return drive(env, nodes, choose, minpak, InvariantMonitor(env, nodes))
+    return drive(env, nodes, choose, InvariantMonitor(env, nodes))
 
 
 def seeded_schedule(seed):

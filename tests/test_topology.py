@@ -82,7 +82,11 @@ def test_validate_rejects_environment_assignment():
     (lambda net, mapping: setattr(mapping, "procs", 0), "procs 0 < 1"),
     (lambda net, mapping: mapping.assignment.update({7: 1}),
      "assignment of unknown neuron 7"),
-], ids=["input", "output", "procs", "assignment"])
+    (lambda net, mapping: mapping.assignment.update({3: 3}),
+     "neuron 3 assigned to processor 3, outside 1..2"),
+    (lambda net, mapping: setattr(mapping, "procs", 0),
+     "neuron 1 assigned to processor 1, outside 1..0"),
+], ids=["input", "output", "procs", "assignment", "above-procs", "no-procs"])
 def test_validate_rejects_what_the_spec_does_not_declare(change, why):
     net, mapping = small_net(), MappingSpec({1: 1, 2: 1, 3: 2}, procs=2)
     change(net, mapping)

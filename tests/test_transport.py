@@ -194,7 +194,7 @@ def test_inproc_mail_to_the_environment_steps_it_until_the_run_ends():
     # sender's thread, and the broadcast is in the node's inbox on return.
     backend = inproc(1, horizon=0)
     env = backend.env
-    for dest, msg in env.step([]):
+    for dest, msg in env.step([])[1]:
         backend.send(dest, msg)
     while not env.done:
         [broadcast] = backend.poll(1)
