@@ -32,8 +32,7 @@ from .neuron import ECState, Synapse
 from .node import NodeState
 from .oracle import trace_order
 from .topology import MappingSpec, NetworkSpec
-from .transport import (InProcBackend, Message, TcpBackend, TransportError,
-                        load_roster)
+from .transport import InProcBackend, TcpBackend, TransportError, load_roster
 
 
 class RunResult:
@@ -163,7 +162,7 @@ def drive(env: EnvState, nodes: dict[int, NodeState], choose,
         if (pick := choose(waiting)) is None:
             break
         actor, take = pick
-        inbound: list[Message] = []
+        inbound = []
         for channel in inboxes[actor].values():
             if channel:
                 count = take(len(channel))
@@ -419,7 +418,9 @@ def run_tcp_launcher(net: NetworkSpec, mapping: MappingSpec,
     finally:
         # After a finished run every node sees the final advancement (channels
         # are FIFO) and stops by itself, flushing to this backend until then;
-        # after a run cut short, none does.
+        # after a run cut short, a node stops once it reads the backend close.
+        if backend is not None and not env.done:
+            backend.close()
         deadline = time.monotonic() + (EXIT_WAIT_S if env.done else STOP_GRACE_S)
         for pid, (child, exit_pipe) in enumerate(zip(children, exit_pipes), start=1):
             exited = node_exits([exit_pipe], max(0.0, deadline - time.monotonic()))

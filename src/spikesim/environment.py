@@ -2,8 +2,8 @@
 
 The environment injects external stimuli towards input neurons, collects
 the spikes of output neurons, and advances the actual time T. Every
-advancement is broadcast to all compute processors as a message carrying
-``[T, raised]`` and, when scheduled, the stimuli emitted at T-1 (so input
+advancement is broadcast to all compute processors as a ``Broadcast`` of
+T and the raise and, when scheduled, the stimuli emitted at T-1 (so input
 neurons fire at T), each a ``Spike(input, T-1)`` that its owner files
 under the source ``EXT_NEURON``. Processors with nothing scheduled still
 receive the bare stamps; the environment is the only sender allowed to
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .events import ProtocolViolation, Spike
 from .oracle import trace_order
-from .transport import Message, Report
+from .transport import Broadcast, Report, Spikes
 
 
 class EnvStats:
@@ -65,14 +65,14 @@ class EnvState:
 
     # -- advancement ---------------------------------------------------------
 
-    def step(self, inbound: list[Message]) -> tuple[bool, list[tuple[int, Message]]]:
+    def step(self, inbound: list[Spikes | Report]) -> tuple[bool, list[tuple[int, Broadcast]]]:
         """Take reports and outputs; advance T at the start, on an output that
         reached T, else at quiescence. Returns (moved, messages) as
         ``NodeState.step`` does: whether T advanced, and the (dest, message)
         pairs of its broadcast."""
         advance = self.T == 0
         for msg in inbound:
-            if msg.report is not None:
+            if type(msg) is Report:
                 self.on_report(msg)
             elif self.on_output(msg):
                 advance = True
@@ -84,20 +84,20 @@ class EnvState:
             return False, []
         return True, list(enumerate(broadcast, start=1))
 
-    def _advance(self) -> list[Message]:
+    def _advance(self) -> list[Broadcast]:
         """T + 1; one message per compute processor, with stimuli emitted at T-1."""
         self.T += 1
         self.stats.advancements += 1
         per_proc: dict[int, list[Spike]] = {p: [] for p in range(1, self.procs + 1)}
         for nid in self.stimuli.get(self.T - 1, ()):  # noqa: delivered exactly once
             per_proc[self.owner_of[nid]].append(Spike(nid, self.T - 1))
-        return [Message(sender=0, clock=[self.T, self.raised], events=spikes)
+        return [Broadcast(self.T, self.raised, spikes)
                 for spikes in per_proc.values()]  # in processor order
 
-    def advance_T(self) -> list[Message]:
+    def advance_T(self) -> list[Broadcast]:
         return self._advance()
 
-    def on_timeout(self, floor: int) -> list[Message]:
+    def on_timeout(self, floor: int) -> list[Broadcast]:
         """Advancement at quiescence: also raise every emission time to
         ``floor``, the least stamp any processor may still emit, but not past
         T-1."""
@@ -105,11 +105,11 @@ class EnvState:
         self.raised = max(self.raised, min(self.T, floor))  # the new T - 1 at most
         return self._advance()
 
-    def on_report(self, msg: Message) -> None:
-        if not 1 <= msg.sender <= self.procs or len(msg.report.sent) != self.procs + 1:
+    def on_report(self, report: Report) -> None:
+        if not 1 <= report.sender <= self.procs or len(report.sent) != self.procs + 1:
             raise ProtocolViolation(
-                f"report from {msg.sender} does not fit {self.procs} processors")
-        self.reports[msg.sender] = msg.report
+                f"report from {report.sender} does not fit {self.procs} processors")
+        self.reports[report.sender] = report
 
     def quiescence_floor(self) -> int | None:
         """The least reported floor once the latest reports prove that no
@@ -129,7 +129,7 @@ class EnvState:
                 return None
         return min(r.floor for r in reps.values())
 
-    def on_output(self, msg: Message) -> bool:
+    def on_output(self, msg: Spikes) -> bool:
         """Log output spikes; True if the sender's emission time reached T."""
         self.received[msg.sender] += 1
         for spike in msg.events:
@@ -138,7 +138,7 @@ class EnvState:
                     f"{spike} from processor {msg.sender}, which does not own it")
             self.output_log.append(spike)
             self.stats.outputs_received += 1
-        return msg.clock[0] == self.T
+        return msg.stamp == self.T
 
     def sorted_outputs(self) -> list[tuple[int, int]]:
         return sorted(self.output_log, key=trace_order)

@@ -140,21 +140,27 @@ class ECState:
 
     def integrate(self, stamp: int, sources) -> IntegrationResult:
         """Integrate the spikes ``sources`` fired at ``stamp``, each checked, in
-        one replay from the earliest arriving group; update the forecast table."""
+        one replay from the earliest arriving group; update the forecast table.
+        Every arrival passes its checks before the cell changes."""
         times, groups, after, horizon = self.times, self.groups, self.after, self.horizon
         last_stamps, synapses, start = self._last_stamp_per_source, self.synapses, len(times)
         for source in sources:
             if stamp <= last_stamps.get(source, -1):
                 raise ProtocolViolation(f"neuron {self.neuron}: duplicate or reordered event from "
                                         f"{source} (stamp {stamp} after {last_stamps[source]})")
-            last_stamps[source] = stamp
             syn = synapses.get(source)
             if syn is None:
                 raise TopologyError(f"neuron {self.neuron}: no synapse from source {source}")
+            if stamp + syn.delay <= horizon:
+                raise ProtocolViolation(f"neuron {self.neuron}: stale arrival at "
+                                        f"{stamp + syn.delay}, horizon {horizon}")
+        if len(set(sources)) < len(sources):
+            raise ProtocolViolation(f"neuron {self.neuron}: duplicate event at {stamp} "
+                                    f"in sources {sources}")
+        for source in sources:
+            last_stamps[source] = stamp
+            syn = synapses[source]
             eff = stamp + syn.delay
-            if eff <= horizon:
-                raise ProtocolViolation(f"neuron {self.neuron}: stale arrival at {eff}, "
-                                        f"horizon {horizon}")
             i = bisect_left(times, eff)
             if i < len(times) and times[i] == eff:
                 insort(groups[i], (source, stamp, syn.weight))

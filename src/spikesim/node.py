@@ -32,7 +32,7 @@ import heapq
 from .events import (ArrivalCalendar, CMEvent, CPEvent, EXT_NEURON,
                      ProtocolViolation, Spike, TopologyError)
 from .neuron import ECState, IntegrationResult
-from .transport import Message, Report
+from .transport import Broadcast, Report, Spikes
 
 
 # floor() of a processor with nothing pending: it sets no bound of its own.
@@ -115,15 +115,16 @@ class NodeState:
             self.cm_queue.file(source, stamp, targets)
         return bool(targets)
 
-    def receive(self, msg) -> None:
+    def receive(self, msg: Spikes | Broadcast) -> None:
         sender, clock = msg.sender, self.clock
         self.received[sender] += 1
         if sender:  # its emission time
-            clock[sender] = max(clock[sender], msg.clock[0])
+            clock[sender] = max(clock[sender], msg.stamp)
         else:  # T, and the raise, which lifts every entry but our own
-            T, raised = msg.clock
+            T, raised = msg.T, msg.raised
             if T != clock[0] + 1 or raised >= T:  # each advancement, once, in order
-                raise ProtocolViolation(f"node {self.id}: broadcast {msg.clock} after T {clock[0]}")
+                raise ProtocolViolation(f"node {self.id}: broadcast of T {T}, raise {raised}, "
+                                        f"after T {clock[0]}")
             clock[0] = T
             for m in range(1, self.procs + 1):
                 if m != self.id:
@@ -261,8 +262,7 @@ class NodeState:
         messages = self.flush_ready(force=True)
         if (self.sent, self.received) != self.reported:
             self.reported = (list(self.sent), list(self.received))
-            report = Report(self.floor(), *self.reported)
-            messages.append((0, Message(self.id, [], report=report)))
+            messages.append((0, Report(self.id, self.floor(), *self.reported)))
         return False, messages
 
     def cmc_step(self):
@@ -307,10 +307,7 @@ class NodeState:
             staged = self.outboxes[dest]
             if dest == 0 or force or len(staged) >= self.minpak:
                 del self.outboxes[dest]  # the batch leaves with the message
-                messages.append(
-                    (dest, Message(sender=self.id, clock=[self.clock[self.id]],
-                                   events=staged))
-                )
+                messages.append((dest, Spikes(self.id, self.clock[self.id], staged)))
                 self.sent[dest] += 1
                 self.stats.messages_sent += 1
         return messages

@@ -10,13 +10,16 @@ Wire layout (little-endian, bit-exact):
     nevents u32
     events  (neuron u32, stamp i32) * nevents
 
-A channel carries its sender's time alone (Chandy & Misra 1979): a node's
-emission time, or the environment's T and quiescence raise. Each event is a
-``Spike``. In a node's message it names a neuron of that node that fired,
-and the receiver files it for each of its cells that neuron reaches; in the
-environment's, it names the input a stimulus drives. A ``Report`` has magic
+Each kind of mail is one record. A channel carries its sender's time alone
+(Chandy & Misra 1979): a node's ``Spikes`` carry its emission time, the
+environment's ``Broadcast`` its T and quiescence raise. Each event is a
+``Spike``. In ``Spikes`` it names a neuron of that node that fired, and the
+receiver files it for each of its cells that neuron reaches; in a
+``Broadcast``, it names the input a stimulus drives. A ``Report`` has magic
 "DR" and the same header with n = P + 1 in place of nclock, then floor i32,
-sent u32 * n, received u32 * n. ``decode`` rejects what ``validate`` does.
+sent u32 * n, received u32 * n. ``decode`` rejects a stamp count that does
+not fit the sender, a node's frame without spikes, a report from processor
+0, and truncated, padded or out-of-range data.
 
 Each TCP frame is one encoded message preceded by a u32 length prefix;
 frames carry their sender, so a connection sends nothing but frames, and
@@ -44,7 +47,8 @@ MAGIC = b"DN"
 REPORT_MAGIC = b"DR"
 VERSION = 3
 _HEADER = struct.Struct("<2sBHH")
-_NEVENTS = struct.Struct("<I")
+_SPIKES = struct.Struct("<2sBHHiI")  # the header, the emission time, nevents
+_BROADCAST = struct.Struct("<2sBHH2iI")  # the header, T and the raise, nevents
 _EVENT = struct.Struct("<Ii")
 _FRAME = struct.Struct("<I")
 
@@ -53,63 +57,51 @@ class CodecError(ValueError):
     """Malformed or out-of-range wire data."""
 
 
+class Spikes(NamedTuple):
+    """A compute processor's spikes, sent at its emission time ``stamp``."""
+    sender: int
+    stamp: int
+    events: list[Spike]
+
+
+class Broadcast(NamedTuple):
+    """An advancement of T by the environment, with its raise and the
+    stimuli emitted at T - 1 for one processor."""
+    T: int
+    raised: int
+    events: list[Spike]
+    sender = 0  # not a field: always the environment
+
+
 class Report(NamedTuple):
     """What an idle compute processor tells the environment: the least
     stamp it may still emit without new mail, and its spike-message counts
     per channel (index = peer id, 0 the environment)."""
+    sender: int
     floor: int
     sent: list[int]
     received: list[int]
 
 
-class Message:
-    __slots__ = ("sender", "clock", "events", "report")
-
-    def __init__(self, sender: int, clock: list[int], events: list[Spike] | None = None,
-                 report: Report | None = None) -> None:  # a report: no clock, no events
-        self.sender, self.clock, self.report = sender, clock, report
-        self.events = [] if events is None else events
-
-    def _fields(self) -> tuple:
-        return self.sender, self.clock, self.events, self.report
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Message) and self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "Message(sender={!r}, clock={!r}, events={!r}, report={!r})".format(*self._fields())
-
-    def validate(self) -> None:
-        if self.report is not None:
-            if (self.sender == 0 or self.events or self.clock
-                    or len(self.report.sent) != len(self.report.received)):
-                raise CodecError("a report comes from a compute processor alone")
-        elif len(self.clock) != (1 if self.sender else 2):
-            raise CodecError(f"{len(self.clock)} stamps from processor {self.sender}")
-        elif not self.events and self.sender != 0:
-            raise CodecError("only the environment may send clock-only messages")
-
-
-def encode(msg: Message) -> bytes:
+def encode(msg: Spikes | Broadcast | Report) -> bytes:
     """Pack ``msg``; struct rejects every value the layout cannot hold."""
     try:
-        if msg.report is not None:
-            floor, sent, received = msg.report
-            return (_HEADER.pack(REPORT_MAGIC, VERSION, msg.sender, len(sent))
+        if type(msg) is Report:
+            sender, floor, sent, received = msg
+            return (_HEADER.pack(REPORT_MAGIC, VERSION, sender, len(sent))
                     + struct.pack(f"<i{2 * len(sent)}I", floor, *sent, *received))
-        return b"".join((
-            _HEADER.pack(MAGIC, VERSION, msg.sender, len(msg.clock)),
-            struct.pack(f"<{len(msg.clock)}i", *msg.clock),
-            _NEVENTS.pack(len(msg.events)),
-            struct.pack("<" + "Ii" * len(msg.events), *chain.from_iterable(msg.events)),
-        ))
+        events = msg.events
+        head = (_BROADCAST.pack(MAGIC, VERSION, 0, 2, msg.T, msg.raised, len(events))
+                if type(msg) is Broadcast else
+                _SPIKES.pack(MAGIC, VERSION, msg.sender, 1, msg.stamp, len(events)))
+        return head + struct.pack("<" + "Ii" * len(events), *chain.from_iterable(events))
     except struct.error as exc:
         raise CodecError(f"value out of range: {exc}") from exc
 
 
-def decode(data: bytes) -> Message:
+def decode(data: bytes) -> Spikes | Broadcast | Report:
     try:
-        magic, version, sender, nclock = _HEADER.unpack_from(data)
+        magic, version, sender, n = _HEADER.unpack_from(data)
     except struct.error as exc:
         raise CodecError(f"truncated header: {exc}") from exc
     if magic not in (MAGIC, REPORT_MAGIC):
@@ -117,25 +109,28 @@ def decode(data: bytes) -> Message:
     if version != VERSION:
         raise CodecError(f"unsupported version {version}")
     if magic == REPORT_MAGIC:
-        body = struct.Struct(f"<i{2 * nclock}I")
+        if not sender:
+            raise CodecError("a report comes from a compute processor alone")
+        body = struct.Struct(f"<i{2 * n}I")
         if len(data) != _HEADER.size + body.size:
-            raise CodecError(f"{len(data)} bytes for a report on {nclock} channels")
+            raise CodecError(f"{len(data)} bytes for a report on {n} channels")
         floor, *counts = body.unpack_from(data, _HEADER.size)
-        msg = Message(sender, [], report=Report(floor, counts[:nclock], counts[nclock:]))
-    else:
-        off = _HEADER.size + 4 * nclock
-        try:
-            clock = list(struct.unpack_from(f"<{nclock}i", data, _HEADER.size))
-            (nevents,) = _NEVENTS.unpack_from(data, off)
-        except struct.error as exc:
-            raise CodecError(f"truncated message: {exc}") from exc
-        off += _NEVENTS.size
-        if len(data) - off != nevents * _EVENT.size:
-            raise CodecError(f"{len(data) - off} bytes left for {nevents} events")
-        events = list(map(Spike._make, _EVENT.iter_unpack(memoryview(data)[off:])))
-        msg = Message(sender=sender, clock=clock, events=events)
-    msg.validate()
-    return msg
+        return Report(sender, floor, counts[:n], counts[n:])
+    if n != (1 if sender else 2):
+        raise CodecError(f"{n} stamps from processor {sender}")
+    layout = _SPIKES if sender else _BROADCAST
+    try:
+        *stamps, nevents = layout.unpack_from(data)[4:]
+    except struct.error as exc:
+        raise CodecError(f"truncated message: {exc}") from exc
+    if len(data) - layout.size != nevents * _EVENT.size:
+        raise CodecError(f"{len(data) - layout.size} bytes left for {nevents} events")
+    events = list(map(Spike._make, _EVENT.iter_unpack(memoryview(data)[layout.size:])))
+    if not sender:
+        return Broadcast(*stamps, events)
+    if not events:
+        raise CodecError(f"processor {sender} sent no spikes")
+    return Spikes(sender, *stamps, events)
 
 
 # -- roster -------------------------------------------------------------------
@@ -170,8 +165,7 @@ class InProcBackend:
         self.inboxes = {p: queue.SimpleQueue() for p in range(1, procs + 1)}
         self._lock = threading.Lock()
 
-    def send(self, dest: int, msg: Message) -> None:
-        msg.validate()
+    def send(self, dest: int, msg: Spikes | Broadcast | Report) -> None:
         if dest:
             self.inboxes[dest].put(msg)
             return
@@ -180,7 +174,7 @@ class InProcBackend:
                 for pid, out in self.env.step([msg])[1]:
                     self.inboxes[pid].put(out)
 
-    def poll(self, pid: int, wait: float = 0) -> list[Message]:
+    def poll(self, pid: int, wait: float = 0) -> list:
         """Wait up to ``wait`` seconds for a first message, then take every
         message already queued behind it."""
         box = self.inboxes[pid]
@@ -274,18 +268,17 @@ class TcpBackend:
                     raise TransportError(f"cannot reach processor {peer} at {host}:{port}")
                 time.sleep(CONNECT_RETRY_S)
 
-    def send(self, dest: int, msg: Message) -> None:
-        msg.validate()
+    def send(self, dest: int, msg: Spikes | Broadcast | Report) -> None:
         payload = encode(msg)
         try:
             self._out[dest].sendall(_FRAME.pack(len(payload)) + payload)
         except OSError as exc:
             raise TransportError(f"send to {dest} failed: {exc}") from exc
 
-    def poll(self, pid: int, wait: float = 0) -> list[Message]:
+    def poll(self, pid: int, wait: float = 0) -> list:
         """Read every readable connection until at least one message is
         decoded or ``wait`` seconds have passed."""
-        out: list[Message] = []
+        out: list = []
         end = time.monotonic() + wait
         while True:
             for key, _events in self._selector.select(end - time.monotonic()):
@@ -293,14 +286,15 @@ class TcpBackend:
             if out or time.monotonic() >= end:
                 return out
 
-    def _read(self, conn: socket.socket, out: list[Message]) -> None:
+    def _read(self, conn: socket.socket, out: list) -> None:
         # Peers close their sockets when they terminate. A node closes only
         # once it has seen the run end, and the environment only after every
-        # node has exited, so an environment that reads a node's close has
-        # lost its run, as has a node that reads the environment's. The
-        # sender is bound by the first frame; an environment that closes
-        # before it failed to build its backend (its launcher kills the nodes
-        # after STOP_GRACE_S) or was killed (they fail at TCP_WALL_S).
+        # node has exited or once its run was cut short, so an environment
+        # that reads a node's close has lost its run, as has a node that
+        # reads the environment's. The sender is bound by the first frame; an
+        # environment that closes before it failed to build its backend (its
+        # launcher kills the nodes after STOP_GRACE_S) or was killed (they
+        # fail at TCP_WALL_S).
         try:
             chunk = conn.recv(1 << 16)
         except OSError:
@@ -334,7 +328,7 @@ class TcpBackend:
                     self._sender[conn] = bound = msg.sender
                 elif msg.sender != bound:
                     raise CodecError(f"sender {msg.sender} on the connection from {bound}")
-                if msg.report is not None and self.pid:
+                if type(msg) is Report and self.pid:
                     raise CodecError("a report goes to the environment alone")
             except CodecError as exc:
                 raise TransportError(f"processor {self.pid}: bad frame: {exc}") from exc

@@ -16,7 +16,7 @@ from spikesim.oracle import compare_traces, read_trace, sequential_simulate
 from spikesim.topology import (MappingSpec, NetworkSpec,
                                generate_random, save_mapping, save_network,
                                save_stimuli)
-from spikesim.transport import Message, decode, encode
+from spikesim.transport import Broadcast, Spikes, decode, encode
 
 SEEDS = range(100)
 PROCS = (1, 2, 4)
@@ -221,17 +221,12 @@ def test_criterion_8_wire_fidelity(tmp_path, free_ports):
         # Half broadcasts (T and the raise, any events), half node messages
         # (an emission time and at least one spike).
         sender = rng.randrange(1, 1 << 16) if rng.randrange(2) else 0
-        msg = Message(
-            sender=sender,
-            clock=[rng.randrange(-(1 << 31), 1 << 31)
-                   for _ in range(1 if sender else 2)],
-            events=[Spike(rng.randrange(1 << 32), rng.randrange(-(1 << 31), 1 << 31))
-                    for _ in range(rng.randrange(1 if sender else 0, 6))],
-        )
+        stamps = [rng.randrange(-(1 << 31), 1 << 31) for _ in range(1 if sender else 2)]
+        events = [Spike(rng.randrange(1 << 32), rng.randrange(-(1 << 31), 1 << 31))
+                  for _ in range(rng.randrange(1 if sender else 0, 6))]
+        msg = Spikes(sender, *stamps, events) if sender else Broadcast(*stamps, events)
         back = decode(encode(msg))
-        assert back.sender == msg.sender and back.clock == msg.clock
-        assert [(e.neuron, e.stamp) for e in back.events] == \
-            [(e.neuron, e.stamp) for e in msg.events]
+        assert type(back) is type(msg) and back == msg
         checked += 1
 
     # 2-process tcp run of a criterion-1 style network.

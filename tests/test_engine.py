@@ -24,7 +24,7 @@ from spikesim.oracle import compare_traces, sequential_simulate
 from spikesim.topology import (MappingSpec, NetworkSpec,
                                generate_random, save_mapping, save_network,
                                save_stimuli)
-from spikesim.transport import Report, TcpBackend, TransportError, load_roster
+from spikesim.transport import Report, Spikes, TcpBackend, TransportError, load_roster
 from test_schedules import run_schedule
 
 
@@ -290,7 +290,7 @@ def test_a_duplicated_broadcast_ends_a_threads_run_as_that_nodes_violation():
     def step_and_repeat_20_to_node_1(inbound):
         moved, pairs = step(inbound)
         return moved, pairs + [(1, msg) for dest, msg in pairs
-                               if dest == 1 and msg.clock[0] == 20]
+                               if dest == 1 and msg.T == 20]
 
     run.env.step = step_and_repeat_20_to_node_1
     start = time.monotonic()
@@ -298,8 +298,8 @@ def test_a_duplicated_broadcast_ends_a_threads_run_as_that_nodes_violation():
     assert time.monotonic() - start < 2.5
     assert len(result.violations) == 1
     assert result.violations[0].startswith(
-        "node 1: ProtocolViolation('node 1: broadcast [20, ")
-    assert result.violations[0].endswith("] after T 20')")
+        "node 1: ProtocolViolation('node 1: broadcast of T 20, raise ")
+    assert result.violations[0].endswith(", after T 20')")
 
 
 def test_threaded_engine_reports_a_node_thread_that_does_not_stop(monkeypatch):
@@ -434,7 +434,6 @@ def test_tcp_launcher_reports_a_message_its_environment_rejects(tmp_path, monkey
         return env, nodes
 
     monkeypatch.setattr(engine, "build_simulation", build_disowning)
-    monkeypatch.setattr(engine, "STOP_GRACE_S", 0.2)
     argv = [sys.executable, "-m", "spikesim", "run", "--net", prefix + ".net",
             "--map", prefix + ".map", "--stim", prefix + ".stim", "--mode", "tcp",
             "--horizon", "60", "--roster", str(roster), "--node", "1",
@@ -443,8 +442,9 @@ def test_tcp_launcher_reports_a_message_its_environment_rejects(tmp_path, monkey
                                      roster_path=str(roster), node_argv=[argv])
     assert result.violations[0].startswith("environment: ProtocolViolation('Spike(")
     assert result.violations[0].endswith("from processor 1, which does not own it')")
-    assert result.violations[1:] == [
-        "node process exited with -9 after the run stopped (processor 1)"]
+    # The launcher closes its backend before the grace period, so the node
+    # reads the close and exits 2 (a transport error) on its own.
+    assert result.violations[1:] == ["node process exited with 2 (processor 1)"]
     assert len(forked) == 1
     forked.assert_reaped()
 
@@ -470,9 +470,9 @@ def test_node_flushes_a_partial_batch_before_it_waits():
     assert moved and messages == [] and nodes[1].trace == [(1, 1)]
     moved, messages = nodes[1].step([])
     assert not moved
-    assert [(dest, msg.events) for dest, msg in messages] == [
-        (2, [Spike(1, 1)]), (0, [])]
-    assert messages[1][1].report.sent == [0, 0, 1]
+    assert [(dest, type(msg)) for dest, msg in messages] == [(2, Spikes), (0, Report)]
+    assert messages[0][1].events == [Spike(1, 1)]
+    assert messages[1][1].sent == [0, 0, 1]
 
 
 def test_node_step_reports_once_per_change_of_counts():
@@ -480,16 +480,16 @@ def test_node_step_reports_once_per_change_of_counts():
     node = nodes[2]
     moved, messages = node.step([])
     assert not moved
-    assert [(dest, msg.report) for dest, msg in messages] == [
-        (0, Report(UNBOUNDED, [0, 0, 0], [0, 0, 0]))]
+    assert [(dest, type(msg), msg) for dest, msg in messages] == [
+        (0, Report, Report(2, UNBOUNDED, [0, 0, 0], [0, 0, 0]))]
     assert node.step([]) == (False, [])
     # A clock-only broadcast moves nothing here; its receipt is reported at
     # once, and only once.
     broadcast = dict(env.step([])[1])
     moved, messages = node.step([broadcast[2]])
     assert not moved
-    assert [(dest, msg.report) for dest, msg in messages] == [
-        (0, Report(UNBOUNDED, [0, 0, 0], [1, 0, 0]))]
+    assert [(dest, type(msg), msg) for dest, msg in messages] == [
+        (0, Report, Report(2, UNBOUNDED, [0, 0, 0], [1, 0, 0]))]
     assert node.step([]) == (False, [])
 
 
@@ -621,7 +621,7 @@ def test_tcp_launcher_stops_soon_after_a_node_dies(tmp_path, free_ports, spawned
 
 
 @pytest.mark.parametrize("send, peer", [("", "a node"), (
-    "b.send(0, Message(1, [], report=Report(0, [0, 0], [0, 0]))); ", "processor 1")],
+    "b.send(0, Report(1, 0, [0, 0], [0, 0])); ", "processor 1")],
     ids=["silent", "after-a-report"])
 def test_tcp_launcher_reports_a_node_that_closes_before_the_run_ends(
         tmp_path, free_ports, spawned, send, peer):
@@ -634,7 +634,7 @@ def test_tcp_launcher_reports_a_node_that_closes_before_the_run_ends(
     roster = tmp_path / "roster"
     roster.write_text("".join(f"{pid} 127.0.0.1:{port}\n"
                               for pid, port in enumerate(free_ports(2))))
-    quits = ("from spikesim.transport import Message, Report, TcpBackend, load_roster; "
+    quits = ("from spikesim.transport import Report, TcpBackend, load_roster; "
              f"b = TcpBackend(1, load_roster({str(roster)!r})); {send}b.close()")
     start = time.monotonic()
     result = engine.run_tcp_launcher(net, mapping, stimuli, 50, roster_path=str(roster),
@@ -866,21 +866,21 @@ def test_tcp_launcher_kills_a_forked_node_that_does_not_exit(tmp_path, monkeypat
     assert threading.active_count() == 1  # the launcher started no thread
 
 
-def test_tcp_launcher_kills_a_forked_node_once_its_budget_is_spent(tmp_path, monkeypatch,
-                                                                  free_ports, forked):
+def test_tcp_launcher_stops_a_forked_node_once_its_budget_is_spent(tmp_path, free_ports,
+                                                                  forked):
     # The run would take seconds; the launcher stops stepping after 0.5 s,
-    # so the node never sees the run end and is killed after STOP_GRACE_S.
+    # so the node never sees the run end. It reads the launcher's close
+    # instead and exits on its own before STOP_GRACE_S runs out: a node
+    # killed after the grace period would be reported "after the run stopped".
     horizon = 20_000
     net, mapping, stimuli, roster, argv = cli_workload(tmp_path, free_ports, 1,
                                                        horizon, n=32)
-    monkeypatch.setattr(engine, "STOP_GRACE_S", 0.2)
     start = time.monotonic()
     result = engine.run_tcp_launcher(net, mapping, stimuli, horizon, roster_path=roster,
                                      node_argv=argv, max_wall_s=0.5)
     assert time.monotonic() - start < 5.0
     assert result.violations == [
-        "wall-clock budget exceeded",
-        "node process exited with -9 after the run stopped (processor 1)"]
+        "wall-clock budget exceeded", "node process exited with 2 (processor 1)"]
     assert 0 < result.stats["advancements"] < horizon
     assert len(forked) == 1
     forked.assert_reaped()

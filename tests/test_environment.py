@@ -3,7 +3,7 @@ import pytest
 from spikesim.environment import EnvState
 from spikesim.events import ProtocolViolation, Spike
 from spikesim.node import UNBOUNDED
-from spikesim.transport import Message, Report
+from spikesim.transport import Broadcast, Report, Spikes
 
 
 def make_env(procs=2, stimuli=None, horizon=20, owners=None):
@@ -13,8 +13,7 @@ def make_env(procs=2, stimuli=None, horizon=20, owners=None):
 
 
 def report(env, node, sent, received, floor=UNBOUNDED):
-    env.on_report(Message(sender=node, clock=[],
-                          report=Report(floor, sent, received)))
+    env.on_report(Report(node, floor, sent, received))
 
 
 def test_advance_broadcasts_clock_to_every_processor():
@@ -22,7 +21,8 @@ def test_advance_broadcasts_clock_to_every_processor():
     messages = env.advance_T()
     assert env.T == 1
     assert len(messages) == 2
-    assert all(m.sender == 0 and m.clock == [1, 0] for m in messages)  # T, the raise
+    assert all(type(m) is Broadcast and (m.sender, m.T, m.raised) == (0, 1, 0)
+               for m in messages)  # T, the raise
     assert all(m.events == [] for m in messages)
 
 
@@ -50,7 +50,7 @@ def test_timeout_raises_magnitudes_to_T_minus_one():
     assert env.T == 7
     # The raise rises to T-1 = 6; each node lifts its entries behind it.
     assert env.raised == 6
-    assert [m.clock for m in messages] == [[7, 6]] * 3
+    assert [(type(m), m.T, m.raised) for m in messages] == [(Broadcast, 7, 6)] * 3
     assert env.stats.timeouts == 1
     env.on_timeout(floor=2)  # a raise never falls
     assert env.T == 8 and env.raised == 6
@@ -67,7 +67,7 @@ def test_timeout_raises_no_entry_above_a_pending_forecast():
     messages = env.on_timeout(floor=37)
     assert env.T == 39
     assert env.raised == 37  # not T - 1 = 38
-    assert [m.clock for m in messages] == [[39, 37]] * 4
+    assert [(type(m), m.T, m.raised) for m in messages] == [(Broadcast, 39, 37)] * 4
 
 
 def test_quiescence_needs_every_channel_to_balance():
@@ -96,18 +96,18 @@ def test_quiescence_waits_for_outputs_in_flight():
     report(env, 1, [1, 0, 0], [1, 0, 0])
     report(env, 2, [0, 0, 0], [1, 0, 0])
     assert env.quiescence_floor() is None
-    env.on_output(Message(sender=1, clock=[1], events=[Spike(1, 1)]))
+    env.on_output(Spikes(sender=1, stamp=1, events=[Spike(1, 1)]))
     assert env.quiescence_floor() == UNBOUNDED
 
 
 def report_msg(node, sent, received, floor=UNBOUNDED):
-    return Message(sender=node, clock=[], report=Report(floor, sent, received))
+    return Report(node, floor, sent, received)
 
 
 def test_step_starts_the_run_and_then_waits_for_mail():
     env = make_env()
     moved, broadcast = env.step([])
-    assert moved and [(dest, msg.clock[0]) for dest, msg in broadcast] == [(1, 1), (2, 1)]
+    assert moved and [(dest, msg.T) for dest, msg in broadcast] == [(1, 1), (2, 1)]
     assert env.step([]) == (False, [])
     assert env.T == 1
 
@@ -130,7 +130,7 @@ def test_step_returns_nothing_while_a_channel_is_unbalanced():
 def test_step_advances_on_an_output_before_quiescence():
     env = make_env()
     env.step([])
-    output = Message(sender=1, clock=[1], events=[Spike(1, 1)])
+    output = Spikes(sender=1, stamp=1, events=[Spike(1, 1)])
     # The same mail also proves quiescence; the output decides first.
     moved, broadcast = env.step([report_msg(1, [1, 0, 0], [1, 0, 0], floor=5),
                                  report_msg(2, [0, 0, 0], [1, 0, 0]), output])
@@ -138,7 +138,7 @@ def test_step_advances_on_an_output_before_quiescence():
     assert env.T == 2
     assert env.stats.timeouts == 0 and env.stats.advancements == 2
     assert env.raised == 0   # no magnitude raised to the floor
-    assert [msg.clock for _, msg in broadcast] == [[2, 0]] * 2
+    assert [(type(msg), msg.T, msg.raised) for _, msg in broadcast] == [(Broadcast, 2, 0)] * 2
 
 
 def test_report_that_does_not_fit_is_rejected():
@@ -153,18 +153,18 @@ def test_output_logging_and_advancement_trigger():
     env = make_env()
     env.T = 4
     spike = Spike(neuron=7, stamp=3)
-    msg = Message(sender=1, clock=[4], events=[spike])
+    msg = Spikes(sender=1, stamp=4, events=[spike])
     assert env.on_output(msg) is True  # et_1 reached T
     assert env.output_log == [(7, 3)]
     # a second copy is logged again, so a double emission shows
-    env.on_output(Message(sender=1, clock=[4], events=[spike]))
+    env.on_output(Spikes(sender=1, stamp=4, events=[spike]))
     assert env.output_log == [(7, 3), (7, 3)]
 
 
 def test_output_below_T_does_not_trigger_advancement():
     env = make_env()
     env.T = 9
-    assert env.on_output(Message(sender=2, clock=[8], events=[])) is False
+    assert env.on_output(Spikes(sender=2, stamp=8, events=[])) is False
     assert env.T == 9 and env.raised == 0  # an output moves neither
 
 
@@ -173,7 +173,7 @@ def test_non_output_event_rejected():
     env = make_env()
     env.T = 2
     for neuron in (2, 8):  # owned by processor 2; owned by none
-        msg = Message(sender=1, clock=[2], events=[Spike(neuron, 1)])
+        msg = Spikes(sender=1, stamp=2, events=[Spike(neuron, 1)])
         with pytest.raises(ProtocolViolation,
                            match="from processor 1, which does not own it"):
             env.on_output(msg)
@@ -193,5 +193,5 @@ def test_sorted_outputs_by_time_then_neuron():
     env = make_env(owners={2: 1, 5: 1, 9: 1})
     env.T = 5
     for neuron, stamp in ((9, 3), (2, 3), (5, 1)):
-        env.on_output(Message(sender=1, clock=[stamp], events=[Spike(neuron, stamp)]))
+        env.on_output(Spikes(sender=1, stamp=stamp, events=[Spike(neuron, stamp)]))
     assert env.sorted_outputs() == [(5, 1), (2, 3), (9, 3)]

@@ -184,6 +184,26 @@ def test_source_without_synapse_rejected():
         cell.integrate(10, [1, 3])
 
 
+@pytest.mark.parametrize("stamp, sources, error", [
+    (12, [1, 99], "no synapse from source 99"),
+    (12, [1, 1], "duplicate event at 12 in sources \\[1, 1\\]"),
+    (11, [1, 2], "duplicate or reordered event from 2 \\(stamp 11 after 12\\)"),
+    (11, [1, 3], "stale arrival at 12, horizon 12"),
+], ids=["synapse", "duplicate", "reordered", "stale"])
+def test_a_refused_call_leaves_the_cell_unchanged(stamp, sources, error):
+    # Every arrival passes its checks before any is filed: an earlier good
+    # arrival of the call must not stay behind in the cell.
+    cell = make_cell({1: Synapse(0.5, 2), 2: Synapse(0.5, 1), 3: Synapse(0.5, 1)})
+    cell.integrate(12, [2])  # horizon 12; a pending group at 13
+    state = (list(cell.times), [list(g) for g in cell.groups], list(cell.after),
+             dict(cell.queued), dict(cell._last_stamp_per_source), cell.horizon,
+             cell.v, cell.v_time)
+    with pytest.raises((ProtocolViolation, TopologyError), match=error):
+        cell.integrate(stamp, sources)
+    assert state == (cell.times, cell.groups, cell.after, cell.queued,
+                     cell._last_stamp_per_source, cell.horizon, cell.v, cell.v_time)
+
+
 def test_emitted_spike_invalidated_is_fatal():
     syn = {1: Synapse(2.0, 4), 2: Synapse(-5.0, 2)}
     cell = make_cell(syn)

@@ -6,7 +6,7 @@ from spikesim.events import (CMEvent, CPEvent, EXT_NEURON, ProtocolViolation,
                              Spike, TopologyError)
 from spikesim.neuron import ECState, NeuronParams, Synapse
 from spikesim.node import AuthDecision, NodeState
-from spikesim.transport import Message
+from spikesim.transport import Broadcast, Spikes
 
 
 def make_node(node_id=1, procs=2, neurons=(7,), outputs=(), fanout=None, owners=None):
@@ -337,9 +337,9 @@ def test_computation_delayed_while_threads_running():
 
 
 @pytest.mark.parametrize("transition, message", [
-    (lambda node: node.receive(Message(sender=0, clock=[4, 3])), r"broadcast \[4, 3\] after T 4"),
-    (lambda node: node.receive(Message(sender=0, clock=[6, 3])), r"broadcast \[6, 3\] after T 4"),
-    (lambda node: node.receive(Message(sender=0, clock=[5, 5])), r"broadcast \[5, 5\] after T 4"),
+    (lambda node: node.receive(Broadcast(4, 3, [])), "broadcast of T 4, raise 3, after T 4"),
+    (lambda node: node.receive(Broadcast(6, 3, [])), "broadcast of T 6, raise 3, after T 4"),
+    (lambda node: node.receive(Broadcast(5, 5, [])), "broadcast of T 5, raise 5, after T 4"),
     (lambda node: node.apply_emission(queue_forecast(node, 2)), "emission at 2 after 3, T 4"),
     (lambda node: node.apply_emission(queue_forecast(node, 5)), "emission at 5 after 3, T 4"),
     (lambda node: node.start_computation(7, 1), "computation at 1 after 2, T 4"),
@@ -364,20 +364,20 @@ def test_receive_raises_the_sender_entry_and_a_broadcast_the_others():
     # T and the raise, which lifts every entry but our own. None falls.
     node = make_node(node_id=1, procs=3)
     node.clock = [5, 2, 3, 2]
-    node.receive(Message(sender=3, clock=[6], events=[Spike(99, 6)]))
+    node.receive(Spikes(sender=3, stamp=6, events=[Spike(99, 6)]))
     assert node.clock == [5, 2, 3, 6]
-    node.receive(Message(sender=0, clock=[6, 4], events=[]))
+    node.receive(Broadcast(T=6, raised=4, events=[]))
     assert node.clock == [6, 2, 4, 6]  # entry 1 (self) untouched, 6 > 4
-    node.receive(Message(sender=2, clock=[3], events=[Spike(99, 3)]))
+    node.receive(Spikes(sender=2, stamp=3, events=[Spike(99, 3)]))
     assert node.clock == [6, 2, 4, 6]  # the raise already passed 3
 
 
 def test_receive_queues_events_and_leaves_pt_alone():
     node = make_node()
     node.pt = node.clock[0] = 4
-    node.receive(Message(sender=0, clock=[5, 0], events=[]))
+    node.receive(Broadcast(T=5, raised=0, events=[]))
     assert node.pt == 4 and not node.cm_queue  # clock-only message
-    node.receive(Message(sender=0, clock=[6, 0], events=[Spike(7, 5)]))
+    node.receive(Broadcast(T=6, raised=0, events=[Spike(7, 5)]))
     assert node.pt == 4  # moves only when a computation starts
     assert node.cm_queue.peek() == CMEvent(7, EXT_NEURON, 5)  # a stimulus of input 7
 
@@ -440,7 +440,7 @@ def test_arrival_for_a_neuron_the_node_does_not_own_rejected():
     # one for an owned cell, so no later step looks for its cell.
     for events in ([Spike(3, 0)], [Spike(7, 0), Spike(9, 0)]):
         with pytest.raises(TopologyError, match=f"no cell for neuron {events[-1].neuron}"):
-            make_node(neurons=(7,)).receive(Message(sender=0, clock=[1, 0], events=events))
+            make_node(neurons=(7,)).receive(Broadcast(T=1, raised=0, events=events))
 
 
 def test_apply_emission_requires_queue_top():
@@ -475,7 +475,7 @@ def test_stats_count_transitions():
 
 def test_a_received_spike_is_filed_for_every_local_target():
     node = make_node(neurons=(7, 8), fanout={99: [7, 8]})
-    node.receive(Message(sender=2, clock=[4], events=[Spike(99, 4)]))
+    node.receive(Spikes(sender=2, stamp=4, events=[Spike(99, 4)]))
     assert node.received == [0, 0, 1]
     assert node.cm_queue.pop_stamp() == (4, {7: [99], 8: [99]})
 
@@ -485,9 +485,9 @@ def test_a_received_spike_without_a_local_target_or_stamped_0_rejected():
     # stamp-0 spike that only a stimulus may carry.
     for source in (98, EXT_NEURON):
         with pytest.raises(TopologyError, match=f"no local target of neuron {source}"):
-            make_node().receive(Message(sender=2, clock=[4], events=[Spike(source, 0)]))
+            make_node().receive(Spikes(sender=2, stamp=4, events=[Spike(source, 0)]))
     for stamp in (0, -2):
         node = make_node()
         with pytest.raises(ProtocolViolation, match=f"non-positive event stamp {stamp}"):
-            node.receive(Message(sender=2, clock=[4], events=[Spike(99, stamp)]))
+            node.receive(Spikes(sender=2, stamp=4, events=[Spike(99, stamp)]))
         assert not node.cm_queue
